@@ -30,6 +30,7 @@ from .design import (
 )
 from .margins import StabilityMargins, bode_points, stability_margins
 from .polynomial import Polynomial, as_polynomial
+from .rls import rls_step
 from .simulate import DifferenceEquation, impulse_response, simulate, step_response
 from .transfer_function import TransferFunction, as_transfer_function
 
@@ -54,6 +55,7 @@ __all__ = [
     "place_poles",
     "pole_damping",
     "pole_time_constant",
+    "rls_step",
     "sensitivity",
     "simulate",
     "solve_diophantine",

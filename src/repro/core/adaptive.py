@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..control.rls import rls_step
 from ..errors import ControlError
 from .controller import ControlDecision, Controller
 from .model import DsmsModel
@@ -46,15 +47,11 @@ class RlsGainEstimator:
         """Fold in one (u(k-1), Δŷ(k)) pair; returns the gain estimate."""
         if abs(regressor) < self.min_excitation:
             return self.gain  # not enough excitation to learn from
-        lam = self.forgetting
-        p = self.covariance
-        denom = lam + regressor * p * regressor
-        k = p * regressor / denom
-        error = observation - self.gain * regressor
-        new_gain = self.gain + k * error
-        if new_gain > 0:
-            self.gain = new_gain
-            self.covariance = (p - k * regressor * p) / lam
+        gain, covariance = rls_step(self.gain, self.covariance, regressor,
+                                    observation, self.forgetting)
+        if gain > 0:  # a non-positive plant gain is unphysical: coast
+            self.gain = gain
+            self.covariance = covariance
             self.updates += 1
         return self.gain
 

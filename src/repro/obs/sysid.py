@@ -53,6 +53,7 @@ from typing import Deque, Dict, Optional
 from typing import TYPE_CHECKING
 
 from ..control.margins import StabilityMargins, stability_margins
+from ..control.rls import rls_step
 from ..control.transfer_function import TransferFunction
 from .bus import EventBus, get_bus
 from .events import MarginEroded, ModelMismatch, SysIdUpdate
@@ -92,14 +93,12 @@ class RlsGainEstimator:
 
     def update(self, du: float, dy: float, period: float) -> None:
         """Fold one period pair in: regressor ``φ = T``, target ``Δu - Δy``."""
-        lam = self.forgetting
         phi = float(period)
         if phi <= 0:
             return
         target = float(du) - float(dy)    # tuples the server worked off
-        gain = self.p * phi / (lam + phi * self.p * phi)
-        self.s += gain * (target - self.s * phi)
-        self.p = (self.p - gain * phi * self.p) / lam
+        self.s, self.p = rls_step(self.s, self.p, phi, target,
+                                  self.forgetting)
         self.samples += 1
 
     @property

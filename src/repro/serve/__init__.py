@@ -15,10 +15,10 @@ genuine overload:
   :func:`build_live_runner` to assemble a full live node from an
   :class:`~repro.experiments.config.ExperimentConfig`, and
   :class:`LiveService` / :func:`build_live_service` — the multi-shard
-  variant that routes socket tuples through the service layer's
-  versioned :class:`~repro.service.router.RoutingTable`, so live
-  sources can be *migrated* between shards mid-run without clients
-  reconnecting.
+  variant on the same ticker, which runs the service layer's period
+  step on socket tuples: they route through the versioned
+  :class:`~repro.service.router.RoutingTable`, so live sources can be
+  *migrated* between shards mid-run without clients reconnecting.
 
 Pair with :mod:`repro.workloads.replay` to blast a recorded trace at the
 socket at 1x…1000x speed.

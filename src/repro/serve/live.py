@@ -17,9 +17,13 @@ and delay regulation are all faithful without burning a real CPU per
 tuple, and the entry actuator bounds per-tick work to roughly
 ``capacity × T`` tuples however hard the socket is blasted.
 
-:func:`build_live_runner` assembles the whole node (engine + monitor +
-controller + actuator via :func:`~repro.service.shard.build_shard`) from
-an :class:`~repro.experiments.config.ExperimentConfig`.
+:class:`LiveService` is the multi-shard node: the same ticker, feeding
+the service layer's :func:`~repro.service.service.run_service_period`.
+Both are a :class:`_LiveNode` — clock, buffer, ingest socket, lifecycle,
+ticker and ``/status`` live there once — and differ only in what one
+period does with the drained tuples. :func:`build_live_runner` and
+:func:`build_live_service` assemble whole nodes from the specs every
+other runtime builds from.
 """
 
 from __future__ import annotations
@@ -33,78 +37,73 @@ from ..core.clock import Clock, WallClock
 from ..core.loop import ControlLoop
 from ..errors import ServeError
 from ..metrics.recorder import PeriodRecord, RunRecord
+from ..obs.attach import Observers
 from ..obs.bus import get_bus
 from ..obs.events import IngestStats
-from ..obs.flight import FlightRecorder
-from ..obs.health import HealthMonitor
-from ..obs.sysid import SysIdMonitor
+from ..service.service import (
+    ServiceResult,
+    build_topology,
+    check_topology,
+    run_service_period,
+    service_result,
+    topology_status,
+)
+from ..service.shard import arm_shard, build_shard
 from .ingest import IngestBuffer, IngestServer
 
 
-class LiveRunner:
-    """Drives one control loop on wall-clock periods, fed by a socket.
+class _LiveNode:
+    """What every live node is: a clock, an ingest socket, a ticker.
 
     Lifecycle: :meth:`start` binds the ingest socket (and optionally an
     :class:`~repro.obs.serve.ObsServer`), anchors the clock and launches
     the ticker; :meth:`wait` blocks until ``max_periods`` have closed or
-    :meth:`stop` is called; :meth:`stop` joins the ticker, runs the
-    loop's virtual end-of-run drain, closes every socket, and returns
-    the finished :class:`~repro.metrics.recorder.RunRecord`.
+    :meth:`stop` is called; :meth:`stop` joins the ticker, runs every
+    loop's virtual end-of-run drain, closes every socket and detaches
+    every observer. Subclasses own a ``bus``, arm the observers
+    (:meth:`_observe`) and supply ``_step`` (one period), ``_result``
+    (what :meth:`stop` returns) and ``_status_extra``.
+
+    A live run depends on real arrival timing, so its flight bundles
+    carry no replay spec — ``flight replay`` reports them as not
+    replayable rather than guessing.
     """
 
-    def __init__(self, loop: ControlLoop,
-                 entry_source: str = "in",
-                 clock: Optional[Clock] = None,
-                 host: str = "127.0.0.1",
-                 ingest_port: int = 0,
-                 buffer_maxlen: int = 100_000,
-                 default_source: str = "live",
-                 serve: bool = False,
-                 serve_port: Optional[int] = None,
-                 max_periods: Optional[int] = None,
-                 shard: Optional[str] = None,
-                 sysid: bool = False,
-                 flight: int = 0,
-                 flight_dir: str = "incidents"):
+    #: shard label on the node's IngestStats events (None: service-wide)
+    shard: Optional[str] = None
+
+    def __init__(self, loops: Dict[str, ControlLoop],
+                 clock: Optional[Clock], host: str, ingest_port: int,
+                 buffer_maxlen: int, default_source: str,
+                 max_periods: Optional[int]):
         if max_periods is not None and max_periods <= 0:
             raise ServeError(f"max_periods must be positive: {max_periods}")
-        self.loop = loop
-        self.entry_source = entry_source
+        self._names = list(loops)
+        self._loops = list(loops.values())
+        self.period = self._loops[0].period
         self.clock = clock if clock is not None else WallClock()
         self.buffer = IngestBuffer(self.clock, maxlen=buffer_maxlen)
         self.ingest = IngestServer(self.buffer, host=host, port=ingest_port,
                                    default_source=default_source)
-        self.serve = serve
-        self.serve_port = serve_port
-        #: the live ObsServer while serving; None otherwise
-        self.obs_server = None
         self.max_periods = max_periods
-        self.shard = shard
-        #: live observers over the loop's bus. A live run depends on real
-        #: arrival timing, so its bundles carry no replay spec — ``flight
-        #: replay`` reports them as not replayable rather than guessing.
-        self.sysid_monitor = None
-        self.flight_recorder = None
-        self._health_monitor = None
-        if sysid or flight > 0:
-            obs_bus = self.loop.bus if self.loop.bus else get_bus()
-            self.loop.bus = obs_bus
-            if sysid:
-                self.sysid_monitor = SysIdMonitor(obs_bus)
-            if flight > 0:
-                self.flight_recorder = FlightRecorder(
-                    obs_bus, ring=flight, directory=flight_dir,
-                    runtime="live", status_fn=self.status)
-                self._health_monitor = HealthMonitor(obs_bus)
-                self.flight_recorder.watch(self._health_monitor)
-        self.record: Optional[RunRecord] = None
-        self._last: Optional[PeriodRecord] = None
+        self._records: List[RunRecord] = []
+        self._lasts: List[PeriodRecord] = []
         self._jitter = 0.0
         self._periods_done = 0
         self._stop = threading.Event()
         self._ticker: Optional[threading.Thread] = None
         self._finished = False
         self._lock = threading.Lock()
+        self._wall_start = 0.0
+
+    def _observe(self, **knobs) -> None:
+        """Arm the node's observers on its bus (before :meth:`start`)."""
+        self.observers = Observers(self.bus, runtime="live",
+                                   status_fn=self.status, **knobs)
+        self.serve = self.observers.serve
+        self.serve_port = self.observers.serve_port
+        self.sysid_monitor = self.observers.sysid_monitor
+        self.flight_recorder = self.observers.flight_recorder
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -114,21 +113,25 @@ class LiveRunner:
         """The bound TCP port tuples should be sent to."""
         return self.ingest.port
 
-    def start(self) -> "LiveRunner":
+    @property
+    def obs_server(self):
+        """The live ObsServer while serving; None otherwise."""
+        return self.observers.server
+
+    def start(self):
         if self._ticker is not None:
-            raise ServeError("LiveRunner already started")
-        if self.serve:
-            from ..obs.serve import ObsServer  # lazy: serving is opt-in
-            self.obs_server = ObsServer(port=self.serve_port,
-                                        bus=self.loop.bus,
-                                        status_fn=self.status,
-                                        flight=self.flight_recorder).start()
+            raise ServeError(f"{type(self).__name__} already started")
+        self.observers.start()
         self.ingest.start()
-        # front-door drops show up in the sampled tuple traces too
-        self.buffer.tuple_tracer = self.loop.tuple_tracer
-        # the monitor stamps measurements with wall time from here on
-        self.loop.monitor.clock = self.clock
-        self.record = self.loop.begin()
+        # buffer-full drops happen before routing, so front-door drops
+        # show up in the first loop's sampled tuple traces (mirrors the
+        # service-wide "ingest" timing convention)
+        self.buffer.tuple_tracer = self._loops[0].tuple_tracer
+        self._wall_start = _time.perf_counter()
+        for loop in self._loops:
+            # the monitor stamps measurements with wall time from here on
+            loop.monitor.clock = self.clock
+            self._records.append(loop.begin())
         self.clock.start()  # period 0 begins *now*; arrivals stamp >= 0
         self._ticker = threading.Thread(
             target=self._run_ticker, name="repro-live-ticker", daemon=True)
@@ -142,35 +145,30 @@ class LiveRunner:
         self._ticker.join(timeout=timeout)
         return not self._ticker.is_alive()
 
-    def stop(self, drain: bool = True) -> RunRecord:
-        """Stop ticking, close the run record, shut every socket. Idempotent.
+    def stop(self, drain: bool = True):
+        """Stop ticking, close the records, shut every socket. Idempotent.
 
-        ``drain=True`` runs the loop's usual end-of-run *virtual* drain so
+        ``drain=True`` runs each loop's usual end-of-run *virtual* drain so
         every delivered tuple's delay is resolved into the record.
         """
         self._stop.set()
         if self._ticker is not None:
-            self._ticker.join(timeout=max(10.0, 3 * self.loop.period))
-        with self._lock:
-            if not self._finished:
-                self._finished = True
-                if drain:
-                    self.loop.finish(self.record, self._periods_done)
-                else:
-                    self.record.duration = (
-                        self._periods_done * self.loop.period)
-        self.ingest.stop()
-        if self.obs_server is not None:
-            self.obs_server.stop()
-            self.obs_server = None
-        if self._health_monitor is not None:
-            self._health_monitor.finalize()
-            self._health_monitor.close()
-        if self.sysid_monitor is not None:
-            self.sysid_monitor.close()
-        if self.flight_recorder is not None:
-            self.flight_recorder.close()
-        return self.record
+            self._ticker.join(timeout=max(10.0, 3 * self.period))
+        try:
+            with self._lock:
+                if not self._finished:
+                    self._finished = True
+                    for loop, record in zip(self._loops, self._records):
+                        if drain:
+                            loop.finish(record, self._periods_done)
+                        else:
+                            record.duration = self._periods_done * self.period
+            self.ingest.stop()
+        finally:
+            wall = _time.perf_counter() - self._wall_start
+            summaries = self.observers.close(
+                dict(zip(self._names, self._loops)), wall_seconds=wall)
+        return self._result(summaries, wall)
 
     def handle_signals(self) -> None:
         """Route SIGINT/SIGTERM to a clean stop (call from the main thread).
@@ -198,39 +196,39 @@ class LiveRunner:
             except (ValueError, OSError):  # pragma: no cover - non-main thread
                 pass
 
-    def __enter__(self) -> "LiveRunner":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
     # ------------------------------------------------------------------ #
-    # the ticker: one run_period call per wall-clock boundary
+    # the ticker: one _step call per wall-clock boundary
     # ------------------------------------------------------------------ #
     def _run_ticker(self) -> None:
-        loop, buffer, clock = self.loop, self.buffer, self.clock
+        buffer, clock, period = self.buffer, self.clock, self.period
         prev = self.ingest.snapshot()
         k = 0
         while not self._stop.is_set():
             if self.max_periods is not None and k >= self.max_periods:
                 break
-            boundary = (k + 1) * loop.period
+            boundary = (k + 1) * period
             late = clock.wait_until(boundary, self._stop)
             if clock.now() < boundary:
                 break  # stop fired mid-period; k never closed
             self._jitter = max(late, 0.0)
-            tracer = loop.tracer
+            # the buffer drain happens before run_period opens the period;
+            # PeriodTracer.add charges it to the run totals so live flame
+            # summaries still account for ingest time — once, on the first
+            # loop's tracer, so merge_flames never double-counts it
+            tracer = self._loops[0].tracer
             if tracer is not None:
-                # the buffer drain happens before run_period opens the
-                # period; PeriodTracer.add charges it to the run totals so
-                # live flame summaries still account for ingest time
                 mark = _time.perf_counter()
-                due = buffer.drain_until(boundary)
+            due = buffer.drain_until(boundary)
+            if tracer is not None:
                 tracer.add("ingest", _time.perf_counter() - mark)
-            else:
-                due = buffer.drain_until(boundary)
             snap = self.ingest.snapshot()
-            bus = loop.bus
+            bus = self.bus
             if bus:
                 bus.emit(IngestStats(
                     k=k,
@@ -239,20 +237,16 @@ class LiveRunner:
                     malformed=snap.malformed - prev.malformed,
                     bytes_read=snap.bytes_read - prev.bytes_read,
                     connections=snap.open_connections,
-                    rate=(snap.accepted - prev.accepted) / loop.period,
+                    rate=(snap.accepted - prev.accepted) / period,
                     skew=snap.skew_last,
                     jitter=self._jitter,
                     buffered=len(buffer),
                     shard=self.shard,
                 ))
             prev = snap
-            # logical source names are a routing concept; tuples enter the
-            # query network at the shard's one physical entry source
-            arrivals = [(t, values, self.entry_source)
-                        for t, values, _ in due]
-            last = loop.run_period(self.record, k, arrivals)
+            lasts = self._step(k, due)
             with self._lock:
-                self._last = last
+                self._lasts = lasts
                 self._periods_done = k + 1
             k += 1
 
@@ -263,13 +257,13 @@ class LiveRunner:
         """A JSON-able snapshot of the live node right now."""
         snap = self.ingest.snapshot()
         with self._lock:
-            last = self._last
+            lasts = self._lasts
             done = self._periods_done
         doc = {
             "mode": "live",
             "running": (self._ticker is not None and self._ticker.is_alive()),
             "clock": round(self.clock.now(), 3) if self.clock else None,
-            "period": self.loop.period,
+            "period": self.period,
             "periods_done": done,
             "ingest_port": self.ingest.port,
             "tick_jitter": round(self._jitter, 4),
@@ -283,34 +277,96 @@ class LiveRunner:
                 "skew_last": round(snap.skew_last, 4),
             },
         }
-        if last is not None:
-            doc.update({
-                "k": last.k,
-                "delay_estimate": last.delay_estimate,
-                "target": last.target,
-                "queue_length": last.queue_length,
-                "alpha": last.alpha,
-                "offered": last.offered,
-                "admitted": last.admitted,
-            })
+        doc.update(self._status_extra(lasts))
         return doc
 
 
-class LiveService:
+class LiveRunner(_LiveNode):
+    """Drives one control loop on wall-clock periods, fed by a socket.
+
+    :meth:`stop` returns the finished
+    :class:`~repro.metrics.recorder.RunRecord` (also :attr:`record`).
+    Every tuple enters the loop's network at ``entry_source``, whatever
+    source name it carried on the wire.
+    """
+
+    def __init__(self, loop: ControlLoop,
+                 entry_source: str = "in",
+                 clock: Optional[Clock] = None,
+                 host: str = "127.0.0.1",
+                 ingest_port: int = 0,
+                 buffer_maxlen: int = 100_000,
+                 default_source: str = "live",
+                 serve: bool = False,
+                 serve_port: Optional[int] = None,
+                 max_periods: Optional[int] = None,
+                 shard: Optional[str] = None,
+                 sysid: bool = False,
+                 flight: int = 0,
+                 flight_dir: str = "incidents"):
+        self.loop = loop
+        self.entry_source = entry_source
+        self.shard = shard
+        if (sysid or flight > 0) and not loop.bus:
+            # a loop nobody listens to yet: observe it on the process bus
+            loop.bus = get_bus()
+        super().__init__({shard or "live": loop}, clock, host, ingest_port,
+                         buffer_maxlen, default_source, max_periods)
+        self._observe(serve=serve, serve_port=serve_port,
+                      sysid=sysid, flight=flight, flight_dir=flight_dir)
+
+    @property
+    def bus(self):
+        """The loop's bus, read at every tick (it may be swapped mid-run)."""
+        return self.loop.bus
+
+    @property
+    def record(self) -> Optional[RunRecord]:
+        """The run's record; None until :meth:`start`."""
+        return self._records[0] if self._records else None
+
+    def _step(self, k: int, due) -> List[PeriodRecord]:
+        # logical source names are a routing concept; tuples enter the
+        # query network at the loop's one physical entry source
+        entry_source = self.entry_source
+        return [self.loop.run_period(
+            self._records[0], k,
+            [(t, values, entry_source) for t, values, __ in due])]
+
+    def _result(self, summaries: dict, wall: float) -> Optional[RunRecord]:
+        return self.record
+
+    def _status_extra(self, lasts: List[PeriodRecord]) -> dict:
+        if not lasts:
+            return {}
+        last = lasts[0]
+        return {
+            "k": last.k,
+            "delay_estimate": last.delay_estimate,
+            "target": last.target,
+            "queue_length": last.queue_length,
+            "alpha": last.alpha,
+            "offered": last.offered,
+            "admitted": last.admitted,
+        }
+
+
+class LiveService(_LiveNode):
     """N live shards behind one ingest socket, routed through one table.
 
     The real-time counterpart of
-    :class:`~repro.service.service.StreamService`: one ticker thread
-    drains the shared :class:`~repro.serve.ingest.IngestBuffer` at every
-    wall-clock period boundary, routes each tuple through the service
-    layer's versioned :class:`~repro.service.router.RoutingTable` by its
-    wire-protocol ``source`` field, steps every shard's control loop, and
-    lets the :class:`~repro.service.coordinator.HeadroomCoordinator`
-    rebalance — including executing a planned source *migration*
-    (drain -> cutover -> re-pin). Because routing happens per tick
-    against the live table, socket tuples follow a migrated source to
-    its new shard without clients reconnecting: senders keep writing the
-    same source name to the same socket and only the table entry moves.
+    :class:`~repro.service.service.StreamService`: at every wall-clock
+    period boundary the ticker runs the service layer's period step on
+    what the shared :class:`~repro.serve.ingest.IngestBuffer` drained —
+    route by the wire-protocol ``source`` field, step every shard,
+    rebalance, execute a planned *migration* (drain -> cutover ->
+    re-pin). Because routing happens per tick against the live table,
+    socket tuples follow a migrated source to its new shard without
+    clients reconnecting: senders keep writing the same source name to
+    the same socket and only the table entry moves.
+
+    :meth:`stop` returns a :class:`~repro.service.service.ServiceResult`
+    so live runs export/compare exactly like virtual-time service runs.
     """
 
     def __init__(self, shards: Sequence, table,
@@ -327,265 +383,48 @@ class LiveService:
                  sysid: bool = False,
                  flight: int = 0,
                  flight_dir: str = "incidents"):
-        if not shards:
-            raise ServeError("a live service needs at least one shard")
-        if table.n_shards != len(shards):
-            raise ServeError(
-                f"routing table covers {table.n_shards} shards but the "
-                f"service has {len(shards)}"
-            )
-        periods = {shard.loop.period for shard in shards}
-        if len(periods) != 1:
-            raise ServeError(
-                f"all shards must share one control period, "
-                f"got {sorted(periods)}"
-            )
-        if max_periods is not None and max_periods <= 0:
-            raise ServeError(f"max_periods must be positive: {max_periods}")
+        check_topology(shards, table)
         self.shards = list(shards)
         self.table = table
         self.coordinator = coordinator
-        self.period = next(iter(periods))
-        self.clock = clock if clock is not None else WallClock()
-        self.buffer = IngestBuffer(self.clock, maxlen=buffer_maxlen)
-        self.ingest = IngestServer(self.buffer, host=host, port=ingest_port,
-                                   default_source=default_source)
         self.bus = bus if bus is not None else get_bus()
-        for shard in self.shards:
-            scoped = self.bus.scoped(shard.name)
-            shard.loop.bus = scoped
-            shard.engine.bus = scoped
+        super().__init__({shard.name: shard.loop for shard in self.shards},
+                         clock, host, ingest_port, buffer_maxlen,
+                         default_source, max_periods)
+        self._observe(serve=serve, serve_port=serve_port,
+                      sysid=sysid, flight=flight, flight_dir=flight_dir)
         self.coordinator.bus = self.bus
-        self.serve = serve
-        self.serve_port = serve_port
-        self.obs_server = None
-        #: live observers (see :class:`LiveRunner`: live bundles carry no
-        #: replay spec — real arrival timing is not reproducible)
-        self.sysid = sysid
-        self.sysid_monitor = SysIdMonitor(self.bus) if sysid else None
-        self.flight_recorder = None
-        self._health_monitor = None
-        if flight > 0:
-            self.flight_recorder = FlightRecorder(
-                self.bus, ring=flight, directory=flight_dir,
-                runtime="live", status_fn=self.status)
-            self._health_monitor = HealthMonitor(self.bus)
-            self.flight_recorder.watch(self._health_monitor)
-        self.max_periods = max_periods
-        self.records: Dict[str, RunRecord] = {}
-        self._lasts: Dict[str, PeriodRecord] = {}
-        self._jitter = 0.0
-        self._periods_done = 0
-        self._stop = threading.Event()
-        self._ticker: Optional[threading.Thread] = None
-        self._finished = False
-        self._lock = threading.Lock()
-        self._records_list: List[RunRecord] = []
-        self._wall_start = 0.0
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
+    def _observe(self, trace: bool = False, tuptrace: float = 0.0,
+                 **knobs) -> None:
+        super()._observe(trace=trace, tuptrace=tuptrace, **knobs)
+        for i, shard in enumerate(self.shards):
+            arm_shard(shard, self.bus, i, tuptrace=tuptrace, trace=trace)
+
     @property
-    def ingest_port(self) -> int:
-        """The bound TCP port tuples should be sent to."""
-        return self.ingest.port
+    def records(self) -> Dict[str, RunRecord]:
+        """Shard name -> its run record; empty until :meth:`start`."""
+        return dict(zip(self._names, self._records))
 
-    def start(self) -> "LiveService":
-        if self._ticker is not None:
-            raise ServeError("LiveService already started")
-        if self.serve:
-            from ..obs.serve import ObsServer  # lazy: serving is opt-in
-            self.obs_server = ObsServer(port=self.serve_port, bus=self.bus,
-                                        status_fn=self.status,
-                                        flight=self.flight_recorder).start()
-        if self.flight_recorder is not None:
-            self.flight_recorder.handle_signals()
-        self.ingest.start()
-        # buffer-full drops happen before routing, so charge them to shard
-        # 0's tracer (mirrors the service-wide "ingest" timing convention)
-        self.buffer.tuple_tracer = self.shards[0].loop.tuple_tracer
-        self._wall_start = _time.perf_counter()
-        for shard in self.shards:
-            shard.loop.monitor.clock = self.clock
-            record = shard.loop.begin()
-            self.records[shard.name] = record
-            self._records_list.append(record)
-        self.clock.start()
-        self._ticker = threading.Thread(
-            target=self._run_ticker, name="repro-live-service", daemon=True)
-        self._ticker.start()
-        return self
+    def _step(self, k: int, due) -> List[PeriodRecord]:
+        return run_service_period(
+            k, due, self.table.shard_of, self.shards, self._records,
+            self.coordinator, self.table,
+            bus=self.bus, tracer=self.observers.tracer)
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the ticker exits (max_periods or stop). True if it did."""
-        if self._ticker is None:
-            return True
-        self._ticker.join(timeout=timeout)
-        return not self._ticker.is_alive()
+    def _result(self, summaries: dict, wall: float) -> ServiceResult:
+        return service_result(self.coordinator, self.shards, self.records,
+                              wall, summaries)
 
-    def stop(self, drain: bool = True):
-        """Stop ticking, close the records, shut every socket. Idempotent.
-
-        Returns a :class:`~repro.service.service.ServiceResult` so live
-        runs export/compare exactly like virtual-time service runs.
-        """
-        from ..service.service import ServiceResult  # lazy: package cycle
-        self._stop.set()
-        if self._ticker is not None:
-            self._ticker.join(timeout=max(10.0, 3 * self.period))
-        with self._lock:
-            if not self._finished:
-                self._finished = True
-                for shard, record in zip(self.shards, self._records_list):
-                    if drain:
-                        shard.loop.finish(record, self._periods_done)
-                    else:
-                        record.duration = self._periods_done * self.period
-        self.ingest.stop()
-        if self.obs_server is not None:
-            self.obs_server.stop()
-            self.obs_server = None
-        if self._health_monitor is not None:
-            self._health_monitor.finalize()
-            self._health_monitor.close()
-        sysid_summary = None
-        if self.sysid_monitor is not None:
-            sysid_summary = self.sysid_monitor.summary()
-            self.sysid_monitor.close()
-        incidents = None
-        if self.flight_recorder is not None:
-            incidents = [str(p) for p in self.flight_recorder.incidents]
-            self.flight_recorder.close()
-        return ServiceResult(
-            mode=self.coordinator.mode,
-            base_target=self.shards[0].base_target,
-            shard_records=dict(self.records),
-            coordinator_history=list(self.coordinator.history),
-            wall_seconds=_time.perf_counter() - self._wall_start,
-            sysid=sysid_summary,
-            incidents=incidents,
-        )
-
-    def __enter__(self) -> "LiveService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------ #
-    # the ticker: route -> step every shard -> coordinate, per boundary
-    # ------------------------------------------------------------------ #
-    def _run_ticker(self) -> None:
-        from ..service.service import execute_migration  # lazy: cycle
-        buffer, clock = self.buffer, self.clock
-        prev = self.ingest.snapshot()
-        k = 0
-        while not self._stop.is_set():
-            if self.max_periods is not None and k >= self.max_periods:
-                break
-            boundary = (k + 1) * self.period
-            late = clock.wait_until(boundary, self._stop)
-            if clock.now() < boundary:
-                break  # stop fired mid-period; k never closed
-            self._jitter = max(late, 0.0)
-            tracer = self.shards[0].loop.tracer
-            if tracer is not None:
-                # service-wide ingest work, charged once (to shard 0's
-                # tracer) so merge_flames never double-counts the drain
-                mark = _time.perf_counter()
-                due = buffer.drain_until(boundary)
-                tracer.add("ingest", _time.perf_counter() - mark)
-            else:
-                due = buffer.drain_until(boundary)
-            snap = self.ingest.snapshot()
-            if self.bus:
-                self.bus.emit(IngestStats(
-                    k=k,
-                    accepted=snap.accepted - prev.accepted,
-                    dropped=snap.dropped - prev.dropped,
-                    malformed=snap.malformed - prev.malformed,
-                    bytes_read=snap.bytes_read - prev.bytes_read,
-                    connections=snap.open_connections,
-                    rate=(snap.accepted - prev.accepted) / self.period,
-                    skew=snap.skew_last,
-                    jitter=self._jitter,
-                    buffered=len(buffer),
-                ))
-            prev = snap
-            # route by the *current* table: after a cutover the same
-            # source name lands on its new shard from this tick on
-            per_shard: List[List] = [[] for __ in self.shards]
-            counts: Dict[str, int] = {}
-            for t, values, source in due:
-                per_shard[self.table.shard_of(source)].append((t, values))
-                counts[source] = counts.get(source, 0) + 1
-            closed = []
-            for i, shard in enumerate(self.shards):
-                arrivals = [(t, values, shard.entry_source)
-                            for t, values in per_shard[i]]
-                closed.append(shard.loop.run_period(
-                    self.records[shard.name], k, arrivals))
-            entry = self.coordinator.rebalance(k, self.shards, closed,
-                                               source_counts=counts,
-                                               table=self.table)
-            plan = entry.get("migration")
-            if plan is not None:
-                # the drain advances *virtual* engine time only — in wall
-                # time the cutover is instantaneous between two ticks
-                execute_migration(k, plan, self.shards, self.table,
-                                  bus=self.bus)
-            with self._lock:
-                for shard, p in zip(self.shards, closed):
-                    self._lasts[shard.name] = p
-                self._periods_done = k + 1
-            k += 1
-
-    # ------------------------------------------------------------------ #
-    # live introspection (the ObsServer's ``/status`` "service" view)
-    # ------------------------------------------------------------------ #
-    def status(self) -> dict:
-        """A JSON-able snapshot of the live fleet right now."""
-        snap = self.ingest.snapshot()
-        policy = self.coordinator.migration_policy
-        with self._lock:
-            lasts = dict(self._lasts)
-            done = self._periods_done
-        doc = {
-            "mode": "live",
-            "coordination": self.coordinator.mode,
-            "running": (self._ticker is not None
-                        and self._ticker.is_alive()),
-            "clock": round(self.clock.now(), 3) if self.clock else None,
-            "period": self.period,
-            "periods_done": done,
-            "ingest_port": self.ingest.port,
-            "tick_jitter": round(self._jitter, 4),
-            "routing_epoch": self.table.epoch,
-            "routes": self.table.routes(),
-            "migrations": policy.migrations if policy is not None else 0,
-            "ingest": {
-                "accepted": snap.accepted,
-                "dropped": snap.dropped,
-                "malformed": snap.malformed,
-                "bytes_read": snap.bytes_read,
-                "connections": snap.open_connections,
-                "buffered": len(self.buffer),
-                "skew_last": round(snap.skew_last, 4),
-            },
-            "shards": {
-                shard.name: {
-                    "headroom": shard.headroom,
-                    "target": shard.target,
-                    "alpha": shard.requested_alpha,
-                    "delay_estimate": (lasts[shard.name].delay_estimate
-                                       if shard.name in lasts else None),
-                    "queue_length": (lasts[shard.name].queue_length
-                                     if shard.name in lasts else None),
-                }
-                for shard in self.shards
-            },
-        }
+    def _status_extra(self, lasts: List[PeriodRecord]) -> dict:
+        doc = topology_status(self.coordinator, self.table, self.shards)
+        doc["coordination"] = self.coordinator.mode
+        doc["routes"] = self.table.routes()
+        # before the first period closes there is no last record per shard
+        lasts = lasts or [None] * len(self.shards)
+        for shard, last in zip(doc["shards"].values(), lasts):
+            shard["delay_estimate"] = getattr(last, "delay_estimate", None)
+            shard["queue_length"] = getattr(last, "queue_length", None)
         return doc
 
 
@@ -600,61 +439,29 @@ def build_live_service(config, svc,
     """A complete multi-shard live node from ``(config, svc)`` specs.
 
     The same :class:`~repro.service.config.ServiceConfig` that builds the
-    lockstep service or the process fleet builds the live front-end:
-    same shards, same routing table, same coordinator (migration policy
-    included) — just clocked by real seconds and fed by a socket.
+    lockstep service or the process fleet builds the live front-end
+    (:func:`~repro.service.service.build_topology`): same shards, same
+    routing table, same coordinator (migration policy included), same
+    observer knobs — just clocked by real seconds and fed by a socket.
     """
-    from ..service.coordinator import (  # lazy: avoids a package cycle
-        HeadroomCoordinator,
-        MigrationPolicy,
-    )
-    from ..service.router import make_router
-    from ..service.shard import build_shard
-    headrooms = svc.initial_headrooms()
-    shards = [
-        build_shard(
-            name, config,
-            headroom=headrooms[i],
-            target=config.target,
-            strategy=svc.strategy,
-            engine_seed=config.seed + 104729 * (i + 1),
-            drain_max_extra=svc.drain_max_extra,
-            backend=svc.backend,
-        )
-        for i, name in enumerate(svc.shard_names)
-    ]
-    assignments = (svc.default_assignments()
-                   if svc.router == "explicit" else None)
-    if assignments is not None:
-        # bare wire tuples carry no source field and fall back to
-        # default_source; a pins-only table must know where to put them
-        assignments.setdefault(default_source, 0)
-    table = make_router(svc.router, svc.n_shards, assignments)
-    policy = None
-    if svc.migration:
-        policy = MigrationPolicy(
-            patience=svc.migration_patience,
-            cooldown=svc.migration_cooldown,
-            deficit=svc.migration_deficit,
-            max_migrations=svc.max_migrations,
-            drain_budget=svc.migration_drain_budget,
-        )
-    coordinator = HeadroomCoordinator(
-        mode=svc.mode,
-        gain=svc.rebalance_gain,
-        headroom_floor=svc.headroom_floor,
-        headroom_ceiling=svc.headroom_ceiling,
-        loss_bound=svc.loss_bound,
-        migration_policy=policy,
-    )
-    return LiveService(shards, table, coordinator,
-                       clock=clock, host=host, ingest_port=ingest_port,
-                       buffer_maxlen=buffer_maxlen,
-                       default_source=default_source, bus=bus,
-                       serve=svc.serve, serve_port=svc.serve_port,
-                       max_periods=max_periods,
-                       sysid=svc.sysid, flight=svc.flight,
-                       flight_dir=svc.flight_dir)
+    shards, table, coordinator = build_topology(
+        config, svc, default_source=default_source)
+    service = LiveService(shards, table, coordinator,
+                          clock=clock, host=host, ingest_port=ingest_port,
+                          buffer_maxlen=buffer_maxlen,
+                          default_source=default_source, bus=bus,
+                          max_periods=max_periods)
+    if (svc.health or svc.trace or svc.tuptrace or svc.serve or svc.sysid
+            or svc.flight):
+        # the constructor armed nothing (an unarmed Observers holds no
+        # subscription), so arming the config's full observer set here
+        # replaces it without leaving anything behind
+        service._observe(health=svc.health, trace=svc.trace,
+                         tuptrace=svc.tuptrace,
+                         serve=svc.serve, serve_port=svc.serve_port,
+                         sysid=svc.sysid, flight=svc.flight,
+                         flight_dir=svc.flight_dir)
+    return service
 
 
 def build_live_runner(config,
@@ -675,7 +482,6 @@ def build_live_runner(config,
     the config's headroom/target), then wraps its loop in a
     :class:`LiveRunner` listening on ``host:ingest_port``.
     """
-    from ..service.shard import build_shard  # lazy: avoids a package cycle
     built = build_shard(shard or "live", config,
                         headroom=config.headroom,
                         target=config.target,

@@ -10,7 +10,10 @@ global drop bound). Two runners share the configs:
 lockstep inside one process;
 :class:`~repro.service.fleet.ProcessFleet` promotes each shard to its
 own worker process under a parent-resident coordinator, with failure
-recovery by deterministic replay. See README.md "Sharded service layer"
+recovery by deterministic replay. Both — and the wall-clock
+:class:`~repro.serve.live.LiveService` — are assembled by one
+:func:`build_topology` and step one :func:`run_service_period`. See
+README.md "Sharded service layer"
 / "Process fleet" for quickstarts and docs/THEORY.md §7/§11 for why the
 coordinated loops stay stable.
 """
@@ -31,9 +34,17 @@ from .service import (
     ServiceResult,
     StreamService,
     build_service,
+    build_topology,
     execute_migration,
+    run_service_period,
 )
-from .shard import SHARD_CONTROLLERS, DrainReport, EngineShard, build_shard
+from .shard import (
+    SHARD_CONTROLLERS,
+    DrainReport,
+    EngineShard,
+    arm_shard,
+    build_shard,
+)
 
 __all__ = [
     "DEFAULT_TOTAL_HEADROOM",
@@ -55,9 +66,12 @@ __all__ = [
     "ShardProxy",
     "StreamRouter",
     "StreamService",
+    "arm_shard",
     "build_fleet",
     "build_service",
     "build_shard",
+    "build_topology",
     "execute_migration",
     "make_router",
+    "run_service_period",
 ]

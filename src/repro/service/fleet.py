@@ -7,9 +7,10 @@ throughput from extra cores. :class:`ProcessFleet` promotes each
 deployment shape of the paper's Borealis target, where every node advances
 autonomously while a supervisor rebalances load:
 
-* each **worker** builds its shard locally (from the same picklable specs
-  :func:`~repro.service.service.build_service` uses, same seeds) and
-  drives the stepped :class:`~repro.core.loop.ControlLoop` API over its
+* each **worker** builds its shard locally (from the same
+  :func:`~repro.service.service.shard_build_spec` the lockstep service
+  builds from, same seeds) and drives the stepped
+  :class:`~repro.core.loop.ControlLoop` API over its
   router slice of the arrivals, one Monitor -> Controller -> Actuator
   cycle per control period, shipping a per-period summary (the closed
   :class:`~repro.metrics.recorder.PeriodRecord` plus the armed drop
@@ -59,6 +60,7 @@ import time as _time
 import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -66,33 +68,25 @@ import multiprocessing
 from ..errors import ServiceError
 from ..metrics.recorder import PeriodRecord, RunRecord
 from ..obs.bus import EventBus, get_bus
-from ..obs.events import RouteChanged, WorkerDown, WorkerRestarted
-from ..obs.flight import FlightRecorder
-from ..obs.health import HealthMonitor
-from ..obs.sysid import SysIdMonitor
+from ..obs.events import WorkerDown, WorkerRestarted
 from ..obs.relay import CommandChannel, EventRelay, worker_relay
-from ..obs.tuptrace import TupleTracer
+from ..obs.sysid import SysIdMonitor
 from .config import FleetConfig, ServiceConfig
-from .coordinator import HeadroomCoordinator, MigrationPolicy
-from .router import RoutingTable, make_router
-from .service import Arrival, ServiceResult
-from .shard import build_shard
+from .router import RoutingTable
+from .service import (
+    Arrival,
+    PeriodDispatcher,
+    RecordedRun,
+    ServiceResult,
+    build_control_plane,
+    execute_migration,
+    service_result,
+    shard_build_spec,
+)
+from .shard import arm_shard, build_shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
-
-#: the prime stride build_service uses for per-shard engine seeds;
-#: workers must derive the identical seed to reproduce the lockstep run
-_SEED_STRIDE = 104729
-
-
-class _LoopView:
-    """The one ``loop`` attribute the coordinator reads off a shard."""
-
-    __slots__ = ("period",)
-
-    def __init__(self, period: float):
-        self.period = period
 
 
 class ShardProxy:
@@ -102,7 +96,9 @@ class ShardProxy:
     :class:`~repro.service.coordinator.HeadroomCoordinator` touches —
     ``headroom`` / ``base_target`` / ``requested_alpha`` / ``loop.period``
     to observe, ``set_headroom`` / ``set_target`` / ``cap_alpha`` to
-    mutate. Mutations update the proxy's view (so the next rebalance
+    mutate — and the ``drain_source`` half of
+    :func:`~repro.service.service.execute_migration`. Mutations update
+    the proxy's view (so the next rebalance
     observes what the lockstep service would) and append a pickled op for
     the worker, which applies it through the real shard's method — same
     validation, same model replacement, same events, just one process
@@ -116,7 +112,8 @@ class ShardProxy:
         self.base_target = float(base_target)
         self.target = float(base_target)
         self.requested_alpha = 0.0
-        self.loop = _LoopView(period)
+        #: the one ``loop`` attribute the coordinator reads off a shard
+        self.loop = SimpleNamespace(period=period)
         self._ops: List[Tuple[str, float]] = []
 
     def set_headroom(self, headroom: float) -> None:
@@ -135,6 +132,11 @@ class ShardProxy:
 
     def cap_alpha(self, alpha_cap: float) -> None:
         self._ops.append(("alpha_cap", float(alpha_cap)))
+
+    def drain_source(self, source: str, budget: float, k: int = -1,
+                     to_shard: int = -1, from_shard: int = -1) -> None:
+        self._ops.append(("drain_source",
+                          (source, budget, k, from_shard, to_shard)))
 
     def take_ops(self) -> List[Tuple[str, float]]:
         """The ops accumulated since the last call (journal + downlink)."""
@@ -178,8 +180,7 @@ def _apply_ops(shard, ops: Sequence[Tuple[str, object]],
             raise ServiceError(f"unknown coordinator op {op!r}")
 
 
-def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
-                  headroom: float, engine_seed: int, index: int,
+def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
                   arrivals: Sequence[Arrival], table_snapshot: dict,
                   n_periods: int,
                   summary_queue, command_queue, relay_queue,
@@ -187,6 +188,7 @@ def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
                   fail_k: Optional[int]) -> None:
     """One shard's whole life, in its own process.
 
+    Builds shard ``index`` of ``svc`` from the shared build spec.
     Receives the *full* arrival stream plus a replica of the initial
     routing table, and keeps only the tuples the replica routes to
     ``index`` — so when a journalled/downlinked ``route`` op re-pins a
@@ -208,30 +210,16 @@ def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    name = svc.shard_names[index]
     try:
-        shard = build_shard(
-            name, config,
-            headroom=headroom,
-            target=config.target,
-            strategy=svc.strategy,
-            engine_seed=engine_seed,
-            drain_max_extra=svc.drain_max_extra,
-            backend=svc.backend,
-        )
+        shard = build_shard(**shard_build_spec(config, svc, index))
         # a fresh private bus: the process-default bus may carry forked
         # parent subscribers, and a silent bus keeps un-relayed fleets at
-        # one truthiness check per emit site
+        # one truthiness check per emit site. Tuple traces emitted during
+        # silent replay die on the then-subscriber-less bus, so the
+        # parent never sees a replayed period's tuple twice
         bus = EventBus()
-        scoped = bus.scoped(name)
-        shard.loop.bus = scoped
-        shard.engine.bus = scoped
-        if svc.tuptrace > 0.0:
-            # same seeds as the lockstep service's shard tracers; traces
-            # emitted during silent replay die on the then-subscriber-less
-            # bus, so the parent never sees a replayed period's tuple twice
-            shard.loop.tuple_tracer = TupleTracer(
-                fraction=svc.tuptrace, seed=104729 * (index + 1),
-                bus=scoped, shard=name)
+        arm_shard(shard, bus, index, tuptrace=svc.tuptrace)
         # sysid lives where the period stream lives: subscribed *before*
         # the silent replay, so a restarted incarnation re-derives the
         # exact identification state the lost one carried
@@ -239,22 +227,17 @@ def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
         period = shard.loop.period
         patience = svc.worker_patience
         # the replica: journalled/downlinked route ops keep it in sync
-        # with the parent's authoritative table (RoutingTable memoizes
-        # lookups internally and invalidates on every mutation)
+        # with the parent's authoritative table; every epoch bump
+        # invalidates the dispatcher's routing memo
         table = RoutingTable.from_snapshot(table_snapshot)
+        dispatcher = PeriodDispatcher(table, arrivals)
+        entry_source = shard.entry_source
 
-        it = iter(arrivals)
-        pending = next(it, None)
-
-        def due_before(boundary: float) -> List[Arrival]:
-            nonlocal pending
-            due: List[Arrival] = []
-            while pending is not None and pending[0] < boundary:
-                t, values, source = pending
-                if table.shard_of(source) == index:
-                    due.append((t, values, shard.entry_source))
-                pending = next(it, None)
-            return due
+        def run_period(k: int):
+            mine = dispatcher.due((k + 1) * period)[0][index]
+            return shard.loop.run_period(
+                record, k,
+                [(t, values, entry_source) for t, values, __ in mine])
 
         def await_ops(k: int) -> None:
             while True:
@@ -287,7 +270,7 @@ def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
         record = shard.loop.begin()
         # --- silent replay of the lost incarnation ---------------------- #
         for k in range(resume_k + 1):
-            shard.loop.run_period(record, k, due_before((k + 1) * period))
+            run_period(k)
             if k in journal:
                 _apply_ops(shard, journal[k], table)
         if svc.sync and resume_k >= 0 and resume_k not in journal:
@@ -304,8 +287,7 @@ def _fleet_worker(name: str, config: "ExperimentConfig", svc: FleetConfig,
             for k in range(resume_k + 1, n_periods):
                 if fail_k is not None and k == fail_k and restart_no == 0:
                     os._exit(17)  # test hook: die without flushing anything
-                p = shard.loop.run_period(record, k,
-                                          due_before((k + 1) * period))
+                p = run_period(k)
                 summary_queue.put(("summary", name, k, p,
                                    shard.requested_alpha))
                 if svc.sync:
@@ -341,7 +323,7 @@ class _WorkerState:
     sysid: Optional[dict] = None
 
 
-class ProcessFleet:
+class ProcessFleet(RecordedRun):
     """N shard worker processes under one parent-resident coordinator.
 
     Drop-in counterpart of :class:`~repro.service.service.StreamService`:
@@ -351,6 +333,8 @@ class ProcessFleet:
     which their *first* worker incarnation kills itself — the failure
     injection hook the restart tests drive.
     """
+
+    runtime = "fleet"
 
     def __init__(self, config: "ExperimentConfig", svc: ServiceConfig,
                  bus=None, fail_at: Optional[Dict[str, int]] = None):
@@ -376,102 +360,37 @@ class ProcessFleet:
         unknown = set(self.fail_at) - set(svc.shard_names)
         if unknown:
             raise ServiceError(f"fail_at names unknown shards {sorted(unknown)}")
-        assignments = (svc.default_assignments()
-                       if svc.router == "explicit" else None)
-        self.router = make_router(svc.router, svc.n_shards, assignments)
-        policy = None
-        if svc.migration:
-            policy = MigrationPolicy(
-                patience=svc.migration_patience,
-                cooldown=svc.migration_cooldown,
-                deficit=svc.migration_deficit,
-                max_migrations=svc.max_migrations,
-                drain_budget=svc.migration_drain_budget,
-            )
-        self.coordinator = HeadroomCoordinator(
-            mode=svc.mode,
-            gain=svc.rebalance_gain,
-            headroom_floor=svc.headroom_floor,
-            headroom_ceiling=svc.headroom_ceiling,
-            loss_bound=svc.loss_bound,
-            migration_policy=policy,
-        )
-        self.coordinator.bus = self.bus
+        self.router, self.coordinator = build_control_plane(svc)
         self.period = config.period
         headrooms = svc.initial_headrooms()
-        self.proxies = [
+        #: the coordinator's view of the worker-resident shards
+        self.shards = self.proxies = [
             ShardProxy(name, headrooms[i], config.target, config.period)
             for i, name in enumerate(svc.shard_names)
         ]
-        self.obs_server = None
-        #: parent-assembled incident bundles over the relayed event stream;
-        #: ring keys carry ``pidNNN/shardN`` worker provenance
-        self.flight_recorder = None
-        if svc.flight > 0:
-            self.flight_recorder = FlightRecorder(
-                self.bus, ring=svc.flight, directory=svc.flight_dir,
-                runtime="fleet", experiment=config, service=svc,
-                status_fn=self.status,
-                replay_spec={"kind": "service", "service_kind": "fleet",
-                             "sync": svc.sync, "workload_kind": "web"})
         self._states: Dict[str, _WorkerState] = {}
-        self._k = -1
-        self._running = False
+        # parent-side observers over the relayed event stream (sysid runs
+        # in the workers, where the period stream lives); flight-ring
+        # keys carry ``pidNNN/shardN`` worker provenance
+        self._attach(health=svc.health, serve=svc.serve,
+                     serve_port=svc.serve_port,
+                     flight=svc.flight, flight_dir=svc.flight_dir)
+        self.observers.set_recipe(config, svc, {
+            "kind": "service", "service_kind": "fleet",
+            "sync": svc.sync, "workload_kind": "web"})
 
-    # ------------------------------------------------------------------ #
-    # live views
-    # ------------------------------------------------------------------ #
     def status(self) -> dict:
-        """A live JSON-able view of the fleet (the ``/status`` payload)."""
-        policy = self.coordinator.migration_policy
-        return {
-            "mode": self.coordinator.mode,
-            "period": self.period,
-            "n_shards": len(self.proxies),
-            "k": self._k,
-            "running": self._running,
-            "sync": self.svc.sync,
-            "routing_epoch": self.router.epoch,
-            "migrations": policy.migrations if policy is not None else 0,
-            "shards": {
-                proxy.name: {
-                    "headroom": proxy.headroom,
-                    "target": proxy.target,
-                    "alpha": proxy.requested_alpha,
-                    "pid": state.pid if state else None,
-                    "restarts": state.restarts if state else 0,
-                    "last_k": state.last_acked if state else -1,
-                    "epoch": state.epoch if state else 0,
-                }
-                for proxy, state in (
-                    (p, self._states.get(p.name)) for p in self.proxies
-                )
-            },
-        }
-
-    # ------------------------------------------------------------------ #
-    # the run
-    # ------------------------------------------------------------------ #
-    def run(self, arrivals: Sequence[Arrival],
-            duration: float) -> ServiceResult:
-        """Drive the fleet for ``duration`` seconds of virtual time."""
-        if duration <= 0:
-            raise ServiceError("duration must be positive")
-        if self.svc.serve:
-            from ..obs.serve import ObsServer  # lazy: serving is opt-in
-
-            self.obs_server = ObsServer(port=self.svc.serve_port,
-                                        bus=self.bus,
-                                        status_fn=self.status,
-                                        flight=self.flight_recorder).start()
-        self._running = True
-        try:
-            return self._run(arrivals, duration)
-        finally:
-            self._running = False
-            if self.obs_server is not None:
-                self.obs_server.stop()
-                self.obs_server = None
+        """The shared ``/status`` view plus each worker's vital signs."""
+        doc = super().status()
+        doc["sync"] = self.svc.sync
+        for name, shard in doc["shards"].items():
+            state = self._states.get(name)
+            shard.update(
+                pid=state.pid if state else None,
+                restarts=state.restarts if state else 0,
+                last_k=state.last_acked if state else -1,
+                epoch=state.epoch if state else 0)
+        return doc
 
     def _mp_context(self):
         method = self.svc.start_method
@@ -484,13 +403,6 @@ class ProcessFleet:
              duration: float) -> ServiceResult:
         svc = self.svc
         names = list(svc.shard_names)
-        # as in the lockstep service, auto-dumps need a monitor even when
-        # health reporting itself was not requested
-        monitor = None
-        if svc.health or self.flight_recorder is not None:
-            monitor = HealthMonitor(self.bus)
-        if monitor is not None and self.flight_recorder is not None:
-            self.flight_recorder.watch(monitor)
         wall_start = _time.perf_counter()
         n_periods = int(round(duration / self.period))
         # every worker sees the full stream and filters through its table
@@ -509,24 +421,13 @@ class ProcessFleet:
         states = {name: _WorkerState(index=i)
                   for i, name in enumerate(names)}
         self._states = states
-        headrooms = svc.initial_headrooms()
         pending_rows: Dict[int, Dict[str, Tuple[PeriodRecord, float]]] = {}
         next_row = 0
         done_count = 0
         last_progress = _time.monotonic()
         # parent-side per-period source tallies for the migration policy
-        # (rows close in k order, so one shared iterator suffices)
-        tally_iter = iter(arrivals)
-        tally_pending = next(tally_iter, None)
-
-        def tally_before(boundary: float) -> Dict[str, int]:
-            nonlocal tally_pending
-            counts: Dict[str, int] = {}
-            while tally_pending is not None and tally_pending[0] < boundary:
-                source = tally_pending[2]
-                counts[source] = counts.get(source, 0) + 1
-                tally_pending = next(tally_iter, None)
-            return counts
+        # (rows close in k order, so one shared dispatcher suffices)
+        dispatcher = PeriodDispatcher(self.router, arrivals)
 
         def spawn(name: str) -> None:
             st = states[name]
@@ -535,9 +436,7 @@ class ProcessFleet:
                 target=_fleet_worker,
                 name=f"repro-fleet-{name}",
                 daemon=True,
-                args=(name, self.config, svc, headrooms[st.index],
-                      self.config.seed + _SEED_STRIDE * (st.index + 1),
-                      st.index, arrivals, initial_table,
+                args=(self.config, svc, st.index, arrivals, initial_table,
                       n_periods, summary_q, cmd_q,
                       relay.queue if relay is not None else None,
                       dict(st.journal), st.last_acked, st.restarts,
@@ -551,33 +450,24 @@ class ProcessFleet:
             closed = [row[name][0] for name in names]
             for proxy, name in zip(self.proxies, names):
                 proxy.requested_alpha = row[name][1]
-            counts = tally_before((k + 1) * self.period)
+            __, counts = dispatcher.due((k + 1) * self.period)
             entry = self.coordinator.rebalance(k, self.proxies, closed,
                                                source_counts=counts,
                                                table=self.router)
-            extra_ops: Dict[str, list] = {}
+            route_ops = []
             plan = entry.get("migration")
             if plan is not None:
-                # commit the cutover on the authoritative table now (the
-                # next rebalance must see post-move placement), and ship
-                # the transaction down the barrier: the old shard drains
-                # *then* re-pins, every other replica just re-pins
-                source, src, dst = plan["source"], plan["from"], plan["to"]
-                epoch = self.router.migrate(source, src, dst)
-                plan["epoch"] = epoch
-                drain = ("drain_source",
-                         (source, plan.get("budget", 5.0), k, src, dst))
-                route = ("route", (source, dst, epoch))
-                extra_ops[names[src]] = [drain, route]
-                for other in names:
-                    if other != names[src]:
-                        extra_ops[other] = [route]
-                if self.bus:
-                    self.bus.emit(RouteChanged(
-                        k=k, source=source, from_shard=src, to_shard=dst,
-                        epoch=epoch))
+                # the lockstep transaction, over proxies: commit the
+                # cutover on the authoritative table now (the next
+                # rebalance must see post-move placement) and ship it down
+                # the barrier — the old shard's proxy queued the drain, so
+                # it drains *then* re-pins; every other replica just re-pins
+                execute_migration(k, plan, self.proxies, self.router,
+                                  bus=self.bus)
+                route_ops = [("route",
+                              (plan["source"], plan["to"], plan["epoch"]))]
             for proxy, name in zip(self.proxies, names):
-                ops = proxy.take_ops() + extra_ops.get(name, [])
+                ops = proxy.take_ops() + route_ops
                 states[name].journal[k] = ops
                 if svc.sync or ops:
                     channel.send(name, ("ops", k, ops))
@@ -674,34 +564,18 @@ class ProcessFleet:
                         f"{done_count}/{len(names)} done)"
                     )
             wall = _time.perf_counter() - wall_start
-            health_summary = None
-            if monitor is not None:
-                if relay is not None:
-                    relay.flush()
-                monitor.finalize()
-                monitor.close()
-                if svc.health:
-                    health_summary = monitor.summary()
-                monitor = None
-            sysid_summary = None
+            if relay is not None:
+                # the health verdict must see every worker's last events
+                relay.flush()
+            summaries = self.observers.close()
             if svc.sysid:
-                sysid_summary = {name: states[name].sysid
-                                 for name in names
-                                 if states[name].sysid is not None}
-            incidents = None
-            if self.flight_recorder is not None:
-                incidents = [str(p) for p in self.flight_recorder.incidents]
-            return ServiceResult(
-                mode=self.coordinator.mode,
-                base_target=self.config.target,
-                shard_records={name: states[name].record for name in names},
-                coordinator_history=list(self.coordinator.history),
-                wall_seconds=wall,
-                health=health_summary,
-                trace_summary=None,
-                sysid=sysid_summary,
-                incidents=incidents,
-            )
+                summaries = dict(summaries, sysid={
+                    name: states[name].sysid for name in names
+                    if states[name].sysid is not None})
+            return service_result(
+                self.coordinator, self.proxies,
+                {name: states[name].record for name in names}, wall,
+                summaries)
         finally:
             for st in states.values():
                 if st.proc is not None and st.proc.is_alive():
@@ -720,10 +594,6 @@ class ProcessFleet:
             summary_q.cancel_join_thread()
             if relay is not None:
                 relay.stop()
-            if monitor is not None:
-                monitor.close()
-            if self.flight_recorder is not None:
-                self.flight_recorder.close()
 
 
 def build_fleet(config: "ExperimentConfig",

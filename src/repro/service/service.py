@@ -15,6 +15,12 @@ epoch), and the next period's dispatch follows the new pin — the same
 transaction the process fleet journals and the live server applies to
 socket tuples (docs/THEORY.md §13).
 
+That period body is :func:`run_service_period` — the *same function*
+the live server's ticker calls on socket tuples (:mod:`repro.serve.live`);
+the process fleet splits the identical arithmetic across a barrier — and
+:func:`build_topology` assembles all three runtimes' shards, routing
+table and coordinator from one ``(config, svc)`` pair.
+
 The result keeps one :class:`~repro.metrics.recorder.RunRecord` per shard
 plus a merged aggregate record, all exportable through the existing
 :mod:`repro.metrics.export` helpers.
@@ -24,28 +30,44 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from ..errors import ServiceError
 from ..metrics.export import record_to_json
 from ..metrics.qos import QosMetrics, combine_qos
-from ..metrics.recorder import RunRecord, merge_records
+from ..metrics.recorder import PeriodRecord, RunRecord, merge_records
+from ..obs.attach import Observers
 from ..obs.bus import get_bus
 from ..obs.events import RouteChanged
-from ..obs.flight import FlightRecorder
-from ..obs.health import HealthMonitor
-from ..obs.sysid import SysIdMonitor
-from ..obs.tracing import PeriodTracer, merge_flames
-from ..obs.tuptrace import TailAnalyzer, TupleTracer
 from .config import ServiceConfig
 from .coordinator import HeadroomCoordinator, MigrationPolicy
 from .router import RoutingTable, StreamRouter, make_router
-from .shard import DrainReport, EngineShard, build_shard
+from .shard import (SEED_STRIDE, DrainReport, EngineShard, arm_shard,
+                    build_shard)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
 
 Arrival = Tuple[float, Tuple, str]
+
+
+def route(due: Iterable[Arrival], shard_of: Callable[[str], int],
+          n_shards: int) -> Tuple[List[List[Arrival]], Dict[str, int]]:
+    """Split one period's arrivals by shard; tally them by source.
+
+    The one routing loop of every runtime: one ``shard_of`` call per tuple
+    against the mapping in force *now*, so a cutover takes effect at
+    exactly the next period boundary. Arrivals keep their logical source
+    names; the tally feeds the coordinator's migration policy.
+    """
+    per_shard: List[List[Arrival]] = [[] for __ in range(n_shards)]
+    counts: Dict[str, int] = {}
+    for arrival in due:
+        source = arrival[2]
+        per_shard[shard_of(source)].append(arrival)
+        counts[source] = counts.get(source, 0) + 1
+    return per_shard, counts
 
 
 class PeriodDispatcher:
@@ -58,8 +80,11 @@ class PeriodDispatcher:
     and the memo is invalidated whenever the table's epoch moves, so the
     steady-state cost matches the old up-front partition.
 
-    Shared by the lockstep service, the fleet parent (source tallies +
-    equivalence bookkeeping) and the live server's ticker.
+    Shared by every runtime that replays a *recorded* stream: the
+    lockstep service (:meth:`take` + :meth:`shard_of` feed
+    :func:`run_service_period`), the fleet parent (:meth:`due`'s source
+    tally) and each fleet worker (its slice of :meth:`due`, routed by its
+    table replica). The live server's ingest buffer does its own slicing.
     """
 
     def __init__(self, router: StreamRouter, arrivals: Sequence[Arrival]):
@@ -85,23 +110,18 @@ class PeriodDispatcher:
             self._cache[source] = shard
         return shard
 
+    def take(self, boundary: float) -> List[Arrival]:
+        """The not-yet-taken arrivals stamped strictly before ``boundary``."""
+        due: List[Arrival] = []
+        while self._pending is not None and self._pending[0] < boundary:
+            due.append(self._pending)
+            self._pending = next(self._iter, None)
+        return due
+
     def due(self, boundary: float
             ) -> Tuple[List[List[Arrival]], Dict[str, int]]:
-        """Per-shard arrivals strictly before ``boundary`` + source tally.
-
-        Arrivals keep their logical source names; the caller renames to
-        each shard's physical entry source (shards do not know logical
-        streams). The tally feeds the coordinator's migration policy.
-        """
-        out: List[List[Arrival]] = [[] for __ in range(self.router.n_shards)]
-        counts: Dict[str, int] = {}
-        while self._pending is not None and self._pending[0] < boundary:
-            arrival = self._pending
-            source = arrival[2]
-            out[self.shard_of(source)].append(arrival)
-            counts[source] = counts.get(source, 0) + 1
-            self._pending = next(self._iter, None)
-        return out, counts
+        """Per-shard arrivals strictly before ``boundary`` + source tally."""
+        return route(self.take(boundary), self.shard_of, self.router.n_shards)
 
 
 def execute_migration(k: int, plan: dict, shards: Sequence[EngineShard],
@@ -122,6 +142,51 @@ def execute_migration(k: int, plan: dict, shards: Sequence[EngineShard],
         bus.emit(RouteChanged(k=k, source=source, from_shard=src,
                               to_shard=dst, epoch=epoch))
     return report
+
+
+def run_service_period(k: int, due: Iterable[Arrival],
+                       shard_of: Callable[[str], int],
+                       shards: Sequence[EngineShard],
+                       records: Sequence[RunRecord],
+                       coordinator: HeadroomCoordinator,
+                       table: Optional[RoutingTable],
+                       bus=None, tracer=None) -> List[PeriodRecord]:
+    """Control period ``k`` of an in-process service, start to finish.
+
+    Route the period's arrivals, close the period on every shard, let the
+    coordinator rebalance over all of them at once, and execute the
+    migration it may have planned — so a cutover lands between periods
+    ``k`` and ``k + 1`` on every runtime. Everything is reached through
+    the instances passed in, each period, so a table or coordinator
+    instrumented after build is honoured. ``tracer`` (the runtime's own
+    PeriodTracer) is charged the ``dispatch`` and ``coordinator``
+    segments. Returns the closed period records, in shard order.
+    """
+    if tracer is not None:
+        mark = _time.perf_counter()
+    per_shard, counts = route(due, shard_of, len(shards))
+    if tracer is not None:
+        tracer.add("dispatch", _time.perf_counter() - mark)
+    closed = []
+    for shard, record, arrivals in zip(shards, records, per_shard):
+        # logical stream names route tuples to shards; inside the shard
+        # they all enter at its physical source
+        entry_source = shard.entry_source
+        closed.append(shard.loop.run_period(
+            record, k,
+            [(t, values, entry_source) for t, values, __ in arrivals]))
+    if tracer is not None:
+        mark = _time.perf_counter()
+    entry = coordinator.rebalance(k, shards, closed,
+                                  source_counts=counts, table=table)
+    if tracer is not None:
+        tracer.add("coordinator", _time.perf_counter() - mark)
+    plan = entry.get("migration")
+    if plan is not None:
+        # the drain advances *virtual* engine time only — on a wall clock
+        # the cutover is instantaneous between two ticks
+        execute_migration(k, plan, shards, table, bus=bus)
+    return closed
 
 
 @dataclass
@@ -193,7 +258,122 @@ class ServiceResult:
         return paths
 
 
-class StreamService:
+def service_result(coordinator: HeadroomCoordinator, shards: Sequence,
+                   records: Dict[str, RunRecord], wall_seconds: float,
+                   summaries: dict) -> ServiceResult:
+    """Every runtime's result; ``summaries`` is ``Observers.close()``'s."""
+    return ServiceResult(
+        mode=coordinator.mode,
+        base_target=shards[0].base_target,
+        shard_records=records,
+        coordinator_history=list(coordinator.history),
+        wall_seconds=wall_seconds,
+        **summaries,
+    )
+
+
+def topology_status(coordinator: HeadroomCoordinator, table,
+                    shards: Sequence) -> dict:
+    """The routing/coordination part of every runtime's ``/status``."""
+    policy = coordinator.migration_policy
+    return {
+        "routing_epoch": getattr(table, "epoch", None),
+        "migrations": policy.migrations if policy is not None else 0,
+        "shards": {
+            shard.name: {
+                "headroom": shard.headroom,
+                "target": shard.target,
+                "alpha": shard.requested_alpha,
+            }
+            for shard in shards
+        },
+    }
+
+
+def check_topology(shards: Sequence[EngineShard],
+                   router: StreamRouter) -> float:
+    """Validate what an in-process runtime steps; returns the period.
+
+    One coordinator observes all shards at once (one shared period), and
+    results and events are keyed by shard name (unique names).
+    """
+    if not shards:
+        raise ServiceError("a service needs at least one shard")
+    if router.n_shards != len(shards):
+        raise ServiceError(
+            f"router covers {router.n_shards} shards but the service "
+            f"has {len(shards)}"
+        )
+    periods = {shard.loop.period for shard in shards}
+    if len(periods) != 1:
+        raise ServiceError(
+            "all shards must share one control period, "
+            f"got {sorted(periods)}"
+        )
+    names = [shard.name for shard in shards]
+    if len(set(names)) != len(names):
+        raise ServiceError(f"shard names must be unique, got {names}")
+    return periods.pop()
+
+
+class RecordedRun:
+    """What the lockstep service and the process fleet share.
+
+    Both own a ``bus``, a ``router``, a ``coordinator`` and its view of the
+    ``shards``, run once over a recorded arrival stream (:meth:`_run`)
+    with the observers attached, and answer ``/status`` alike.
+    """
+
+    #: the runtime name stamped on flight bundles
+    runtime = "lockstep"
+
+    def _attach(self, **knobs) -> None:
+        """Arm the observer knobs on :attr:`bus` (end of ``__init__``)."""
+        self._k = -1          # last closed period, for the /status view
+        self._running = False
+        self.coordinator.bus = self.bus
+        self.observers = Observers(self.bus, runtime=self.runtime,
+                                   status_fn=self.status, **knobs)
+        self.sysid_monitor = self.observers.sysid_monitor
+        self.flight_recorder = self.observers.flight_recorder
+
+    @property
+    def obs_server(self):
+        """The live ObsServer while a served run is in flight; else None."""
+        return self.observers.server
+
+    def status(self) -> dict:
+        """A live JSON-able view of the fleet (the ``/status`` payload)."""
+        return {
+            "mode": self.coordinator.mode,
+            "period": self.period,
+            "n_shards": len(self.shards),
+            "k": self._k,
+            "running": self._running,
+            **topology_status(self.coordinator, self.router, self.shards),
+        }
+
+    def run(self, arrivals: Sequence[Arrival], duration: float) -> ServiceResult:
+        """Drive all shards for ``duration`` seconds of virtual time.
+
+        With ``serve=True`` an :class:`~repro.obs.serve.ObsServer` is up
+        for exactly the duration of this call (:attr:`obs_server` holds
+        it, e.g. to learn the bound port), serving this runtime's bus and
+        :meth:`status`. However the run ends, every observer is detached
+        from the bus again.
+        """
+        if duration <= 0:
+            raise ServiceError("duration must be positive")
+        self._running = True
+        try:
+            self.observers.start()
+            return self._run(arrivals, duration)
+        finally:
+            self._running = False
+            self.observers.close()
+
+
+class StreamService(RecordedRun):
     """N engine shards, a stream router, and a global coordinator."""
 
     def __init__(self, shards: Sequence[EngineShard], router: StreamRouter,
@@ -203,228 +383,75 @@ class StreamService:
                  serve: bool = False, serve_port: Optional[int] = None,
                  sysid: bool = False, flight: int = 0,
                  flight_dir: str = "incidents"):
-        if not shards:
-            raise ServiceError("a service needs at least one shard")
-        if router.n_shards != len(shards):
-            raise ServiceError(
-                f"router covers {router.n_shards} shards but the service "
-                f"has {len(shards)}"
-            )
-        periods = {shard.loop.period for shard in shards}
-        if len(periods) != 1:
-            raise ServiceError(
-                "all shards must share one control period for lockstep "
-                f"operation, got {sorted(periods)}"
-            )
-        names = [shard.name for shard in shards]
-        if len(set(names)) != len(names):
-            raise ServiceError(f"shard names must be unique, got {names}")
+        self.period = check_topology(shards, router)
         self.shards = list(shards)
         self.router = router
         self.coordinator = coordinator
-        self.period = next(iter(periods))
         #: fleet observability: each shard's loop and engine emit through a
-        #: shard-scoped view of this bus, so one subscription sees every
-        #: shard's events, labeled. The coordinator emits fleet-level
-        #: events on the bus directly.
+        #: shard-scoped view of this bus (:func:`arm_shard`), so one
+        #: subscription sees every shard's events, labeled. The
+        #: coordinator emits fleet-level events on the bus directly.
         self.bus = bus if bus is not None else get_bus()
-        self.health = health
-        self.trace = trace
-        self.tuptrace = float(tuptrace)
-        self.serve = serve
-        self.serve_port = serve_port
-        self.sysid = sysid
-        #: online plant identification over the shard period streams;
-        #: a pure bus observer, so enabling it never perturbs the loop
-        self.sysid_monitor = SysIdMonitor(self.bus) if sysid else None
-        #: bounded incident flight recorder; :func:`build_service` fills in
-        #: the experiment/service snapshots and replay spec for its bundles
-        self.flight_recorder = None
-        if flight > 0:
-            self.flight_recorder = FlightRecorder(
-                self.bus, ring=flight, directory=flight_dir,
-                runtime="lockstep", status_fn=self.status)
-        #: the live ObsServer while a served run is in flight; None otherwise
-        self.obs_server = None
-        self._k = -1          # last closed period, for the /status view
-        self._running = False
+        self.health, self.trace, self.tuptrace = health, trace, float(tuptrace)
+        self.serve, self.serve_port, self.sysid = serve, serve_port, sysid
         for i, shard in enumerate(self.shards):
-            scoped = self.bus.scoped(shard.name)
-            shard.loop.bus = scoped
-            shard.engine.bus = scoped
-            if self.tuptrace > 0.0:
-                # distinct seeds so shards sample distinct (but each
-                # reproducible) tuple sets; traces emit on the scoped bus
-                shard.loop.tuple_tracer = TupleTracer(
-                    fraction=self.tuptrace, seed=104729 * (i + 1),
-                    bus=scoped, shard=shard.name)
-        self.coordinator.bus = self.bus
+            arm_shard(shard, self.bus, i, tuptrace=tuptrace, trace=trace)
+        self._attach(health=health, trace=trace, tuptrace=tuptrace,
+                     serve=serve, serve_port=serve_port,
+                     sysid=sysid, flight=flight, flight_dir=flight_dir)
 
-    def status(self) -> dict:
-        """A live JSON-able view of the fleet (the ``/status`` payload)."""
-        policy = self.coordinator.migration_policy
-        return {
-            "mode": self.coordinator.mode,
-            "period": self.period,
-            "n_shards": len(self.shards),
-            "k": self._k,
-            "running": self._running,
-            "routing_epoch": getattr(self.router, "epoch", None),
-            "migrations": policy.migrations if policy is not None else 0,
-            "shards": {
-                shard.name: {
-                    "headroom": shard.headroom,
-                    "target": shard.target,
-                    "alpha": shard.requested_alpha,
-                }
-                for shard in self.shards
-            },
-        }
-
-    def run(self, arrivals: Sequence[Arrival], duration: float) -> ServiceResult:
-        """Drive all shards for ``duration`` seconds of virtual time.
-
-        With ``serve=True`` an :class:`~repro.obs.serve.ObsServer` is up
-        for exactly the duration of this call (:attr:`obs_server` holds
-        it, e.g. to learn the bound port), serving this service's bus and
-        :meth:`status`.
-        """
-        if duration <= 0:
-            raise ServiceError("duration must be positive")
-        if self.serve:
-            from ..obs.serve import ObsServer  # lazy: serving is opt-in
-
-            self.obs_server = ObsServer(port=self.serve_port, bus=self.bus,
-                                        status_fn=self.status,
-                                        flight=self.flight_recorder).start()
-        self._running = True
-        try:
-            return self._run(arrivals, duration)
-        finally:
-            self._running = False
-            if self.obs_server is not None:
-                self.obs_server.stop()
-                self.obs_server = None
-
-    def _run(self, arrivals: Sequence[Arrival], duration: float) -> ServiceResult:
-        # the flight recorder needs a monitor to trigger auto-dumps even
-        # when health reporting itself was not requested
-        monitor = None
-        if self.health or self.flight_recorder is not None:
-            monitor = HealthMonitor(self.bus)
-        if monitor is not None and self.flight_recorder is not None:
-            self.flight_recorder.watch(monitor)
-        svc_tracer: Optional[PeriodTracer] = None
-        if self.trace:
-            svc_tracer = PeriodTracer()
-            for shard in self.shards:
-                shard.loop.tracer = PeriodTracer()
+    def _run(self, arrivals: Sequence[Arrival],
+             duration: float) -> ServiceResult:
         wall_start = _time.perf_counter()
         n_periods = int(round(duration / self.period))
         table = self.router if isinstance(self.router, RoutingTable) else None
         dispatcher = PeriodDispatcher(self.router, arrivals)
         records = [shard.loop.begin() for shard in self.shards]
         for k in range(n_periods):
-            boundary = (k + 1) * self.period
-            if svc_tracer is not None:
-                with svc_tracer.span("dispatch"):
-                    per_shard, counts = dispatcher.due(boundary)
-            else:
-                per_shard, counts = dispatcher.due(boundary)
-            closed = []
-            for i, shard in enumerate(self.shards):
-                # logical stream names route tuples to shards; inside the
-                # shard they all enter at its physical source
-                due = [(t, values, shard.entry_source)
-                       for t, values, __ in per_shard[i]]
-                closed.append(shard.loop.run_period(records[i], k, due))
-            if svc_tracer is not None:
-                with svc_tracer.span("coordinator"):
-                    entry = self.coordinator.rebalance(
-                        k, self.shards, closed,
-                        source_counts=counts, table=table)
-            else:
-                entry = self.coordinator.rebalance(
-                    k, self.shards, closed,
-                    source_counts=counts, table=table)
-            plan = entry.get("migration")
-            if plan is not None:
-                execute_migration(k, plan, self.shards, table, bus=self.bus)
+            run_service_period(
+                k, dispatcher.take((k + 1) * self.period),
+                dispatcher.shard_of, self.shards, records,
+                self.coordinator, table,
+                bus=self.bus, tracer=self.observers.tracer)
             self._k = k
         for shard, record in zip(self.shards, records):
             shard.loop.finish(record, n_periods)
         wall = _time.perf_counter() - wall_start
-        base_target = self.shards[0].base_target
-        health_summary = None
-        if monitor is not None:
-            monitor.finalize()
-            monitor.close()
-            if self.health:
-                health_summary = monitor.summary()
-        sysid_summary = None
-        if self.sysid_monitor is not None:
-            sysid_summary = self.sysid_monitor.summary()
-            self.sysid_monitor.close()
-        incidents = None
-        if self.flight_recorder is not None:
-            incidents = [str(p) for p in self.flight_recorder.incidents]
-            self.flight_recorder.close()
-        trace_summary = None
-        if svc_tracer is not None:
-            flames = {shard.name: shard.loop.tracer.flame()
-                      for shard in self.shards}
-            flames["service"] = svc_tracer.flame()
-            trace_summary = merge_flames(flames, wall_seconds=wall)
-        tail_summary = None
-        if self.tuptrace > 0.0:
-            tail_summary = {}
-            for shard in self.shards:
-                ttr = shard.loop.tuple_tracer
-                if ttr is None:
-                    continue
-                analyzer = ttr.analyzer()
-                tail_summary[shard.name] = {
-                    "sampled": ttr.sampled,
-                    "completed": ttr.completed,
-                    "dropped": ttr.dropped,
-                    "percentiles": analyzer.percentiles(),
-                    "decomposition": analyzer.decompose(),
-                }
-        return ServiceResult(
-            mode=self.coordinator.mode,
-            base_target=base_target,
-            shard_records={shard.name: record
-                           for shard, record in zip(self.shards, records)},
-            coordinator_history=list(self.coordinator.history),
-            wall_seconds=wall,
-            health=health_summary,
-            trace_summary=trace_summary,
-            tail_summary=tail_summary,
-            sysid=sysid_summary,
-            incidents=incidents,
-        )
+        loops = {shard.name: shard.loop for shard in self.shards}
+        return service_result(
+            self.coordinator, self.shards, dict(zip(loops, records)), wall,
+            self.observers.close(loops, wall_seconds=wall))
 
 
-def build_service(config: "ExperimentConfig",
-                  svc: ServiceConfig) -> StreamService:
-    """Assemble shards + router + coordinator from picklable specs."""
-    headrooms = svc.initial_headrooms()
-    shards = [
-        build_shard(
-            name,
-            config,
-            headroom=headrooms[i],
-            target=config.target,
-            strategy=svc.strategy,
-            engine_seed=config.seed + 104729 * (i + 1),
-            drain_max_extra=svc.drain_max_extra,
-            backend=svc.backend,
-        )
-        for i, name in enumerate(svc.shard_names)
-    ]
+def shard_build_spec(config: "ExperimentConfig", svc: ServiceConfig,
+                     index: int) -> dict:
+    """:func:`build_shard` keyword arguments of shard ``index`` of ``svc``.
+
+    A pure function of picklable specs: a fleet worker building from it
+    gets the very shard the lockstep service runs in-process.
+    """
+    return dict(
+        name=svc.shard_names[index],
+        config=config,
+        headroom=svc.initial_headrooms()[index],
+        target=config.target,
+        strategy=svc.strategy,
+        engine_seed=config.seed + SEED_STRIDE * (index + 1),
+        drain_max_extra=svc.drain_max_extra,
+        backend=svc.backend,
+    )
+
+
+def build_control_plane(svc: ServiceConfig,
+                        default_source: Optional[str] = None
+                        ) -> Tuple[RoutingTable, HeadroomCoordinator]:
+    """The routing table and coordinator (migration policy included)."""
     assignments = (svc.default_assignments()
                    if svc.router == "explicit" else None)
-    router = make_router(svc.router, svc.n_shards, assignments)
+    if assignments is not None and default_source is not None:
+        # bare wire tuples carry no source field and fall back to
+        # default_source; a pins-only table must know where to put them
+        assignments.setdefault(default_source, 0)
     policy = None
     if svc.migration:
         policy = MigrationPolicy(
@@ -442,19 +469,39 @@ def build_service(config: "ExperimentConfig",
         loss_bound=svc.loss_bound,
         migration_policy=policy,
     )
-    service = StreamService(shards, router, coordinator,
+    return make_router(svc.router, svc.n_shards, assignments), coordinator
+
+
+def build_topology(config: "ExperimentConfig", svc: ServiceConfig,
+                   default_source: Optional[str] = None
+                   ) -> Tuple[List[EngineShard], RoutingTable,
+                              HeadroomCoordinator]:
+    """``(shards, table, coordinator)`` from picklable specs.
+
+    The one assembly every runtime starts from: the lockstep service and
+    the live server take all three; the process fleet keeps the control
+    plane in the parent and has each worker build its own shard from
+    :func:`shard_build_spec`. ``default_source`` is the wire protocol's
+    fallback source, which an explicit table must pin somewhere.
+    """
+    shards = [build_shard(**shard_build_spec(config, svc, i))
+              for i in range(svc.n_shards)]
+    return (shards, *build_control_plane(svc, default_source))
+
+
+def build_service(config: "ExperimentConfig",
+                  svc: ServiceConfig) -> StreamService:
+    """Assemble shards + router + coordinator from picklable specs."""
+    service = StreamService(*build_topology(config, svc),
                             health=svc.health, trace=svc.trace,
                             tuptrace=svc.tuptrace,
                             serve=svc.serve, serve_port=svc.serve_port,
                             sysid=svc.sysid, flight=svc.flight,
                             flight_dir=svc.flight_dir)
-    if service.flight_recorder is not None:
-        # a lockstep run is a pure function of these two specs, so the
-        # bundle carries everything ``flight replay`` needs
-        service.flight_recorder.experiment = config
-        service.flight_recorder.service = svc
-        service.flight_recorder.replay_spec = {
-            "kind": "service", "service_kind": "lockstep",
-            "sync": True, "workload_kind": "web",
-        }
+    # a lockstep run is a pure function of these two specs, so the
+    # bundle carries everything ``flight replay`` needs
+    service.observers.set_recipe(config, svc, {
+        "kind": "service", "service_kind": "lockstep",
+        "sync": True, "workload_kind": "web",
+    })
     return service

@@ -17,6 +17,10 @@ global coordinator needs between control periods:
 * :meth:`EngineShard.drain_source` — flush the shard's in-flight work so
   a source can be migrated to another shard without leaving half-filled
   windows behind (docs/THEORY.md §13).
+
+:func:`build_shard` assembles one from picklable specs and
+:func:`arm_shard` wires it to a runtime's bus and tracers — the same two
+calls on every runtime, in every process.
 """
 
 from __future__ import annotations
@@ -45,10 +49,18 @@ from ..obs.events import (
     MigrationCompleted,
     MigrationStarted,
 )
+from ..obs.tracing import PeriodTracer
+from ..obs.tuptrace import TupleTracer
 from ..shedding import BoundedEntryShedder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
+
+#: prime stride between per-shard seeds (engine RNG, tuple-trace sampler):
+#: every runtime derives shard ``i``'s as ``base + SEED_STRIDE * (i + 1)``,
+#: so a fleet worker — or its replay — reproduces the lockstep shard
+SEED_STRIDE = 104729
+
 
 @dataclass(frozen=True)
 class DrainReport:
@@ -281,3 +293,23 @@ def build_shard(name: str,
         drain_max_extra=drain_max_extra,
     )
     return EngineShard(name, engine, loop, model, base_target=target)
+
+
+def arm_shard(shard: EngineShard, bus, index: int,
+              tuptrace: float = 0.0, trace: bool = False) -> None:
+    """Wire one shard to a runtime's bus and install its tracers.
+
+    Loop and engine emit through a shard-scoped view of ``bus``, so one
+    subscription sees every shard's events, labeled. ``index`` seeds the
+    tuple tracer: shards sample distinct (but each reproducible) tuple
+    sets, and a fleet worker samples what its lockstep twin does.
+    """
+    scoped = bus.scoped(shard.name)
+    shard.loop.bus = scoped
+    shard.engine.bus = scoped
+    if tuptrace > 0.0:
+        shard.loop.tuple_tracer = TupleTracer(
+            fraction=tuptrace, seed=SEED_STRIDE * (index + 1),
+            bus=scoped, shard=shard.name)
+    if trace:
+        shard.loop.tracer = PeriodTracer()

@@ -131,3 +131,81 @@ class TestLiveRouting:
         assert isinstance(result, ServiceResult)
         assert set(result.shard_records) == {"shard0", "shard1"}
         assert result.mode == SVC.mode
+
+
+class TestObservers:
+    """The live node honours every observer knob of ``ServiceConfig``
+    through the same attach point as the lockstep service."""
+
+    def _run(self, svc, periods=3):
+        from dataclasses import replace
+        bus = EventBus()
+        clock = ManualClock()
+        service = build_live_service(
+            CFG, replace(svc, n_shards=2, n_sources=2, backend="fluid"),
+            clock=clock, bus=bus, max_periods=periods)
+        service.start()
+        try:
+            for __ in range(periods):
+                clock.advance(0.5)
+                _push(service, "s0", 5)
+                _push(service, "s1", 5)
+                clock.advance(0.5)
+            assert service.wait(timeout=10)
+        finally:
+            result = service.stop()
+        return service, bus, result
+
+    @pytest.mark.parametrize("knob, value, field", [
+        ("health", True, "health"),
+        ("trace", True, "trace_summary"),
+        ("tuptrace", 1.0, "tail_summary"),
+        ("sysid", True, "sysid"),
+    ])
+    def test_each_knob_fills_its_result_field(self, knob, value, field):
+        __, __, result = self._run(ServiceConfig(**{knob: value}))
+        assert getattr(result, field) is not None
+        others = {"health", "trace_summary", "tail_summary", "sysid",
+                  "incidents"} - {field}
+        assert all(getattr(result, name) is None for name in others)
+
+    def test_tracers_use_the_lockstep_seeds(self):
+        from repro.service import build_service
+        svc = ServiceConfig(n_shards=2, n_sources=2, backend="fluid",
+                            tuptrace=0.5, trace=True)
+        live = build_live_service(CFG, svc, clock=ManualClock(),
+                                  bus=EventBus(), max_periods=1)
+        lock = build_service(CFG, svc)
+        try:
+            for a, b in zip(live.shards, lock.shards):
+                assert a.loop.tracer is not None
+                assert a.loop.tuple_tracer.seed == b.loop.tuple_tracer.seed
+            assert (live.shards[0].loop.tuple_tracer.seed
+                    != live.shards[1].loop.tuple_tracer.seed)
+        finally:
+            live.stop()
+
+    def test_trace_summary_covers_shards_and_service(self):
+        __, __, result = self._run(ServiceConfig(trace=True))
+        trace = result.trace_summary
+        assert set(trace["shards"]) == {"shard0", "shard1", "service"}
+        assert {"ingest", "engine", "dispatch", "coordinator"} \
+            <= set(trace["segments"])
+
+    def test_defaults_arm_nothing(self):
+        service, bus, result = self._run(ServiceConfig())
+        assert not bus
+        assert service.flight_recorder is None
+        assert all(shard.loop.tracer is None
+                   and shard.loop.tuple_tracer is None
+                   for shard in service.shards)
+        assert result.health is result.trace_summary is None
+
+    def test_stop_detaches_every_observer(self, tmp_path):
+        svc = ServiceConfig(health=True, sysid=True, flight=8,
+                            flight_dir=str(tmp_path))
+        service, bus, result = self._run(svc)
+        assert not bus, "observers still subscribed after stop()"
+        assert result.incidents == []
+        service.stop()  # idempotent, still detached
+        assert not bus

@@ -50,28 +50,47 @@ def _run_child(script: str, timeout: float = 90.0, sig=signal.SIGINT):
 LIVE_CHILD = """
 import sys
 from repro.experiments.config import ExperimentConfig
-from repro.serve import build_live_runner
+from repro.serve import build_live_runner, build_live_service
+from repro.service import ServiceConfig
 
 config = ExperimentConfig(capacity=100, period=0.1, target=0.5, duration=60)
-runner = build_live_runner(config, backend="fluid", max_periods=600)
-runner.handle_signals()
-runner.start()
-print("READY", runner.ingest_port, flush=True)
-runner.wait()
-record = runner.stop()
-assert runner.status()["running"] is False
-print("CLEAN", len(record.periods), flush=True)
+node = {build}
+node.handle_signals()
+node.start()
+print("READY", node.ingest_port, flush=True)
+node.wait()
+result = node.stop()
+assert node.status()["running"] is False
+print("CLEAN", node.status()["periods_done"], flush=True)
 """
 
+# handle_signals() lives on the shared live-node base, so both nodes
+# must turn a signal into the same graceful stop
+LIVE_NODES = {
+    "runner": 'build_live_runner(config, backend="fluid", max_periods=600)',
+    "service": ('build_live_service(config, ServiceConfig(n_shards=2, '
+                'n_sources=2, backend="fluid"), max_periods=600)'),
+}
 
-@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
-def test_live_runner_exits_cleanly_on_signal(sig):
-    code, out, port = _run_child(LIVE_CHILD, sig=sig)
+
+def _assert_live_node_exits_cleanly(node, sig):
+    code, out, port = _run_child(
+        LIVE_CHILD.replace("{build}", LIVE_NODES[node]), sig=sig)
     assert code == 0, f"child exited {code}:\n{out}"
     assert "CLEAN" in out
     # the ingest socket is really gone
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", port), timeout=0.5)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+def test_live_runner_exits_cleanly_on_signal(sig):
+    _assert_live_node_exits_cleanly("runner", sig)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+def test_live_service_exits_cleanly_on_signal(sig):
+    _assert_live_node_exits_cleanly("service", sig)
 
 
 REPLAY_CHILD = """
@@ -118,7 +137,9 @@ bus = EventBus()
 downs = []
 bus.subscribe(downs.append, kinds=("worker_down",))
 
-config = ExperimentConfig(duration=30.0, seed=11)
+# long enough (~2 s of wall time) that the run is still going when the
+# parent's SIGINT lands 0.3 s after READY
+config = ExperimentConfig(duration=240.0, seed=11)
 svc = FleetConfig(n_shards=2, n_sources=2)
 fleet = build_fleet(config, svc, bus=bus)
 arrivals = build_service_workload(config, svc)

@@ -150,6 +150,25 @@ class TestServiceConstruction:
         with pytest.raises(ServiceError):
             service.run([], 0.0)
 
+    def test_failed_run_detaches_every_observer(self, tmp_path):
+        """A run that raises must not leave its observers on the process
+        bus: every later run in the process would be double-observed and
+        pay the armed emit path."""
+        from repro.obs import get_bus
+        bus = get_bus()
+        before = list(bus._subs)
+        try:
+            service = build_service(CFG, ServiceConfig(
+                health=True, sysid=True, flight=8,
+                flight_dir=str(tmp_path)))
+            assert len(bus._subs) > len(before)  # armed at build
+            with pytest.raises(ServiceError):
+                # "ghost" is pinned nowhere on the explicit router
+                service.run([(0.5, (1.0,), "ghost")], 5.0)
+            assert bus._subs == before
+        finally:
+            bus._subs = before
+
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             ServiceConfig(n_shards=0)

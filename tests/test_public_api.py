@@ -12,7 +12,9 @@ PACKAGES = [
     "repro.dsms.operators",
     "repro.experiments",
     "repro.metrics",
+    "repro.obs",
     "repro.serve",
+    "repro.service",
     "repro.shedding",
     "repro.workloads",
 ]
