@@ -1,52 +1,45 @@
-"""Perf regression harness: engine + control-loop + figure-benchmark timings.
+"""Perf harness for the four things ``benchmarks/e2e`` cannot see.
 
-Writes ``BENCH_engine.json`` at the repository root so successive PRs can
-track the performance trajectory (each revision's numbers live in git
-history). Three sections:
+Speed is measured in one place: ``benchmarks/e2e/run.py`` times the path a
+tuple really takes (socket -> buffer -> route -> shed -> engine -> sink) on
+four named workloads and, with ``--append-history``, adds its rows to the
+committed ``BENCH_e2e_history.jsonl``. What is left here are three
+comparisons *between two ways of running the same work*, which no single
+e2e workload contains, and one step no workload times on its own. Each
+writes one section ("tier") of ``BENCH_engine.json``:
 
-* ``engine_throughput`` — raw discrete-event engine tuples/second on the
-  14-operator identification network, measured on the optimized hot path
-  and on the legacy path (scan-based scheduling + per-tuple cost-multiplier
-  call) for a before/after pair on every run;
-* ``control_loop`` — closed-loop CTRL control cycles/second, i.e. the full
-  monitor -> controller -> actuator stack including the engine;
-* ``obs_overhead`` — the same closed loop with the observability layer
-  absent, disabled (bus with no subscribers), fully enabled (metrics
-  bridge + health monitor + tracer) and relayed (every event round-tripped
-  through the cross-process manager queue); the disabled path must stay
-  within 5% of baseline;
-* ``tuptrace`` — the closed loop with sampled per-tuple lifecycle tracing
-  off, at 1% and at 100%, plus a fidelity gate: the fully-sampled trace
-  mean delay must agree with the monitor's QoS mean within 2%;
-* ``sysid`` — the closed loop with the full control-health stack armed
-  (online system identification + health monitor + flight recorder)
-  against the silent path: the armed overhead must stay within 5%, and
-  the identified plant gain must land within 10% of the design model on
-  a matched plant (gain ratio K ~ 1);
-* ``figure_fanout`` — wall-clock for the multi-strategy Fig. 12 job matrix
-  (strategies x workloads) run serially vs. via the process pool;
-* ``fleet`` — the 4-shard hotspot service run lockstep vs. as a per-shard
-  process fleet (sync mode): aggregates must match bit-for-bit, and the
-  wall-clock speedup is recorded alongside ``cpu_count`` (parallel
-  speedups are only asserted on multi-core machines);
 * ``grid_sweep`` — the Fig. 19-style tuning grid (control periods x delay
   targets, 400 s runs) on the vectorized batch backend vs. the scalar
   ``VirtualQueueEngine`` path, including a full QoS cross-check: violation
   time and loss ratio must agree within 1% on every grid point;
-* ``ingest`` — the real-time serving front-end: pre-encoded wire frames
-  blasted over a loopback TCP socket into the asyncio ``IngestServer``,
-  measuring decode+stamp tuples/second (the ceiling on live offered load);
-* ``migration`` — the live source-migration transaction: whole-queue
-  drain latency on a loaded shard, plus the end-to-end hotspot scenario
-  (coordinator-triggered move) timed against a rebalance-only baseline,
-  recording periods-to-QoS-recovery and the worst-shard violation
-  improvement.
+* ``figure_fanout`` — wall-clock for the multi-strategy Fig. 12 job matrix
+  (strategies x workloads) run serially vs. via the process pool, whose
+  records must be identical;
+* ``fleet`` — the 4-shard hotspot service run lockstep vs. as a per-shard
+  process fleet (sync mode): aggregates must match bit-for-bit, and the
+  wall-clock speedup is recorded (no e2e workload runs ``ProcessFleet``);
+* ``migration`` — the drain half of the live source-migration transaction:
+  a loaded shard flushes its whole engine queue, timed per drained tuple.
 
-The parallel sections (``figure_fanout``, ``fleet``) record a
-``speedup_meaningful`` flag and, when the machine cannot express the
-parallelism (fewer CPUs than workers/shards), a ``skip_reason`` — the
-trend check skips those speedup gates instead of warn-failing on
-single-CPU runners.
+Every tier is a plain function whose returned dict carries its own
+``gates`` list, so ``check_trend.py`` lists no metric of its own:
+
+* ``{"metric": m, "kind": "true"}`` — ``tier[m]`` must be true in every
+  report, on any machine (this harness also exits non-zero when one is
+  not);
+* ``{"metric": m, "kind": "trend", "better": "higher", "tolerance": t}`` —
+  ``tier[m]`` may not be worse than the committed baseline's by more than
+  ``t``; skipped when either report's tier records a ``skip_reason`` (the
+  machine has fewer CPUs than the tier has workers/shards, so a sub-1x
+  "speedup" is machine topology, not a regression) or when the two
+  reports come from different machine shapes (``fingerprint``).
+
+Each tolerance is sized from the gate's own run-to-run spread (a speedup
+is a ratio of two wall times, so the noise of both compounds): identical
+runs on a shared 2-CPU box read the grid speedup 18.4-28.2 and the
+2-worker pool speedup 1.17-2.06. The gates exist to catch a pool that no
+longer parallelises or a batch path that lost its vectorization, not 5%
+jitter.
 
 Usage::
 
@@ -60,9 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import random
-import socket
 import sys
 import time
 from datetime import datetime, timezone
@@ -70,15 +60,15 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
 
-from repro.dsms import DepthFirstScheduler, identification_network, make_engine  # noqa: E402
 from repro.experiments import (  # noqa: E402
     ExperimentConfig,
     Job,
     run_jobs,
-    run_strategy,
-    make_workload,
 )
+# the one machine fingerprint: the e2e history rows carry the same dict
+from run import fingerprint  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
 
@@ -86,298 +76,13 @@ STRATEGIES = ("CTRL", "BASELINE", "AURORA")
 WORKLOADS = ("web", "pareto")
 
 
-def overload_arrivals(n_tuples: int, rate: float, seed: int = 0):
-    rng = random.Random(seed)
-    t = 0.0
-    out = []
-    for __ in range(n_tuples):
-        t += rng.expovariate(rate)
-        out.append((t, (rng.random(), rng.random(), rng.random(),
-                        rng.random()), "src"))
-    return out
-
-
-def bench_engine_throughput(n_tuples: int, legacy: bool) -> dict:
-    """Drive the engine at ~2x capacity and measure tuples/second."""
-    net = identification_network()
-    engine = make_engine("full", network=net)
-    if legacy:
-        # reconstruct the pre-optimization hot path: an unbound scheduler
-        # forces the per-tuple topological scan, and an explicit constant
-        # multiplier forces the per-tuple function call
-        engine.scheduler = DepthFirstScheduler(net)
-        for q in engine.queues.values():
-            q.set_watcher(None)
-        engine.cost_multiplier = lambda t: 1.0
-    arrivals = overload_arrivals(n_tuples, rate=380.0)
-    horizon = arrivals[-1][0] + 60.0
-    start = time.perf_counter()
-    engine.submit_many(arrivals)
-    engine.run_until(horizon)
-    wall = time.perf_counter() - start
-    return {
-        "source_tuples": engine.admitted_total,
-        "departed": engine.departed_total,
-        "wall_seconds": round(wall, 4),
-        "tuples_per_second": round(engine.departed_total / wall, 1),
-    }
-
-
-def bench_control_loop(duration: float) -> dict:
-    """Closed-loop CTRL cycles/second (full monitor/controller/actuator)."""
-    cfg = ExperimentConfig(duration=duration)
-    workload = make_workload("web", cfg)
-    start = time.perf_counter()
-    record = run_strategy("CTRL", workload, cfg)
-    wall = time.perf_counter() - start
-    return {
-        "control_cycles": len(record.periods),
-        "wall_seconds": round(wall, 4),
-        "cycles_per_second": round(len(record.periods) / wall, 1),
-        "sim_duration_seconds": duration,
-    }
-
-
-def bench_obs_overhead(duration: float, repeats: int = 5) -> dict:
-    """Cost of the observability layer on the closed CTRL loop.
-
-    Four variants of the same run, interleaved and rotated per round to
-    spread machine noise evenly: ``baseline`` (default silent bus — the
-    pre-obs reference), ``disabled`` (an explicit bus with no
-    subscribers, i.e. every emit guard evaluated and skipped),
-    ``enabled`` (metrics bridge + health monitor subscribed plus a
-    per-period tracer) and ``relayed`` (every event serialized over the
-    cross-process manager queue and re-emitted into a metrics bridge on
-    a separate parent bus — the full :class:`repro.obs.relay.EventRelay`
-    round trip, flush included; the manager itself starts outside the
-    timed window). Each variant scores its best-of-``repeats`` wall time
-    so load spikes on shared runners drop out. The acceptance bar is on
-    the disabled path: it must stay within 5% of baseline.
-    """
-    from repro.obs import (
-        EventBus,
-        EventRelay,
-        HealthMonitor,
-        MetricsRegistry,
-        PeriodTracer,
-        install_metrics,
-        worker_relay,
-    )
-
-    cfg = ExperimentConfig(duration=duration)
-    workload = make_workload("web", cfg)
-
-    def baseline_run():
-        return run_strategy("CTRL", workload, cfg)
-
-    def disabled_run():
-        return run_strategy("CTRL", workload, cfg, bus=EventBus())
-
-    def enabled_run():
-        bus = EventBus()
-        bridge = install_metrics(bus, MetricsRegistry())
-        monitor = HealthMonitor(bus)
-        try:
-            return run_strategy("CTRL", workload, cfg, bus=bus,
-                                tracer=PeriodTracer())
-        finally:
-            monitor.close()
-            bridge.close()
-
-    parent_bus = EventBus()
-    relay_bridge = install_metrics(parent_bus, MetricsRegistry())
-    relay = EventRelay(bus=parent_bus, registry=relay_bridge.registry).start()
-
-    def relayed_run():
-        loop_bus = EventBus()
-        with worker_relay(relay.queue, worker="bench", bus=loop_bus):
-            record = run_strategy("CTRL", workload, cfg, bus=loop_bus)
-        relay.flush()
-        return record
-
-    variants = [("baseline", baseline_run), ("disabled", disabled_run),
-                ("enabled", enabled_run), ("relayed", relayed_run)]
-    best = {name: float("inf") for name, __ in variants}
-    cycles = 0
-    try:
-        for round_no in range(repeats):
-            rot = round_no % len(variants)
-            order = variants[rot:] + variants[:rot]
-            for name, fn in order:
-                start = time.perf_counter()
-                record = fn()
-                best[name] = min(best[name], time.perf_counter() - start)
-                cycles = len(record.periods)
-    finally:
-        relay.stop()
-        relay_bridge.close()
-
-    cps = {name: cycles / wall for name, wall in best.items()}
-    disabled_overhead = max(0.0, 1.0 - cps["disabled"] / cps["baseline"])
-    enabled_overhead = max(0.0, 1.0 - cps["enabled"] / cps["baseline"])
-    relayed_overhead = max(0.0, 1.0 - cps["relayed"] / cps["baseline"])
-    return {
-        "sim_duration_seconds": duration,
-        "repeats": repeats,
-        "control_cycles": cycles,
-        "baseline_cycles_per_second": round(cps["baseline"], 1),
-        "disabled_cycles_per_second": round(cps["disabled"], 1),
-        "enabled_cycles_per_second": round(cps["enabled"], 1),
-        "relayed_cycles_per_second": round(cps["relayed"], 1),
-        "disabled_overhead_fraction": round(disabled_overhead, 4),
-        "enabled_overhead_fraction": round(enabled_overhead, 4),
-        "relayed_overhead_fraction": round(relayed_overhead, 4),
-        "disabled_within_5pct": bool(disabled_overhead <= 0.05),
-    }
-
-
-def bench_tuptrace(duration: float, repeats: int = 5) -> dict:
-    """Cost and fidelity of sampled per-tuple lifecycle tracing.
-
-    Three variants of the closed CTRL loop, rotated best-of-``repeats``
-    like ``bench_obs_overhead``: ``off`` (no tracer — the reference),
-    ``sampled`` (1% of arrivals stamped with TraceContexts) and ``full``
-    (every arrival traced — the worst case). Alongside the wall-clock
-    overheads, the full variant's TailAnalyzer mean must agree with the
-    monitor's QoS mean delay within 2% — the tracer is only worth its
-    cost if the spans it collects are faithful.
-    """
-    from repro.obs.tuptrace import TupleTracer
-
-    cfg = ExperimentConfig(duration=duration)
-    workload = make_workload("web", cfg)
-    tracers = {}
-
-    def off_run():
-        return run_strategy("CTRL", workload, cfg)
-
-    def sampled_run():
-        tracers["sampled"] = TupleTracer(fraction=0.01, seed=42)
-        return run_strategy("CTRL", workload, cfg,
-                            tuple_tracer=tracers["sampled"])
-
-    def full_run():
-        tracers["full"] = TupleTracer(fraction=1.0, seed=42,
-                                      max_finished=1_000_000)
-        return run_strategy("CTRL", workload, cfg,
-                            tuple_tracer=tracers["full"])
-
-    variants = [("off", off_run), ("sampled", sampled_run),
-                ("full", full_run)]
-    best = {name: float("inf") for name, __ in variants}
-    cycles = 0
-    record = None
-    for round_no in range(repeats):
-        rot = round_no % len(variants)
-        order = variants[rot:] + variants[:rot]
-        for name, fn in order:
-            start = time.perf_counter()
-            rec = fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-            cycles = len(rec.periods)
-            if name == "full":
-                record = rec
-
-    cps = {name: cycles / wall for name, wall in best.items()}
-    sampled_overhead = max(0.0, 1.0 - cps["sampled"] / cps["off"])
-    full_overhead = max(0.0, 1.0 - cps["full"] / cps["off"])
-    check = tracers["full"].analyzer().cross_check(record)
-    return {
-        "sim_duration_seconds": duration,
-        "repeats": repeats,
-        "control_cycles": cycles,
-        "off_cycles_per_second": round(cps["off"], 1),
-        "sampled_cycles_per_second": round(cps["sampled"], 1),
-        "full_cycles_per_second": round(cps["full"], 1),
-        "sampled_fraction": 0.01,
-        "sampled_overhead_fraction": round(sampled_overhead, 4),
-        "full_overhead_fraction": round(full_overhead, 4),
-        "full_traced": tracers["full"].sampled,
-        "full_sampled_mean_delay": round(check["sampled_mean"], 4),
-        "monitor_mean_delay": round(check["monitor_mean"], 4),
-        "cross_check_rel_err": round(check["rel_err"], 5),
-        "cross_check_within_2pct": bool(check["ok"]),
-    }
-
-
-def bench_sysid(duration: float, repeats: int = 5) -> dict:
-    """Cost and fidelity of the control-health diagnostics layer.
-
-    Two variants of the closed CTRL loop under a constant overload
-    (rotated best-of-``repeats`` like ``bench_obs_overhead``): ``off``
-    (default silent bus) and ``armed`` (online system identification +
-    health monitor + flight recorder all subscribed — the full
-    control-health stack a production run would carry). Two gates ride
-    on the armed run: its overhead must stay within 5% of the off path,
-    and the identified plant gain must land within 10% of the design
-    model's — the workload is sized so the queue stays busy and the
-    cost model is exact, i.e. the identified ratio K should be ~1.
-    """
-    import tempfile
-
-    from repro.obs import (
-        EventBus,
-        FlightRecorder,
-        HealthMonitor,
-        SysIdMonitor,
-    )
-    from repro.workloads import constant_rate
-
-    cfg = ExperimentConfig(duration=duration)
-    workload = constant_rate(250.0, int(duration))
-    state = {}
-
-    def off_run():
-        return run_strategy("CTRL", workload, cfg)
-
-    def armed_run():
-        bus = EventBus()
-        mon = SysIdMonitor(bus)
-        with tempfile.TemporaryDirectory() as tmp:
-            rec = FlightRecorder(bus, ring=256, directory=tmp)
-            hm = rec.watch(HealthMonitor(bus))
-            try:
-                return run_strategy("CTRL", workload, cfg, bus=bus)
-            finally:
-                state["summary"] = mon.summary()["main"]
-                state["incidents"] = len(rec.incidents)
-                hm.close()
-                mon.close()
-                rec.close()
-
-    variants = [("off", off_run), ("armed", armed_run)]
-    best = {name: float("inf") for name, __ in variants}
-    cycles = 0
-    for round_no in range(repeats):
-        rot = round_no % len(variants)
-        order = variants[rot:] + variants[:rot]
-        for name, fn in order:
-            start = time.perf_counter()
-            record = fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-            cycles = len(record.periods)
-
-    cps = {name: cycles / wall for name, wall in best.items()}
-    armed_overhead = max(0.0, 1.0 - cps["armed"] / cps["off"])
-    st = state["summary"]
-    gain_rel_err = abs(st["gain_ratio"] - 1.0)
-    return {
-        "sim_duration_seconds": duration,
-        "repeats": repeats,
-        "control_cycles": cycles,
-        "off_cycles_per_second": round(cps["off"], 1),
-        "armed_cycles_per_second": round(cps["armed"], 1),
-        "armed_overhead_fraction": round(armed_overhead, 4),
-        "armed_within_5pct": bool(armed_overhead <= 0.05),
-        "identified_gain": round(st["identified_gain"], 6),
-        "design_gain": round(st["design_gain"], 6),
-        "gain_ratio": round(st["gain_ratio"], 4),
-        "gain_rel_err": round(gain_rel_err, 4),
-        "gain_within_10pct": bool(st["converged"] and gain_rel_err <= 0.10),
-        "sysid_samples": st["samples"],
-        "sysid_excluded": st["excluded"],
-        "incident_bundles": state["incidents"],
-    }
+def too_few_cpus(degree: int, unit: str):
+    """Why a ``degree``-way parallel speedup means nothing here, if so."""
+    cpus = os.cpu_count() or 1
+    if cpus >= degree:
+        return None
+    return (f"cpu_count {cpus} < {unit} {degree}: the speedup is machine "
+            "topology, not a regression")
 
 
 def bench_grid_sweep(duration: float) -> dict:
@@ -433,6 +138,11 @@ def bench_grid_sweep(duration: float) -> dict:
         "worst_loss_err": round(worst_loss_err, 5),
         "cross_check_within_1pct": bool(worst_violation_err <= 0.01
                                         and worst_loss_err <= 0.01),
+        "gates": [
+            {"metric": "cross_check_within_1pct", "kind": "true"},
+            {"metric": "speedup", "kind": "trend", "better": "higher",
+             "tolerance": 0.30},
+        ],
     }
 
 
@@ -454,24 +164,21 @@ def bench_figure_fanout(duration: float, workers: int) -> dict:
         a.periods == b.periods and a.departures == b.departures
         for a, b in zip(serial, parallel)
     )
-    cpus = os.cpu_count() or 1
-    meaningful = cpus >= workers
     return {
         "jobs": len(jobs),
         "workers": workers,
-        # a pool cannot beat serial without a core per worker; the trend
-        # check skips the speedup gate when speedup_meaningful is False
-        "cpu_count": cpus,
-        "speedup_meaningful": meaningful,
-        "skip_reason": None if meaningful else (
-            f"cpu_count {cpus} < workers {workers}: pool speedup is "
-            "machine topology, not a regression"
-        ),
+        # a pool cannot beat serial without a core per worker
+        "skip_reason": too_few_cpus(workers, "workers"),
         "sim_duration_seconds": duration,
         "serial_wall_seconds": round(serial_wall, 4),
         "parallel_wall_seconds": round(parallel_wall, 4),
         "speedup": round(serial_wall / parallel_wall, 2),
         "records_identical": identical,
+        "gates": [
+            {"metric": "records_identical", "kind": "true"},
+            {"metric": "speedup", "kind": "trend", "better": "higher",
+             "tolerance": 0.30},
+        ],
     }
 
 
@@ -481,147 +188,62 @@ def bench_fleet(duration: float) -> dict:
     Runs the hotspot workload through both runners off the same specs.
     The hard bar is correctness — sync-mode fleet aggregates must match
     the lockstep records bit-for-bit; the speedup is reported per
-    machine and only meaningful when ``cpu_count >= 2`` (one worker per
-    shard cannot beat one process on one core).
+    machine and only gated with a CPU per shard (one worker per shard
+    cannot beat one process on fewer cores).
     """
-    from repro.experiments import FleetComparison, fleet_comparison
+    from repro.experiments import fleet_comparison
     from repro.service import FleetConfig
 
     cfg = ExperimentConfig(duration=duration)
     fc = FleetConfig(n_shards=4, n_sources=4)
     comp = fleet_comparison(cfg, fc)
-    cpus = os.cpu_count() or 1
-    meaningful = cpus >= fc.n_shards
     return {
         "shards": fc.n_shards,
-        "cpu_count": cpus,
-        "speedup_meaningful": meaningful,
-        "skip_reason": None if meaningful else (
-            f"cpu_count {cpus} < shards {fc.n_shards}: fleet speedup is "
-            "machine topology, not a regression"
-        ),
+        "skip_reason": too_few_cpus(fc.n_shards, "shards"),
         "sim_duration_seconds": duration,
         "lockstep_wall_seconds": round(comp.lockstep.wall_seconds, 4),
         "fleet_wall_seconds": round(comp.fleet.wall_seconds, 4),
         "speedup": round(comp.speedup, 2),
         "aggregates_match": comp.aggregates_match(),
+        "gates": [
+            {"metric": "aggregates_match", "kind": "true"},
+            {"metric": "speedup", "kind": "trend", "better": "higher",
+             "tolerance": 0.30},
+        ],
     }
 
 
-def bench_migration(duration: float) -> dict:
-    """The live source-migration transaction, microbench + end-to-end.
+def bench_migration() -> dict:
+    """Raw drain latency of the live source-migration transaction.
 
-    Two measurements. First, raw drain latency: a loaded shard flushes
-    its whole engine queue (the safety half of the cutover) and we time
-    the wall clock per drained tuple. Second, the hotspot scenario the
-    migration policy exists for — 8 sources round-robin on 4 shards put
-    the 4x hotspot and a second source on shard0, whose 0.32 headroom
-    ceiling binds; the run with ``migration=True`` must trigger a
-    coordinator-planned move and recover the worst shard's QoS, and we
-    record how many periods after the cutover the hot shard's delay
-    estimate needs to return under its base target.
+    A loaded shard flushes its whole engine queue (the safety half of the
+    cutover) and we time the wall clock per drained tuple. That the
+    hotspot scenario triggers a move and recovers the worst shard is a
+    tier-1 test (``tests/service/test_migration.py``) and a check of the
+    e2e ``sim_hotspot`` workload; only the drain is timed nowhere else.
     """
-    from repro.experiments import build_service_workload
-    from repro.service import ServiceConfig, build_service
     from repro.service.shard import build_shard
 
-    cfg = ExperimentConfig(duration=duration, seed=7)
-
-    # -- drain latency microbench ------------------------------------- #
+    cfg = ExperimentConfig(seed=7)
     shard = build_shard("drain", cfg, headroom=0.25, target=cfg.target,
                         engine_seed=3)
     record = shard.loop.begin()
     due = [(i * 0.002, (0.5, 0.5, 0.5, 0.5), shard.entry_source)
            for i in range(2000)]
     shard.loop.run_period(record, 0, due)
-    backlog = shard.engine.outstanding
     start = time.perf_counter()
     report = shard.drain_source("bench", budget=600.0)
     drain_wall = time.perf_counter() - start
-
-    # -- end-to-end hotspot scenario ---------------------------------- #
-    knobs = dict(n_shards=4, n_sources=8, hotspot_factor=4.0,
-                 per_source_rate=14.0, headroom_ceiling=0.32,
-                 migration_patience=3, migration_cooldown=10)
-    migrating = ServiceConfig(migration=True, **knobs)
-    arrivals = build_service_workload(cfg, migrating)
-    service = build_service(cfg, migrating)
-    start = time.perf_counter()
-    moved = service.run(arrivals, cfg.duration)
-    moved_wall = time.perf_counter() - start
-    stayed = build_service(
-        cfg, ServiceConfig(**knobs)).run(arrivals, cfg.duration)
-
-    plans = [(e["k"], e["migration"]) for e in moved.coordinator_history
-             if "migration" in e]
-    recovery = None
-    if plans:
-        cut_k, plan = plans[0]
-        hot = moved.shard_records[f"shard{plan['from']}"]
-        for p in hot.periods[cut_k:]:
-            if p.delay_estimate <= moved.base_target:
-                recovery = p.k - cut_k
-                break
-    worst_without = stayed.worst_shard("accumulated_violation")[1]
-    worst_with = moved.worst_shard("accumulated_violation")[1]
     return {
-        "sim_duration_seconds": duration,
-        "drain_backlog": backlog,
+        "drain_backlog": report.backlog,
         "drain_wall_seconds": round(drain_wall, 4),
         "drain_virtual_seconds": round(report.virtual_seconds, 4),
-        "drain_tuples_per_second": round(
-            report.drained / drain_wall, 1) if drain_wall > 0 else None,
-        "migrations_triggered": len(plans),
-        "cutover_k": plans[0][0] if plans else None,
-        "periods_to_qos_recovery": recovery,
-        "wall_seconds": round(moved_wall, 4),
-        "worst_violation_without_migration": round(worst_without, 3),
-        "worst_violation_with_migration": round(worst_with, 3),
-        "migration_improves_worst_shard": bool(worst_with < worst_without),
-    }
-
-
-def bench_ingest(n_tuples: int) -> dict:
-    """Serving front-end throughput over loopback TCP.
-
-    A client blasts ``n_tuples`` pre-encoded wire frames down one
-    connection as fast as the kernel accepts them; the clock runs from
-    the first byte sent until the ingest buffer has stamped the last
-    tuple, so the number is the decode+stamp ceiling of the asyncio
-    front-end — the most offered load a live run can ever see.
-    """
-    from repro.core.clock import WallClock
-    from repro.serve.ingest import IngestBuffer, IngestServer
-    from repro.serve.protocol import encode_tuple
-
-    clock = WallClock()
-    clock.start()
-    buf = IngestBuffer(clock, maxlen=n_tuples + 1)
-    server = IngestServer(buf, port=0)
-    server.start()
-    payload = b"".join(
-        encode_tuple((i % 97, i % 89, i % 83, i % 79))
-        for i in range(n_tuples)
-    )
-    try:
-        start = time.perf_counter()
-        with socket.create_connection(("127.0.0.1", server.port),
-                                      timeout=30.0) as sock:
-            sock.sendall(payload)
-            deadline = start + 300.0
-            while buf.accepted < n_tuples and time.perf_counter() < deadline:
-                time.sleep(0.001)
-        wall = time.perf_counter() - start
-    finally:
-        server.stop()
-    return {
-        "tuples": n_tuples,
-        "payload_bytes": len(payload),
-        "accepted": buf.accepted,
-        "dropped": buf.dropped,
-        "wall_seconds": round(wall, 4),
-        "tuples_per_second": round(buf.accepted / wall, 1),
-        "mbytes_per_second": round(len(payload) / wall / 1e6, 2),
+        "drain_tuples_per_second": round(report.drained / drain_wall, 1),
+        "drained_whole_backlog": bool(report.leftover == 0
+                                      and not report.truncated),
+        "gates": [
+            {"metric": "drained_whole_backlog", "kind": "true"},
+        ],
     }
 
 
@@ -636,125 +258,38 @@ def main(argv=None) -> int:
                         help=f"where to write the JSON (default {OUTPUT})")
     args = parser.parse_args(argv)
 
-    n_tuples = 60_000 if args.full else 20_000
-    ingest_tuples = 200_000 if args.full else 50_000
-    loop_duration = 400.0 if args.full else 120.0
     fanout_duration = 400.0 if args.full else 60.0
     workers = args.workers or max(2, min(4, os.cpu_count() or 1))
 
-    print(f"engine throughput ({n_tuples} tuples, optimized)...", flush=True)
-    optimized = bench_engine_throughput(n_tuples, legacy=False)
-    print(f"engine throughput ({n_tuples} tuples, legacy path)...", flush=True)
-    legacy = bench_engine_throughput(n_tuples, legacy=True)
-    print(f"control loop ({loop_duration:.0f}s sim)...", flush=True)
-    loop = bench_control_loop(loop_duration)
+    tiers = {}
+    print("grid sweep (9 periods x 5 targets, batch vs scalar)...",
+          flush=True)
+    tiers["grid_sweep"] = bench_grid_sweep(400.0)
     print(f"figure fan-out ({fanout_duration:.0f}s sim x "
           f"{len(STRATEGIES) * len(WORKLOADS)} jobs, "
           f"{workers} workers)...", flush=True)
-    fanout = bench_figure_fanout(fanout_duration, workers)
+    tiers["figure_fanout"] = bench_figure_fanout(fanout_duration, workers)
     print(f"process fleet ({fanout_duration:.0f}s sim, 4 shards, "
           "lockstep vs fleet)...", flush=True)
-    fleet = bench_fleet(fanout_duration)
-    print(f"migration ({fanout_duration:.0f}s sim, hotspot move vs "
-          "rebalance-only)...", flush=True)
-    migration = bench_migration(fanout_duration)
-    print(f"obs overhead ({loop_duration:.0f}s sim x 4 variants x 5 "
-          "repeats)...", flush=True)
-    obs = bench_obs_overhead(loop_duration)
-    print(f"tuple tracing ({loop_duration:.0f}s sim x 3 variants x 5 "
-          "repeats)...", flush=True)
-    tuptrace = bench_tuptrace(loop_duration)
-    print(f"control health ({loop_duration:.0f}s sim x 2 variants x 5 "
-          "repeats)...", flush=True)
-    sysid = bench_sysid(loop_duration)
-    print("grid sweep (9 periods x 5 targets, batch vs scalar)...",
-          flush=True)
-    grid = bench_grid_sweep(400.0)
-    print(f"ingest front-end ({ingest_tuples} tuples over loopback)...",
-          flush=True)
-    ingest = bench_ingest(ingest_tuples)
+    tiers["fleet"] = bench_fleet(fanout_duration)
+    print("migration (whole-queue drain of a loaded shard)...", flush=True)
+    tiers["migration"] = bench_migration()
 
     report = {
         "generated_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        "fingerprint": fingerprint(),
         "mode": "full" if args.full else "quick",
-        "engine_throughput": {
-            "after_optimized": optimized,
-            "before_legacy_path": legacy,
-            "single_process_speedup": round(
-                optimized["tuples_per_second"] / legacy["tuples_per_second"], 3
-            ),
-        },
-        "control_loop": loop,
-        "obs_overhead": obs,
-        "tuptrace": tuptrace,
-        "sysid": sysid,
-        "figure_fanout": fanout,
-        "fleet": fleet,
-        "migration": migration,
-        "grid_sweep": grid,
-        "ingest": ingest,
+        "tiers": tiers,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.output}")
 
-    failures = []
-    if not fanout["records_identical"]:
-        failures.append("parallel records diverged from serial records")
-    if not fleet["aggregates_match"]:
-        failures.append(
-            "sync-mode fleet aggregates diverged from the lockstep service"
-        )
-    if report["engine_throughput"]["single_process_speedup"] < 1.0:
-        failures.append("optimized engine slower than the legacy path")
-    if not obs["disabled_within_5pct"]:
-        failures.append(
-            "disabled observability costs more than 5% of the control "
-            f"loop ({obs['disabled_overhead_fraction']:.1%})"
-        )
-    if not tuptrace["cross_check_within_2pct"]:
-        failures.append(
-            "tuptrace tier: fully-sampled trace mean diverged from the "
-            f"monitor's QoS mean by more than 2% "
-            f"(rel err {tuptrace['cross_check_rel_err']:.2%})"
-        )
-    if not sysid["armed_within_5pct"]:
-        failures.append(
-            "sysid tier: the armed control-health stack costs more than "
-            f"5% of the control loop "
-            f"({sysid['armed_overhead_fraction']:.1%})"
-        )
-    if not sysid["gain_within_10pct"]:
-        failures.append(
-            "sysid tier: the online-identified plant gain landed more "
-            "than 10% from the design model on a matched plant "
-            f"(ratio {sysid['gain_ratio']})"
-        )
-    if not grid["cross_check_within_1pct"]:
-        failures.append(
-            "batch grid sweep diverged from the scalar engine by more "
-            f"than 1% (violation err {grid['worst_violation_err']}, "
-            f"loss err {grid['worst_loss_err']})"
-        )
-    if ingest["accepted"] < ingest["tuples"]:
-        failures.append(
-            f"ingest front-end lost frames ({ingest['accepted']}/"
-            f"{ingest['tuples']} stamped)"
-        )
-    if migration["migrations_triggered"] < 1:
-        failures.append(
-            "migration tier: the hotspot scenario never triggered a "
-            "coordinator-planned move"
-        )
-    elif not migration["migration_improves_worst_shard"]:
-        failures.append(
-            "migration tier: moving the source did not improve the worst "
-            "shard's QoS over rebalancing alone"
-        )
+    failures = [f"{name}.{gate['metric']}"
+                for name, tier in tiers.items() for gate in tier["gates"]
+                if gate["kind"] == "true" and not tier[gate["metric"]]]
     for failure in failures:
-        print(f"PERF REGRESSION: {failure}", file=sys.stderr)
+        print(f"PERF REGRESSION: {failure} is false", file=sys.stderr)
     return 1 if failures else 0
 
 

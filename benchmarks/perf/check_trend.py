@@ -1,107 +1,145 @@
-"""Compare a fresh BENCH_engine.json against the committed baseline.
+"""Judge a fresh perf report and the e2e trajectory against what is committed.
 
-CI runs the perf harness on every push, then calls this script to compare
-the fresh numbers with the baseline checked into the repository. A drop of
-more than ``--tolerance`` (default 20%) in either headline throughput
-metric fails the build:
+CI runs the perf harness on every push, then calls this script. It names
+no metric of its own: every comparison it makes is declared by the data
+it reads, and one loop judges them all.
 
-* ``engine_throughput.after_optimized.tuples_per_second``
-* ``control_loop.cycles_per_second``
-* ``grid_sweep.speedup`` (batch backend vs scalar engine on the Fig. 19
-  tuning grid)
-* ``ingest.tuples_per_second`` (wire frames decoded and stamped by the
-  real-time serving front-end over loopback TCP)
-* ``tuptrace.full_cycles_per_second`` (the closed loop with every tuple
-  lifecycle-traced — the worst-case tracing path must not rot)
+* **The fresh report's gates.** Each tier of ``bench_engine.py``'s report
+  carries a ``gates`` list (see that module's docstring). A ``true`` gate
+  must hold in the fresh report. A ``trend`` gate compares the fresh value
+  with the committed baseline's and fails when it is worse by more than
+  the gate's own ``tolerance``; it is *skipped* (printed, never failed)
+  when either report's tier records a ``skip_reason``, when the two
+  reports come from different machine shapes, or when the baseline has no
+  such value yet. A tier present in the baseline but missing from the
+  fresh report fails: a deleted tier must be deleted from the baseline
+  too, never silently unguarded.
+* **The e2e trajectory.** ``BENCH_e2e_history.jsonl`` at the repo root is
+  appended to by ``benchmarks/e2e/run.py --append-history``. For each
+  workload the newest untraced row is compared, metric by metric, with
+  the median of up to five earlier rows that share its seed, run length
+  and machine shape; names, directions and bounds are read from
+  ``BENCHMARK.json``'s ``end_to_end`` table. With no such earlier row the
+  comparison is skipped. This is where a slower engine, control loop,
+  wire or observer shows — in place, on the workload that uses it.
 
-Two *parallel* speedups — ``figure_fanout.speedup`` (process pool vs
-serial) and ``fleet.speedup`` (per-shard process fleet vs lockstep) —
-are checked the same way, but *skipped* (cleanly, never warn-failed)
-whenever either report says the machine could not express the
-parallelism: the harness records ``speedup_meaningful`` and a
-``skip_reason`` when ``cpu_count`` is below the section's own degree of
-parallelism (workers for the pool, shards for the fleet). On such a
-runner a sub-1x "speedup" is machine topology, not a regression, and
-asserting on it would make the check flap between runner shapes. Older
-reports without those fields fall back to the recorded ``cpu_count``
-against the section's ``workers``/``shards``.
+A machine's *shape* is the ``nproc``, ``cpu`` and ``python`` of the
+fingerprint both files carry; its ``platform`` string holds the host
+kernel build, which differs between sandboxes of one shape.
 
-Throughput *gains* never fail; CI runners are noisy, so the tolerance is
-deliberately loose — the check exists to catch order-of-magnitude
-regressions (an accidentally quadratic hot path), not 5% jitter. Update
-the committed baseline in the same PR whenever the numbers legitimately
-move.
-
-Absolute checks ride along on the fresh report (each skipped with a note
-when the report predates its section):
-
-* ``obs_overhead.disabled_overhead_fraction`` must stay at or below 5% —
-  the observability layer is contractually free when nobody subscribes;
-* ``sysid.armed_overhead_fraction`` must stay at or below 5% — the full
-  control-health stack (system identification + health monitor + flight
-  recorder) rides the same bus and must stay near-free;
-* ``sysid.gain_within_10pct`` must hold — on a matched plant the
-  online-identified gain lands within 10% of the design model, or the
-  estimator has rotted.
+Gains never fail. When a slowdown is expected, regenerate the baseline
+(``PYTHONPATH=src python benchmarks/perf/bench_engine.py``) or append a
+fresh history pass, and commit it in the same PR.
 
 Usage::
 
     python benchmarks/perf/check_trend.py BENCH_engine.json BENCH_fresh.json
-    python benchmarks/perf/check_trend.py baseline.json fresh.json --tolerance 0.3
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterator, List, NamedTuple, Optional
 
-#: dotted paths of the metrics the trend check guards (higher = better)
-METRICS = (
-    "engine_throughput.after_optimized.tuples_per_second",
-    "control_loop.cycles_per_second",
-    "grid_sweep.speedup",
-    "ingest.tuples_per_second",
-    "tuptrace.full_cycles_per_second",
-)
+REPO_ROOT = Path(__file__).resolve().parents[2]
+HISTORY = REPO_ROOT / "BENCH_e2e_history.jsonl"
+BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 
-#: sections whose ``speedup`` only means anything when the machine has a
-#: core per unit of parallelism; each is guarded like METRICS but skipped
-#: when either report records a ``skip_reason`` (or, for older reports,
-#: when ``cpu_count`` is below the section's workers/shards)
-PARALLEL_SECTIONS = ("figure_fanout", "fleet")
+#: earlier rows of the trajectory whose median the newest row is held to
+HISTORY_WINDOW = 5
 
 
-def parallel_skip_reason(section: str, doc: dict, which: str):
-    """Why this report's ``section.speedup`` should not be gated, if so."""
-    sec = doc.get(section)
-    if sec is None:
-        return f"section missing from {which} report"
-    if "speedup_meaningful" in sec:
-        if not sec["speedup_meaningful"]:
-            return f"{which}: {sec.get('skip_reason') or 'not meaningful'}"
+class Comparison(NamedTuple):
+    """One declared gate, ready to judge (``base is None``: must be true)."""
+
+    label: str
+    now: object
+    base: Optional[float] = None
+    better: str = "higher"
+    allowed: float = 0.0
+    skip: Optional[str] = None
+
+
+def shape(fingerprint: dict) -> tuple:
+    return fingerprint["nproc"], fingerprint["cpu"], fingerprint["python"]
+
+
+def report_gates(baseline: dict, fresh: dict) -> Iterator[Comparison]:
+    """The fresh report's declared gates against the committed baseline."""
+    moved = shape(baseline["fingerprint"]) != shape(fresh["fingerprint"])
+    for name in baseline["tiers"]:
+        yield Comparison(f"{name}: baseline tier is in the fresh report",
+                         name in fresh["tiers"])
+    for name, tier in fresh["tiers"].items():
+        old = baseline["tiers"].get(name, {})
+        for gate in tier["gates"]:
+            metric = gate["metric"]
+            label = f"{name}.{metric}"
+            if gate["kind"] == "true":
+                yield Comparison(label, tier[metric])
+                continue
+            skip = tier.get("skip_reason") or old.get("skip_reason")
+            if not skip and moved:
+                skip = ("baseline and fresh report come from different "
+                        "machine shapes")
+            if not skip and metric not in old:
+                skip = "no baseline value yet"
+            yield Comparison(label, tier[metric], old.get(metric, 0.0),
+                             gate["better"], gate["tolerance"], skip)
+
+
+def history_gates(rows: List[dict], declared: List[dict]
+                  ) -> Iterator[Comparison]:
+    """Newest untraced row per workload against its same-shape predecessors."""
+    def comparable(row: dict) -> tuple:
+        return row["seed"], row["seconds"], shape(row["fingerprint"])
+
+    by_workload = {}
+    for row in rows:
+        if not row["trace"]:  # bounds apply to the untraced, end-to-end runs
+            by_workload.setdefault(row["workload"], []).append(row)
+    for workload, runs in by_workload.items():
+        newest = runs[-1]
+        peers = [r for r in runs[:-1]
+                 if comparable(r) == comparable(newest)][-HISTORY_WINDOW:]
+        for metric in declared:
+            name = metric["name"]
+            label = f"e2e {workload} {name}"
+            if not peers:
+                yield Comparison(label, newest["metrics"][name], skip=(
+                    "no earlier row with this seed, run length and "
+                    "machine shape"))
+                continue
+            base = statistics.median(r["metrics"][name] for r in peers)
+            yield Comparison(f"{label} (vs median of {len(peers)})",
+                             newest["metrics"][name], base,
+                             metric["better"], metric["bound"])
+
+
+def judge(c: Comparison) -> Optional[str]:
+    """Print one comparison's verdict; return the failure, if it is one."""
+    if c.skip:
+        print(f"{c.label}: skip — {c.skip}")
         return None
-    # pre-skip_reason report: reconstruct the gate from cpu_count vs the
-    # section's own degree of parallelism
-    degree = int(sec.get("workers") or sec.get("shards") or 2)
-    cpus = int(sec.get("cpu_count") or 1)
-    if cpus < degree:
-        return (f"{which}: cpu_count {cpus} < {degree} "
-                "(parallel speedup not meaningful)")
-    return None
-
-
-def dig(doc: dict, dotted: str) -> float:
-    node = doc
-    for part in dotted.split("."):
-        try:
-            node = node[part]
-        except (KeyError, TypeError):
-            raise SystemExit(
-                f"metric {dotted!r} missing from report (at {part!r})"
-            )
-    return float(node)
+    if c.base is None:
+        print(f"{c.label}: {c.now} [{'OK' if c.now else 'FAIL'}]")
+        return None if c.now else f"{c.label} is false"
+    if c.base <= 0:
+        print(f"{c.label}: skip — baseline {c.base} is not positive")
+        return None
+    change = (c.now - c.base) / c.base
+    worse = -change if c.better == "higher" else change
+    ok = worse <= c.allowed
+    print(f"{c.label}: {c.base:.6g} -> {c.now:.6g} ({change:+.1%}, "
+          f"{c.better} is better, {c.allowed:.0%} allowed) "
+          f"[{'OK' if ok else 'FAIL'}]")
+    return None if ok else (f"{c.label} is {worse:.1%} worse "
+                            f"(> {c.allowed:.0%} allowed)")
 
 
 def main(argv=None) -> int:
@@ -110,100 +148,17 @@ def main(argv=None) -> int:
                         help="committed BENCH_engine.json")
     parser.add_argument("fresh", type=Path,
                         help="report from this run")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional drop per metric "
-                             "(default 0.20 = 20%%)")
     args = parser.parse_args(argv)
-    if not 0.0 <= args.tolerance < 1.0:
-        parser.error(f"tolerance must be in [0, 1), got {args.tolerance}")
 
-    baseline = json.loads(args.baseline.read_text())
-    fresh = json.loads(args.fresh.read_text())
-
-    failures = []
-    for metric in METRICS:
-        base = dig(baseline, metric)
-        now = dig(fresh, metric)
-        if base <= 0:
-            print(f"{metric}: baseline {base} not positive, skipping")
-            continue
-        change = (now - base) / base
-        status = "OK" if change >= -args.tolerance else "REGRESSION"
-        print(f"{metric}: baseline {base:.1f} -> fresh {now:.1f} "
-              f"({change:+.1%}) [{status}]")
-        if status == "REGRESSION":
-            failures.append(
-                f"{metric} dropped {-change:.1%} "
-                f"(> {args.tolerance:.0%} allowed)"
-            )
-
-    for section in PARALLEL_SECTIONS:
-        metric = f"{section}.speedup"
-        skip = (parallel_skip_reason(section, baseline, "baseline")
-                or parallel_skip_reason(section, fresh, "fresh"))
-        if skip is not None:
-            print(f"{metric}: skipping — {skip}")
-            continue
-        base = float(baseline[section]["speedup"])
-        now = float(fresh[section]["speedup"])
-        if base <= 0:
-            print(f"{metric}: baseline {base} not positive, skipping")
-            continue
-        change = (now - base) / base
-        status = "OK" if change >= -args.tolerance else "REGRESSION"
-        print(f"{metric}: baseline {base:.2f} -> fresh {now:.2f} "
-              f"({change:+.1%}) [{status}]")
-        if status == "REGRESSION":
-            failures.append(
-                f"{metric} dropped {-change:.1%} "
-                f"(> {args.tolerance:.0%} allowed)"
-            )
-
-    obs = fresh.get("obs_overhead")
-    if obs is None:
-        print("obs_overhead: section missing from fresh report, skipping")
-    else:
-        overhead = float(obs["disabled_overhead_fraction"])
-        status = "OK" if overhead <= 0.05 else "REGRESSION"
-        print(f"obs_overhead.disabled_overhead_fraction: "
-              f"{overhead:.1%} (<= 5.0% allowed) [{status}]")
-        if status == "REGRESSION":
-            failures.append(
-                f"disabled observability overhead {overhead:.1%} "
-                "exceeds the 5% budget"
-            )
-
-    sysid = fresh.get("sysid")
-    if sysid is None:
-        print("sysid: section missing from fresh report, skipping")
-    else:
-        overhead = float(sysid["armed_overhead_fraction"])
-        status = "OK" if overhead <= 0.05 else "REGRESSION"
-        print(f"sysid.armed_overhead_fraction: "
-              f"{overhead:.1%} (<= 5.0% allowed) [{status}]")
-        if status == "REGRESSION":
-            failures.append(
-                f"armed control-health overhead {overhead:.1%} "
-                "exceeds the 5% budget"
-            )
-        ok = bool(sysid["gain_within_10pct"])
-        print(f"sysid.gain_within_10pct: ratio {sysid['gain_ratio']} "
-              f"[{'OK' if ok else 'REGRESSION'}]")
-        if not ok:
-            failures.append(
-                f"identified plant gain ratio {sysid['gain_ratio']} "
-                "strayed more than 10% from the design model"
-            )
-
+    rows = [json.loads(line)
+            for line in HISTORY.read_text().splitlines() if line.strip()]
+    comparisons = chain(
+        report_gates(json.loads(args.baseline.read_text()),
+                     json.loads(args.fresh.read_text())),
+        history_gates(rows, json.loads(BENCHMARK.read_text())["end_to_end"]))
+    failures = [f for f in map(judge, comparisons) if f]
     for failure in failures:
         print(f"PERF TREND FAILURE: {failure}", file=sys.stderr)
-    if failures:
-        print(
-            "If this slowdown is expected, regenerate the baseline with\n"
-            "  PYTHONPATH=src python benchmarks/perf/bench_engine.py\n"
-            "and commit the new BENCH_engine.json in the same PR.",
-            file=sys.stderr,
-        )
     return 1 if failures else 0
 
 

@@ -17,7 +17,7 @@ from .builder import (
     monitoring_network,
 )
 from .catalog import Catalog, OperatorStats, PeriodStats, Snapshot
-from .engine import Departure, Engine, LateArrivalWarning, note_late_arrival
+from .engine import Departure, Engine, note_late_arrival
 from .factory import BACKENDS, available_backends, make_engine, register_backend
 from .fluid import VirtualQueueEngine
 from .network import QueryNetwork
@@ -37,7 +37,6 @@ from .scheduler import (
     DepthFirstScheduler,
     RoundRobinScheduler,
     Scheduler,
-    TopologicalScheduler,
 )
 from .tuple_ import Lineage, StreamTuple, make_source_tuple
 
@@ -54,7 +53,6 @@ __all__ = [
     "FilterOperator",
     "FluidLanes",
     "HAVE_NUMPY",
-    "LateArrivalWarning",
     "Lineage",
     "MapOperator",
     "Operator",
@@ -68,7 +66,6 @@ __all__ = [
     "Sink",
     "Snapshot",
     "StreamTuple",
-    "TopologicalScheduler",
     "UnionOperator",
     "VirtualQueueEngine",
     "WindowJoinOperator",

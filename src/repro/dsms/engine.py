@@ -34,17 +34,6 @@ from .tuple_ import Lineage, StreamTuple, make_source_tuple
 _log = get_logger("dsms")
 
 
-class LateArrivalWarning(RuntimeWarning):
-    """A tuple was submitted with a timestamp earlier than the engine clock.
-
-    Kept for backward compatibility: the engines no longer raise Python
-    warnings for late submissions — they emit
-    :class:`~repro.obs.events.LateArrival` events on the bus (and fall back
-    to one ``repro.dsms`` logger warning per run when nobody subscribes).
-    See :func:`note_late_arrival`.
-    """
-
-
 def note_late_arrival(engine, submitted: float) -> None:
     """Announce a late submission (timestamp behind the engine clock).
 

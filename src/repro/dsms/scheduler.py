@@ -4,9 +4,11 @@ The current version of Borealis uses a round-robin policy to schedule
 operators (paper Section 4.2); queues are drained FIFO, so no tuple
 priorities arise and the network behaves like one virtual FIFO queue — the
 observation the whole control design rests on. :class:`RoundRobinScheduler`
-reproduces that policy; :class:`TopologicalScheduler` is an alternative that
-always drains upstream operators first (useful to show the model is
-scheduler-robust, as the paper conjectures in Section 5.2).
+reproduces that policy; :class:`DepthFirstScheduler`, the engine default,
+always serves the most downstream non-empty queue first, so each tuple is
+pushed through to the exit before the next one starts — the virtual FIFO
+queue taken literally (running both shows the model is scheduler-robust, as
+the paper conjectures in Section 5.2).
 
 Scheduling is on the engine's per-tuple hot path, so both schedulers keep
 *incremental* bookkeeping: once :meth:`Scheduler.bind` attaches them to an
@@ -187,7 +189,3 @@ class DepthFirstScheduler(Scheduler):
     def reset(self) -> None:
         # stateless between tuples; the order is computed once in __init__
         pass
-
-
-#: backwards-compatible alias (the discipline walks the topology depth-first)
-TopologicalScheduler = DepthFirstScheduler

@@ -63,8 +63,11 @@ def decode_line(line: bytes, default_source: str = "live",
     """
     if len(line) > MAX_LINE_BYTES:
         raise ServeError(f"line exceeds {MAX_LINE_BYTES} bytes")
-    text = line.decode("utf-8", errors="strict").strip() \
-        if isinstance(line, bytes) else str(line).strip()
+    try:
+        text = line.decode("utf-8", errors="strict").strip() \
+            if isinstance(line, bytes) else str(line).strip()
+    except UnicodeDecodeError as exc:
+        raise ServeError(f"frame is not valid UTF-8: {exc}") from exc
     if not text:
         raise ServeError("empty line")
     if text[0] == "{":

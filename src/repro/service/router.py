@@ -287,11 +287,6 @@ class ExplicitRouter(RoutingTable):
         super().__init__(inferred if n_shards is None else n_shards,
                          pins=assignments, hash_fallback=False)
 
-    @property
-    def assignments(self) -> Dict[str, int]:
-        """The live pin table (kept for API compatibility)."""
-        return self.routes()
-
 
 def make_router(spec: str, n_shards: int,
                 assignments: Optional[Mapping[str, int]] = None

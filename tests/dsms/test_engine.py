@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsms import (
     AggregateOperator,
+    DepthFirstScheduler,
     Engine,
     MapOperator,
     QueryNetwork,
     Sink,
-    TopologicalScheduler,
     WindowJoinOperator,
     chain_network,
     identification_network,
@@ -183,7 +183,7 @@ class TestStatefulPaths:
 
     def test_topological_scheduler_also_conserves(self):
         net = identification_network()
-        eng = Engine(net, scheduler=TopologicalScheduler(net))
+        eng = Engine(net, scheduler=DepthFirstScheduler(net))
         eng.submit_many(uniform_arrivals(100, 5))
         eng.run_until(20.0)
         assert eng.departed_total == eng.admitted_total

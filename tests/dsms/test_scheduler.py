@@ -11,7 +11,6 @@ from repro.dsms import (
     OperatorQueue,
     QueryNetwork,
     RoundRobinScheduler,
-    TopologicalScheduler,
     identification_network,
     make_source_tuple,
 )
@@ -83,9 +82,6 @@ class TestDepthFirst:
         sched = DepthFirstScheduler(net)
         queues = queues_for(net, {"a": 1, "c": 1})
         assert sched.next_operator(queues) == "c"
-
-    def test_alias_kept(self):
-        assert TopologicalScheduler is DepthFirstScheduler
 
     def test_empty_returns_none(self):
         net = three_op_net()

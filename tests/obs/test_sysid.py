@@ -108,6 +108,19 @@ class TestSysIdMonitor:
         assert not st["mismatch"]
         mon.close()
 
+    def test_matched_closed_loop_identifies_gain_within_10pct(self):
+        """The same claim on the real loop instead of synthetic events: a
+        constant overload keeps the queue busy and the cost model is
+        exact, so CTRL's own (du, dy) pairs identify the design gain."""
+        bus = EventBus()
+        mon = SysIdMonitor(bus)
+        run_strategy("CTRL", constant_rate(250.0, 120),
+                     ExperimentConfig(duration=120.0), bus=bus)
+        st = mon.summary()["main"]
+        mon.close()
+        assert st["converged"]
+        assert abs(st["gain_ratio"] - 1.0) <= 0.10
+
     def test_stale_cost_model_emits_mismatch_events(self):
         bus = EventBus()
         mon = SysIdMonitor(bus)

@@ -120,6 +120,14 @@ def test_server_counts_malformed_and_keeps_connection():
         assert _wait_for(lambda: buf.accepted == 1)
         assert server.malformed == 1
         assert server.bytes_read > 0
+        # a frame that is not UTF-8 is one more malformed line: the frame
+        # after it on the same, still open, connection is accepted
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"1,2,3\n\xff\xfe\n4,5,6\n")
+            assert _wait_for(lambda: buf.accepted == 3)
+            assert server.malformed == 2
+            assert _wait_for(lambda: server.open_connections == 1)
     finally:
         server.stop()
 

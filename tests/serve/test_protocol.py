@@ -51,6 +51,7 @@ def test_csv_single_field():
     b'{"v": [1], "s": ""}',
     b'{"v": [1], "s": 5}',
     b'{"v": [1], "t": "soon"}',
+    b"\xff\xfe1,2\n",
 ])
 def test_malformed_lines_raise(line):
     with pytest.raises(ServeError):
