@@ -37,7 +37,7 @@ import os
 import time
 
 from repro.experiments import ExperimentConfig
-from repro.obs import configure_logging, get_bus, install_metrics
+from repro.obs import ObsConfig, configure_logging, get_bus, install_metrics
 from repro.serve import build_live_runner
 from repro.workloads import arrivals_from_trace, constant_rate
 from repro.workloads.replay import TraceReplayer
@@ -58,7 +58,8 @@ def run_live(strategy: str, serve: bool) -> None:
     config = ExperimentConfig(capacity=CAPACITY, period=PERIOD,
                               target=TARGET, duration=DURATION)
     runner = build_live_runner(config, strategy=strategy, backend="fluid",
-                               serve=serve, max_periods=n_periods)
+                               obs=ObsConfig(serve=serve),
+                               max_periods=n_periods)
     runner.handle_signals()
     runner.start()
     if serve and runner.obs_server is not None:

@@ -38,9 +38,10 @@ Four pieces, all opt-in and zero-dependency:
 - **Cross-process relay** (:mod:`repro.obs.relay`): pool workers forward
   their events to the parent's bus with per-worker provenance, so a
   parallel fan-out is observable from one place.
-- **Attach point** (:mod:`repro.obs.attach`): :class:`Observers` arms the
-  health / sysid / flight / serve / tracing knobs every runtime takes and
-  detaches them again however the run ends.
+- **Attach point** (:mod:`repro.obs.attach`): :class:`ObsConfig` declares
+  the health / sysid / flight / serve / tracing knobs every runtime takes
+  as one object; :class:`Observers` arms it and detaches everything again
+  however the run ends.
 
 Typical live-observation session::
 
@@ -57,7 +58,7 @@ Typical live-observation session::
     print(health.summary())
 """
 
-from .attach import Observers
+from .attach import ObsConfig, Observers
 from .bus import (
     DROP_POLICIES,
     BoundedSubscription,
@@ -168,7 +169,8 @@ __all__ = [
     # flight recorder
     "FlightRecorder", "ReplayDiff", "FLIGHT_FORMAT",
     "load_bundle", "replay_bundle",
-    # the runtimes' observer attach point
+    # the runtimes' observer spec and attach point
+    "ObsConfig",
     "Observers",
     # logging
     "configure_logging", "get_logger", "JsonLogFormatter",

@@ -1,9 +1,10 @@
 """The one observer attach point of every runtime.
 
 The lockstep service, the process-fleet parent and both live nodes take
-the same observer knobs (``health, trace, tuptrace, serve, serve_port,
-sysid, flight, flight_dir``); :class:`Observers` arms them on a bus, so
-the rules between them live in one place:
+one :class:`ObsConfig` — the only place the observer knobs, their
+defaults and their validation are declared; a ``ServiceConfig`` *is*
+one, so builders pass their spec straight through. :class:`Observers`
+arms it on a bus, so the rules between the knobs live in one place:
 
 * a flight recorder needs a HealthMonitor to trigger its auto-dumps even
   when health *reporting* was not requested;
@@ -14,18 +15,60 @@ the rules between them live in one place:
   runtimes call it from a ``finally`` block, so a run that raises leaves
   no subscriber behind on the process bus.
 
-Per-shard arming (scoped bus, tracers) is
+Per-loop arming (scoped bus, tracers) is
 :func:`repro.service.shard.arm_shard`; the summaries read those tracers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, Optional
 
+from ..errors import ObservabilityError
 from .flight import FlightRecorder
 from .health import HealthMonitor
 from .sysid import SysIdMonitor
 from .tracing import PeriodTracer, merge_flames
+
+
+@dataclass(frozen=True)
+class ObsConfig:
+    """What to observe on a run (picklable); every runtime takes one."""
+
+    #: run the online health detectors and report their summary
+    health: bool = False
+    #: per-period wall-clock tracing: a PeriodTracer on every loop plus
+    #: the runtime's own (dispatch / coordinator segments)
+    trace: bool = False
+    #: sampled per-tuple lifecycle tracing (repro.obs.tuptrace): fraction
+    #: of source arrivals stamped with a TraceContext, 0.0 = off
+    tuptrace: float = 0.0
+    #: serve live /metrics, /health, /status, /events and the dashboard
+    #: over HTTP for the duration of the run (repro.obs.serve.ObsServer)
+    serve: bool = False
+    serve_port: Optional[int] = None    # None -> REPRO_OBS_PORT or ephemeral
+    #: online system identification (repro.obs.sysid): per-shard RLS gain
+    #: tracking + live stability margins, feeding the health detectors
+    sysid: bool = False
+    #: flight recorder ring size in periods (repro.obs.flight); 0 = off.
+    #: Any critical health episode opening auto-dumps an incident bundle
+    #: into ``flight_dir``
+    flight: int = 0
+    flight_dir: str = "incidents"
+
+    #: what a bad value raises; a subclass raises its own layer's error
+    error: ClassVar[type] = ObservabilityError
+
+    def __post_init__(self) -> None:
+        if self.flight < 0:
+            raise self.error(
+                f"flight ring size must be >= 0, got {self.flight}"
+            )
+        if not 0.0 <= self.tuptrace <= 1.0:
+            raise self.error(
+                f"tuptrace sample fraction must be in [0, 1], "
+                f"got {self.tuptrace}"
+            )
 
 
 class Observers:
@@ -37,31 +80,23 @@ class Observers:
     everything down and returns the result summaries.
     """
 
-    def __init__(self, bus, *, runtime: str,
-                 status_fn: Optional[Callable[[], dict]] = None,
-                 health: bool = False, trace: bool = False,
-                 tuptrace: float = 0.0,
-                 serve: bool = False, serve_port: Optional[int] = None,
-                 sysid: bool = False, flight: int = 0,
-                 flight_dir: str = "incidents"):
+    def __init__(self, bus, obs: ObsConfig = ObsConfig(), *, runtime: str,
+                 status_fn: Optional[Callable[[], dict]] = None):
         self.bus = bus
+        self.obs = obs
         self.status_fn = status_fn
-        self.health = health
-        self.tuptrace = tuptrace
-        self.serve = serve
-        self.serve_port = serve_port
         #: the runtime's own tracer (dispatch / coordinator segments);
         #: per-shard tracers hang off the shard loops
-        self.tracer = PeriodTracer() if trace else None
+        self.tracer = PeriodTracer() if obs.trace else None
         #: a pure bus observer, so enabling it never perturbs the loop
-        self.sysid_monitor = SysIdMonitor(bus) if sysid else None
+        self.sysid_monitor = SysIdMonitor(bus) if obs.sysid else None
         # subscription order is dispatch order: the recorder rings a period
         # before the monitor judges it, so an auto-dump includes it
         self.flight_recorder = FlightRecorder(
-            bus, ring=flight, directory=flight_dir, runtime=runtime,
-            status_fn=status_fn) if flight > 0 else None
+            bus, ring=obs.flight, directory=obs.flight_dir, runtime=runtime,
+            status_fn=status_fn) if obs.flight > 0 else None
         self.health_monitor = (HealthMonitor(bus)
-                               if health or flight > 0 else None)
+                               if obs.health or obs.flight > 0 else None)
         if self.flight_recorder is not None:
             self.flight_recorder.watch(self.health_monitor)
         #: the live ObsServer between start() and close(); None otherwise
@@ -79,10 +114,10 @@ class Observers:
 
     def start(self) -> None:
         """Bring the HTTP server up, when serving was asked for."""
-        if self.serve and self.server is None:
+        if self.obs.serve and self.server is None:
             from .serve import ObsServer  # lazy: serving is opt-in
 
-            self.server = ObsServer(port=self.serve_port, bus=self.bus,
+            self.server = ObsServer(port=self.obs.serve_port, bus=self.bus,
                                     status_fn=self.status_fn,
                                     flight=self.flight_recorder).start()
 
@@ -106,7 +141,7 @@ class Observers:
                 self.server = None
             if self.health_monitor is not None:
                 self.health_monitor.finalize()
-                if self.health:
+                if self.obs.health:
                     out["health"] = self.health_monitor.summary()
             if self.sysid_monitor is not None:
                 out["sysid"] = self.sysid_monitor.summary()
@@ -119,7 +154,7 @@ class Observers:
                 flames["service"] = self.tracer.flame()
                 out["trace_summary"] = merge_flames(
                     flames, wall_seconds=wall_seconds)
-            if self.tuptrace > 0.0 and loops:
+            if self.obs.tuptrace > 0.0 and loops:
                 out["tail_summary"] = {
                     name: _tail_summary(loop.tuple_tracer)
                     for name, loop in loops.items()

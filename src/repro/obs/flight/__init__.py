@@ -396,6 +396,7 @@ def _replay_service(bundle: dict, spec: dict) -> Dict[str, Dict[int, dict]]:
     from ...experiments.config import ExperimentConfig
     from ...experiments.service_demo import run_service_experiment
     from ...service.config import ServiceConfig
+    from ..attach import ObsConfig
 
     if bundle.get("experiment") is None or bundle.get("service") is None:
         raise ObservabilityError(
@@ -406,8 +407,7 @@ def _replay_service(bundle: dict, spec: dict) -> Dict[str, Dict[int, dict]]:
     # the replay leg is a pure re-execution: no serving, no new bundles
     # (sysid/health/flight are bus observers — they never alter the
     # trajectory, so disabling them changes nothing but wall time)
-    svc_kwargs.update(serve=False, flight=0, sysid=False, health=False,
-                      trace=False, tuptrace=0.0)
+    svc_kwargs.update(asdict(ObsConfig()))
     svc = ServiceConfig(**svc_kwargs)
     result = run_service_experiment(
         config, svc, spec.get("workload_kind", "web"))

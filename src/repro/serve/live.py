@@ -37,7 +37,7 @@ from ..core.clock import Clock, WallClock
 from ..core.loop import ControlLoop
 from ..errors import ServeError
 from ..metrics.recorder import PeriodRecord, RunRecord
-from ..obs.attach import Observers
+from ..obs.attach import ObsConfig, Observers
 from ..obs.bus import get_bus
 from ..obs.events import IngestStats
 from ..service.service import (
@@ -48,7 +48,7 @@ from ..service.service import (
     service_result,
     topology_status,
 )
-from ..service.shard import arm_shard, build_shard
+from ..service.shard import arm_loop, arm_shard, build_shard
 from .ingest import IngestBuffer, IngestServer
 
 
@@ -60,9 +60,9 @@ class _LiveNode:
     the ticker; :meth:`wait` blocks until ``max_periods`` have closed or
     :meth:`stop` is called; :meth:`stop` joins the ticker, runs every
     loop's virtual end-of-run drain, closes every socket and detaches
-    every observer. Subclasses own a ``bus``, arm the observers
-    (:meth:`_observe`) and supply ``_step`` (one period), ``_result``
-    (what :meth:`stop` returns) and ``_status_extra``.
+    every observer. Subclasses own a ``bus`` (set before this
+    constructor arms ``obs`` on it) and supply ``_step`` (one period),
+    ``_result`` (what :meth:`stop` returns) and ``_status_extra``.
 
     A live run depends on real arrival timing, so its flight bundles
     carry no replay spec — ``flight replay`` reports them as not
@@ -72,7 +72,7 @@ class _LiveNode:
     #: shard label on the node's IngestStats events (None: service-wide)
     shard: Optional[str] = None
 
-    def __init__(self, loops: Dict[str, ControlLoop],
+    def __init__(self, loops: Dict[str, ControlLoop], obs: ObsConfig,
                  clock: Optional[Clock], host: str, ingest_port: int,
                  buffer_maxlen: int, default_source: str,
                  max_periods: Optional[int]):
@@ -94,14 +94,10 @@ class _LiveNode:
         self._ticker: Optional[threading.Thread] = None
         self._finished = False
         self._lock = threading.Lock()
-        self._wall_start = 0.0
-
-    def _observe(self, **knobs) -> None:
-        """Arm the node's observers on its bus (before :meth:`start`)."""
-        self.observers = Observers(self.bus, runtime="live",
-                                   status_fn=self.status, **knobs)
-        self.serve = self.observers.serve
-        self.serve_port = self.observers.serve_port
+        #: perf_counter at :meth:`start`; None while the ticker never ran
+        self._wall_start: Optional[float] = None
+        self.observers = Observers(self.bus, obs, runtime="live",
+                                   status_fn=self.status)
         self.sysid_monitor = self.observers.sysid_monitor
         self.flight_recorder = self.observers.flight_recorder
 
@@ -165,7 +161,8 @@ class _LiveNode:
                             record.duration = self._periods_done * self.period
             self.ingest.stop()
         finally:
-            wall = _time.perf_counter() - self._wall_start
+            wall = (0.0 if self._wall_start is None
+                    else _time.perf_counter() - self._wall_start)
             summaries = self.observers.close(
                 dict(zip(self._names, self._loops)), wall_seconds=wall)
         return self._result(summaries, wall)
@@ -287,7 +284,9 @@ class LiveRunner(_LiveNode):
     :meth:`stop` returns the finished
     :class:`~repro.metrics.recorder.RunRecord` (also :attr:`record`).
     Every tuple enters the loop's network at ``entry_source``, whatever
-    source name it carried on the wire.
+    source name it carried on the wire. ``obs`` is armed on the bus the
+    loop already has: the tracers like a shard's, the observers as
+    subscribers.
     """
 
     def __init__(self, loop: ControlLoop,
@@ -297,23 +296,16 @@ class LiveRunner(_LiveNode):
                  ingest_port: int = 0,
                  buffer_maxlen: int = 100_000,
                  default_source: str = "live",
-                 serve: bool = False,
-                 serve_port: Optional[int] = None,
                  max_periods: Optional[int] = None,
                  shard: Optional[str] = None,
-                 sysid: bool = False,
-                 flight: int = 0,
-                 flight_dir: str = "incidents"):
+                 obs: ObsConfig = ObsConfig()):
         self.loop = loop
         self.entry_source = entry_source
         self.shard = shard
-        if (sysid or flight > 0) and not loop.bus:
-            # a loop nobody listens to yet: observe it on the process bus
-            loop.bus = get_bus()
-        super().__init__({shard or "live": loop}, clock, host, ingest_port,
-                         buffer_maxlen, default_source, max_periods)
-        self._observe(serve=serve, serve_port=serve_port,
-                      sysid=sysid, flight=flight, flight_dir=flight_dir)
+        arm_loop(loop, shard, 0, obs)
+        super().__init__({shard or "live": loop}, obs, clock, host,
+                         ingest_port, buffer_maxlen, default_source,
+                         max_periods)
 
     @property
     def bus(self):
@@ -377,29 +369,19 @@ class LiveService(_LiveNode):
                  buffer_maxlen: int = 100_000,
                  default_source: str = "live",
                  bus=None,
-                 serve: bool = False,
-                 serve_port: Optional[int] = None,
                  max_periods: Optional[int] = None,
-                 sysid: bool = False,
-                 flight: int = 0,
-                 flight_dir: str = "incidents"):
+                 obs: ObsConfig = ObsConfig()):
         check_topology(shards, table)
         self.shards = list(shards)
         self.table = table
         self.coordinator = coordinator
         self.bus = bus if bus is not None else get_bus()
-        super().__init__({shard.name: shard.loop for shard in self.shards},
-                         clock, host, ingest_port, buffer_maxlen,
-                         default_source, max_periods)
-        self._observe(serve=serve, serve_port=serve_port,
-                      sysid=sysid, flight=flight, flight_dir=flight_dir)
         self.coordinator.bus = self.bus
-
-    def _observe(self, trace: bool = False, tuptrace: float = 0.0,
-                 **knobs) -> None:
-        super()._observe(trace=trace, tuptrace=tuptrace, **knobs)
         for i, shard in enumerate(self.shards):
-            arm_shard(shard, self.bus, i, tuptrace=tuptrace, trace=trace)
+            arm_shard(shard, self.bus, i, obs)
+        super().__init__({shard.name: shard.loop for shard in self.shards},
+                         obs, clock, host, ingest_port, buffer_maxlen,
+                         default_source, max_periods)
 
     @property
     def records(self) -> Dict[str, RunRecord]:
@@ -441,27 +423,17 @@ def build_live_service(config, svc,
     The same :class:`~repro.service.config.ServiceConfig` that builds the
     lockstep service or the process fleet builds the live front-end
     (:func:`~repro.service.service.build_topology`): same shards, same
-    routing table, same coordinator (migration policy included), same
-    observer knobs — just clocked by real seconds and fed by a socket.
+    routing table, same coordinator (migration policy included), and
+    ``svc`` is itself the observer spec the node arms — just clocked by
+    real seconds and fed by a socket.
     """
     shards, table, coordinator = build_topology(
         config, svc, default_source=default_source)
-    service = LiveService(shards, table, coordinator,
-                          clock=clock, host=host, ingest_port=ingest_port,
-                          buffer_maxlen=buffer_maxlen,
-                          default_source=default_source, bus=bus,
-                          max_periods=max_periods)
-    if (svc.health or svc.trace or svc.tuptrace or svc.serve or svc.sysid
-            or svc.flight):
-        # the constructor armed nothing (an unarmed Observers holds no
-        # subscription), so arming the config's full observer set here
-        # replaces it without leaving anything behind
-        service._observe(health=svc.health, trace=svc.trace,
-                         tuptrace=svc.tuptrace,
-                         serve=svc.serve, serve_port=svc.serve_port,
-                         sysid=svc.sysid, flight=svc.flight,
-                         flight_dir=svc.flight_dir)
-    return service
+    return LiveService(shards, table, coordinator,
+                       clock=clock, host=host, ingest_port=ingest_port,
+                       buffer_maxlen=buffer_maxlen,
+                       default_source=default_source, bus=bus,
+                       max_periods=max_periods, obs=svc)
 
 
 def build_live_runner(config,
@@ -469,12 +441,11 @@ def build_live_runner(config,
                       backend: str = "full",
                       host: str = "127.0.0.1",
                       ingest_port: int = 0,
-                      serve: bool = False,
-                      serve_port: Optional[int] = None,
                       max_periods: Optional[int] = None,
                       buffer_maxlen: int = 100_000,
                       engine_seed: int = 0,
-                      shard: Optional[str] = None) -> LiveRunner:
+                      shard: Optional[str] = None,
+                      obs: ObsConfig = ObsConfig()) -> LiveRunner:
     """A complete live node from an ExperimentConfig.
 
     Reuses the service layer's :func:`~repro.service.shard.build_shard`
@@ -492,8 +463,7 @@ def build_live_runner(config,
                       entry_source=built.entry_source,
                       host=host,
                       ingest_port=ingest_port,
-                      serve=serve,
-                      serve_port=serve_port,
                       max_periods=max_periods,
                       buffer_maxlen=buffer_maxlen,
-                      shard=shard)
+                      shard=shard,
+                      obs=obs)

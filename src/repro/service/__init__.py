@@ -21,14 +21,7 @@ coordinated loops stay stable.
 from .config import DEFAULT_TOTAL_HEADROOM, FleetConfig, ServiceConfig
 from .coordinator import MODES, HeadroomCoordinator, MigrationPolicy
 from .fleet import ProcessFleet, ShardProxy, build_fleet
-from .router import (
-    ExplicitRouter,
-    HashRouter,
-    RouteEntry,
-    RoutingTable,
-    StreamRouter,
-    make_router,
-)
+from .router import RouteEntry, RoutingTable, StreamRouter, make_router
 from .service import (
     PeriodDispatcher,
     ServiceResult,
@@ -50,9 +43,7 @@ __all__ = [
     "DEFAULT_TOTAL_HEADROOM",
     "DrainReport",
     "EngineShard",
-    "ExplicitRouter",
     "FleetConfig",
-    "HashRouter",
     "HeadroomCoordinator",
     "MODES",
     "MigrationPolicy",

@@ -9,9 +9,10 @@ runs out exactly like single-loop jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from ..errors import ServiceError
+from ..obs.attach import ObsConfig
 
 #: default machine-level CPU fraction available for query processing —
 #: the paper's H, now shared by all shards on the machine
@@ -19,8 +20,15 @@ DEFAULT_TOTAL_HEADROOM = 0.97
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
-    """All knobs of a sharded service run (picklable)."""
+class ServiceConfig(ObsConfig):
+    """All knobs of a sharded service run (picklable).
+
+    The observer knobs (``health`` ... ``flight_dir``) are inherited from
+    :class:`~repro.obs.attach.ObsConfig`, so a ``ServiceConfig`` is the
+    ``obs`` spec its runtime arms.
+    """
+
+    error: ClassVar[type] = ServiceError
 
     n_shards: int = 4
     router: str = "explicit"            # 'hash' | 'explicit'
@@ -55,27 +63,9 @@ class ServiceConfig:
     migration_drain_budget: float = 5.0
     #: hard cap on moves per run; None = unlimited
     max_migrations: Optional[int] = None
-    # observability (repro.obs): run online health detectors / per-period
-    # wall-clock tracing alongside the fleet
-    health: bool = False
-    trace: bool = False
-    #: sampled per-tuple lifecycle tracing (repro.obs.tuptrace): fraction
-    #: of source arrivals stamped with a TraceContext, 0.0 = off
-    tuptrace: float = 0.0
-    #: serve live /metrics, /health, /status, /events and the dashboard
-    #: over HTTP for the duration of the run (repro.obs.serve.ObsServer)
-    serve: bool = False
-    serve_port: Optional[int] = None    # None -> REPRO_OBS_PORT or ephemeral
-    #: online system identification (repro.obs.sysid): per-shard RLS gain
-    #: tracking + live stability margins, feeding the health detectors
-    sysid: bool = False
-    #: flight recorder ring size in periods (repro.obs.flight); 0 = off.
-    #: With health on, any critical episode opening auto-dumps an
-    #: incident bundle into ``flight_dir``
-    flight: int = 0
-    flight_dir: str = "incidents"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_shards < 1:
             raise ServiceError(f"need at least one shard, got {self.n_shards}")
         if self.n_sources < 1:
@@ -121,15 +111,6 @@ class ServiceConfig:
         if self.max_migrations is not None and self.max_migrations < 0:
             raise ServiceError(
                 f"max_migrations must be >= 0, got {self.max_migrations}"
-            )
-        if self.flight < 0:
-            raise ServiceError(
-                f"flight ring size must be >= 0, got {self.flight}"
-            )
-        if not 0.0 <= self.tuptrace <= 1.0:
-            raise ServiceError(
-                f"tuptrace sample fraction must be in [0, 1], "
-                f"got {self.tuptrace}"
             )
         if self.migration and self.mode != "headroom":
             raise ServiceError(

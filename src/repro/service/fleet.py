@@ -59,7 +59,7 @@ import signal
 import time as _time
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -217,9 +217,10 @@ def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
         # parent subscribers, and a silent bus keeps un-relayed fleets at
         # one truthiness check per emit site. Tuple traces emitted during
         # silent replay die on the then-subscriber-less bus, so the
-        # parent never sees a replayed period's tuple twice
+        # parent never sees a replayed period's tuple twice. (The parent
+        # refused trace=True, so a tuple tracer is all that can arm.)
         bus = EventBus()
-        arm_shard(shard, bus, index, tuptrace=svc.tuptrace)
+        arm_shard(shard, bus, index, svc)
         # sysid lives where the period stream lives: subscribed *before*
         # the silent replay, so a restarted incarnation re-derives the
         # exact identification state the lost one carried
@@ -227,8 +228,7 @@ def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
         period = shard.loop.period
         patience = svc.worker_patience
         # the replica: journalled/downlinked route ops keep it in sync
-        # with the parent's authoritative table; every epoch bump
-        # invalidates the dispatcher's routing memo
+        # with the parent's authoritative table
         table = RoutingTable.from_snapshot(table_snapshot)
         dispatcher = PeriodDispatcher(table, arrivals)
         entry_source = shard.entry_source
@@ -372,9 +372,7 @@ class ProcessFleet(RecordedRun):
         # parent-side observers over the relayed event stream (sysid runs
         # in the workers, where the period stream lives); flight-ring
         # keys carry ``pidNNN/shardN`` worker provenance
-        self._attach(health=svc.health, serve=svc.serve,
-                     serve_port=svc.serve_port,
-                     flight=svc.flight, flight_dir=svc.flight_dir)
+        self._attach(replace(svc, sysid=False))
         self.observers.set_recipe(config, svc, {
             "kind": "service", "service_kind": "fleet",
             "sync": svc.sync, "workload_kind": "web"})

@@ -26,8 +26,9 @@ operators never see a split stream. A migration moves the *whole*
 source at a period boundary — see :meth:`RoutingTable.migrate` and
 docs/THEORY.md §13 for why drain-before-cutover keeps both properties.
 
-:class:`HashRouter` and :class:`ExplicitRouter` remain as thin
-constructors over the table (pure-hash and pins-only respectively).
+:func:`make_router` builds the two configured shapes: ``'hash'`` (no
+pins, hash fallback) and ``'explicit'`` (pins only — an unknown source is
+a configuration error, not a silent hash placement).
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..errors import ServiceError
-
-Arrival = Tuple[float, Tuple, str]
 
 
 class StreamRouter(abc.ABC):
@@ -53,29 +52,6 @@ class StreamRouter(abc.ABC):
     @abc.abstractmethod
     def shard_of(self, source: str) -> int:
         """The shard index serving ``source``."""
-
-    def partition(self, arrivals: Sequence[Arrival]) -> List[List[Arrival]]:
-        """Split one time-ordered arrival list into per-shard lists.
-
-        Each output list preserves the input's time order (stable split).
-        The split reflects the router's mapping *at call time*; callers
-        that must follow live mutations partition per period.
-        """
-        out: List[List[Arrival]] = [[] for __ in range(self.n_shards)]
-        cache: Dict[str, int] = {}
-        for arrival in arrivals:
-            source = arrival[2]
-            shard = cache.get(source)
-            if shard is None:
-                shard = self.shard_of(source)
-                if not 0 <= shard < self.n_shards:
-                    raise ServiceError(
-                        f"router mapped source {source!r} to shard {shard}, "
-                        f"outside [0, {self.n_shards})"
-                    )
-                cache[source] = shard
-            out[shard].append(arrival)
-        return out
 
 
 @dataclass(frozen=True)
@@ -259,50 +235,21 @@ class RoutingTable(StreamRouter):
             )
 
 
-class HashRouter(RoutingTable):
-    """Hash-by-source-name partitioning (CRC32 modulo shard count).
-
-    CRC32 rather than :func:`hash` so the assignment is stable across
-    interpreter runs and worker processes — a requirement for the
-    deterministic parallel fan-out. A fresh pin-free
-    :class:`RoutingTable`; migrations may pin sources later.
-    """
-
-    def __init__(self, n_shards: int):
-        super().__init__(n_shards, hash_fallback=True)
-
-
-class ExplicitRouter(RoutingTable):
-    """Operator-pinned assignments: ``{source_name: shard_index}``.
-
-    Pins-only (no hash fallback): an unknown source is a configuration
-    error, not a silent hash placement.
-    """
-
-    def __init__(self, assignments: Mapping[str, int],
-                 n_shards: Optional[int] = None):
-        if not assignments:
-            raise ServiceError("explicit router needs at least one assignment")
-        inferred = max(assignments.values()) + 1
-        super().__init__(inferred if n_shards is None else n_shards,
-                         pins=assignments, hash_fallback=False)
-
-
 def make_router(spec: str, n_shards: int,
                 assignments: Optional[Mapping[str, int]] = None
                 ) -> RoutingTable:
     """Build a routing table from a picklable spec string.
 
-    ``'hash'`` and ``'explicit'`` mirror the historical router classes;
-    every spec now yields a mutable :class:`RoutingTable`, so any
+    Every spec yields a mutable :class:`RoutingTable`, so any
     service/fleet built through here supports live migration.
     """
     if spec == "hash":
-        return HashRouter(n_shards)
+        return RoutingTable(n_shards)
     if spec == "explicit":
-        if assignments is None:
-            raise ServiceError("explicit routing needs an assignment table")
-        return ExplicitRouter(assignments, n_shards)
+        if not assignments:
+            raise ServiceError(
+                "explicit routing needs a non-empty assignment table")
+        return RoutingTable(n_shards, pins=assignments, hash_fallback=False)
     raise ServiceError(
         f"unknown router spec {spec!r}; use 'hash' or 'explicit'"
     )

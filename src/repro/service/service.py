@@ -37,7 +37,7 @@ from ..errors import ServiceError
 from ..metrics.export import record_to_json
 from ..metrics.qos import QosMetrics, combine_qos
 from ..metrics.recorder import PeriodRecord, RunRecord, merge_records
-from ..obs.attach import Observers
+from ..obs.attach import ObsConfig, Observers
 from ..obs.bus import get_bus
 from ..obs.events import RouteChanged
 from .config import ServiceConfig
@@ -71,44 +71,23 @@ def route(due: Iterable[Arrival], shard_of: Callable[[str], int],
 
 
 class PeriodDispatcher:
-    """Routes one time-ordered arrival stream period by period.
+    """Slices one time-ordered arrival stream period by period.
 
-    The per-period counterpart of :meth:`StreamRouter.partition`: pulls
-    the arrivals due before each boundary and splits them by the router's
-    *current* mapping, so mid-run routing-table mutations (migrations)
-    take effect at exactly the next period boundary. Lookups are memoized
-    and the memo is invalidated whenever the table's epoch moves, so the
-    steady-state cost matches the old up-front partition.
+    Pulls the arrivals due before each boundary and splits them by the
+    router's *current* mapping, so mid-run routing-table mutations
+    (migrations) take effect at exactly the next period boundary.
 
     Shared by every runtime that replays a *recorded* stream: the
-    lockstep service (:meth:`take` + :meth:`shard_of` feed
-    :func:`run_service_period`), the fleet parent (:meth:`due`'s source
-    tally) and each fleet worker (its slice of :meth:`due`, routed by its
-    table replica). The live server's ingest buffer does its own slicing.
+    lockstep service (:meth:`take` feeds :func:`run_service_period`),
+    the fleet parent (:meth:`due`'s source tally) and each fleet worker
+    (its slice of :meth:`due`, routed by its table replica). The live
+    server's ingest buffer does its own slicing.
     """
 
     def __init__(self, router: StreamRouter, arrivals: Sequence[Arrival]):
         self.router = router
         self._iter: Iterator[Arrival] = iter(arrivals)
         self._pending: Optional[Arrival] = next(self._iter, None)
-        self._cache: Dict[str, int] = {}
-        self._epoch = getattr(router, "epoch", None)
-
-    def shard_of(self, source: str) -> int:
-        epoch = getattr(self.router, "epoch", None)
-        if epoch != self._epoch:
-            self._cache.clear()
-            self._epoch = epoch
-        shard = self._cache.get(source)
-        if shard is None:
-            shard = self.router.shard_of(source)
-            if not 0 <= shard < self.router.n_shards:
-                raise ServiceError(
-                    f"router mapped source {source!r} to shard {shard}, "
-                    f"outside [0, {self.router.n_shards})"
-                )
-            self._cache[source] = shard
-        return shard
 
     def take(self, boundary: float) -> List[Arrival]:
         """The not-yet-taken arrivals stamped strictly before ``boundary``."""
@@ -121,7 +100,8 @@ class PeriodDispatcher:
     def due(self, boundary: float
             ) -> Tuple[List[List[Arrival]], Dict[str, int]]:
         """Per-shard arrivals strictly before ``boundary`` + source tally."""
-        return route(self.take(boundary), self.shard_of, self.router.n_shards)
+        return route(self.take(boundary), self.router.shard_of,
+                     self.router.n_shards)
 
 
 def execute_migration(k: int, plan: dict, shards: Sequence[EngineShard],
@@ -327,13 +307,13 @@ class RecordedRun:
     #: the runtime name stamped on flight bundles
     runtime = "lockstep"
 
-    def _attach(self, **knobs) -> None:
-        """Arm the observer knobs on :attr:`bus` (end of ``__init__``)."""
+    def _attach(self, obs: ObsConfig) -> None:
+        """Arm ``obs`` on :attr:`bus` (end of ``__init__``)."""
         self._k = -1          # last closed period, for the /status view
         self._running = False
         self.coordinator.bus = self.bus
-        self.observers = Observers(self.bus, runtime=self.runtime,
-                                   status_fn=self.status, **knobs)
+        self.observers = Observers(self.bus, obs, runtime=self.runtime,
+                                   status_fn=self.status)
         self.sysid_monitor = self.observers.sysid_monitor
         self.flight_recorder = self.observers.flight_recorder
 
@@ -378,11 +358,7 @@ class StreamService(RecordedRun):
 
     def __init__(self, shards: Sequence[EngineShard], router: StreamRouter,
                  coordinator: HeadroomCoordinator,
-                 bus=None, health: bool = False, trace: bool = False,
-                 tuptrace: float = 0.0,
-                 serve: bool = False, serve_port: Optional[int] = None,
-                 sysid: bool = False, flight: int = 0,
-                 flight_dir: str = "incidents"):
+                 bus=None, obs: ObsConfig = ObsConfig()):
         self.period = check_topology(shards, router)
         self.shards = list(shards)
         self.router = router
@@ -392,13 +368,9 @@ class StreamService(RecordedRun):
         #: subscription sees every shard's events, labeled. The
         #: coordinator emits fleet-level events on the bus directly.
         self.bus = bus if bus is not None else get_bus()
-        self.health, self.trace, self.tuptrace = health, trace, float(tuptrace)
-        self.serve, self.serve_port, self.sysid = serve, serve_port, sysid
         for i, shard in enumerate(self.shards):
-            arm_shard(shard, self.bus, i, tuptrace=tuptrace, trace=trace)
-        self._attach(health=health, trace=trace, tuptrace=tuptrace,
-                     serve=serve, serve_port=serve_port,
-                     sysid=sysid, flight=flight, flight_dir=flight_dir)
+            arm_shard(shard, self.bus, i, obs)
+        self._attach(obs)
 
     def _run(self, arrivals: Sequence[Arrival],
              duration: float) -> ServiceResult:
@@ -410,7 +382,7 @@ class StreamService(RecordedRun):
         for k in range(n_periods):
             run_service_period(
                 k, dispatcher.take((k + 1) * self.period),
-                dispatcher.shard_of, self.shards, records,
+                self.router.shard_of, self.shards, records,
                 self.coordinator, table,
                 bus=self.bus, tracer=self.observers.tracer)
             self._k = k
@@ -492,12 +464,7 @@ def build_topology(config: "ExperimentConfig", svc: ServiceConfig,
 def build_service(config: "ExperimentConfig",
                   svc: ServiceConfig) -> StreamService:
     """Assemble shards + router + coordinator from picklable specs."""
-    service = StreamService(*build_topology(config, svc),
-                            health=svc.health, trace=svc.trace,
-                            tuptrace=svc.tuptrace,
-                            serve=svc.serve, serve_port=svc.serve_port,
-                            sysid=svc.sysid, flight=svc.flight,
-                            flight_dir=svc.flight_dir)
+    service = StreamService(*build_topology(config, svc), obs=svc)
     # a lockstep run is a pure function of these two specs, so the
     # bundle carries everything ``flight replay`` needs
     service.observers.set_recipe(config, svc, {

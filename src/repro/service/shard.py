@@ -43,6 +43,7 @@ from ..core import (
 )
 from ..dsms import EngineProtocol, identification_network, make_engine
 from ..errors import ServiceError
+from ..obs.attach import ObsConfig
 from ..obs.events import (
     AlphaCapped,
     HeadroomChanged,
@@ -296,20 +297,31 @@ def build_shard(name: str,
 
 
 def arm_shard(shard: EngineShard, bus, index: int,
-              tuptrace: float = 0.0, trace: bool = False) -> None:
+              obs: ObsConfig = ObsConfig()) -> None:
     """Wire one shard to a runtime's bus and install its tracers.
 
     Loop and engine emit through a shard-scoped view of ``bus``, so one
-    subscription sees every shard's events, labeled. ``index`` seeds the
-    tuple tracer: shards sample distinct (but each reproducible) tuple
-    sets, and a fleet worker samples what its lockstep twin does.
+    subscription sees every shard's events, labeled.
     """
     scoped = bus.scoped(shard.name)
     shard.loop.bus = scoped
     shard.engine.bus = scoped
-    if tuptrace > 0.0:
-        shard.loop.tuple_tracer = TupleTracer(
-            fraction=tuptrace, seed=SEED_STRIDE * (index + 1),
-            bus=scoped, shard=shard.name)
-    if trace:
-        shard.loop.tracer = PeriodTracer()
+    arm_loop(shard.loop, shard.name, index, obs)
+
+
+def arm_loop(loop: ControlLoop, name: Optional[str], index: int,
+             obs: ObsConfig) -> None:
+    """Install the tracers ``obs`` asks for on one loop, on its own bus.
+
+    The per-loop half of :func:`arm_shard`, and all a single-loop
+    ``LiveRunner`` needs (its loop keeps the caller's bus). ``index``
+    seeds the tuple tracer: shards sample distinct (but each
+    reproducible) tuple sets, and a fleet worker samples what its
+    lockstep twin does.
+    """
+    if obs.tuptrace > 0.0:
+        loop.tuple_tracer = TupleTracer(
+            fraction=obs.tuptrace, seed=SEED_STRIDE * (index + 1),
+            bus=loop.bus, shard=name)
+    if obs.trace:
+        loop.tracer = PeriodTracer()

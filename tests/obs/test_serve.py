@@ -114,7 +114,8 @@ class TestServiceServe:
         svc = ServiceConfig(n_shards=2, n_sources=2, backend="fluid",
                             serve=True)
         service = build_service(CFG, svc)
-        assert isinstance(service, StreamService) and service.serve
+        assert isinstance(service, StreamService)
+        assert service.observers.obs.serve
         from repro.experiments.service_demo import build_service_workload
 
         arrivals = build_service_workload(CFG, svc)

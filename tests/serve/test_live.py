@@ -17,7 +17,7 @@ import pytest
 from repro.core.clock import ManualClock
 from repro.errors import ServeError
 from repro.experiments.config import ExperimentConfig
-from repro.obs import get_bus
+from repro.obs import EventBus, ObsConfig, get_bus
 from repro.serve import LiveRunner, build_live_runner
 from repro.workloads import arrivals_from_trace, constant_rate
 from repro.workloads.replay import TraceReplayer
@@ -33,7 +33,8 @@ def _overload_run(strategy="CTRL", n_periods=30, overload=3.0, serve=False):
     config = ExperimentConfig(capacity=CAPACITY, period=PERIOD,
                               target=TARGET, duration=n_periods * PERIOD)
     runner = build_live_runner(config, strategy=strategy, backend="fluid",
-                               serve=serve, max_periods=n_periods)
+                               obs=ObsConfig(serve=serve),
+                               max_periods=n_periods)
     runner.start()
     trace = constant_rate(CAPACITY * overload, n_periods, period=PERIOD)
     arrivals = arrivals_from_trace(trace, seed=3)
@@ -184,6 +185,26 @@ def test_live_ticker_charges_ingest_segment():
     # the drain runs outside the period span, so it must show up in the
     # run totals even though no period row carries it
     assert shard.loop.tracer.segments["ingest"] > 0.0
+
+
+def test_live_runner_observes_the_loops_own_bus():
+    """A private bus nobody subscribed to yet is falsy; arming observers
+    must subscribe them there, not swap the loop onto the process bus."""
+    from repro.service.shard import build_shard
+    config = ExperimentConfig(capacity=CAPACITY, period=1.0, target=TARGET)
+    shard = build_shard("private", config, headroom=config.headroom,
+                        target=TARGET, backend="fluid")
+    bus = shard.loop.bus = EventBus()
+    on_process_bus = len(get_bus())
+    runner = LiveRunner(shard.loop, entry_source=shard.entry_source,
+                        clock=ManualClock(), obs=ObsConfig(sysid=True))
+    try:
+        assert shard.loop.bus is bus
+        assert runner.sysid_monitor.bus is bus and len(bus) == 1
+        assert len(get_bus()) == on_process_bus
+    finally:
+        runner.stop()
+    assert not bus
 
 
 def _eventually(predicate, timeout=10.0):

@@ -59,6 +59,12 @@ class TestBuild:
         with pytest.raises(ServeError):
             build_live_service(CFG, SVC, max_periods=0)
 
+    def test_stop_before_start_reports_zero_wall(self):
+        """No ticker ever ran, so there is no wall time to report (it used
+        to read ``perf_counter()`` since boot)."""
+        service, __ = _manual_service(max_periods=1)
+        assert service.stop().wall_seconds == 0.0
+
     def test_double_start_rejected(self):
         service, __ = _manual_service(max_periods=1)
         service.start()

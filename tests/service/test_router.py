@@ -1,4 +1,4 @@
-"""Stream router: stable hashing, explicit pinning, partitioning."""
+"""Routing table: stable hashing, explicit pinning, the per-period split."""
 
 import zlib
 
@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceError
-from repro.service import (
-    ExplicitRouter,
-    HashRouter,
-    RoutingTable,
-    StreamRouter,
-    make_router,
-)
+from repro.service import RoutingTable, make_router
+from repro.service.service import route
 
 
 def arrivals_for(sources, per_source=3):
@@ -27,21 +22,28 @@ def arrivals_for(sources, per_source=3):
     return out
 
 
+def split(table, arrivals):
+    """The per-shard lists of the one routing loop every runtime runs."""
+    return route(arrivals, table.shard_of, table.n_shards)[0]
+
+
 class TestHashRouter:
+    """``make_router('hash', n)``: a pin-free table on the CRC32 fallback."""
+
     def test_mapping_is_crc32_mod_shards(self):
-        router = HashRouter(4)
+        router = make_router("hash", 4)
         for name in ("s0", "alpha", "sensor-17", ""):
             assert router.shard_of(name) == zlib.crc32(
                 name.encode("utf-8")) % 4
 
     def test_mapping_stable_across_instances(self):
-        a, b = HashRouter(8), HashRouter(8)
+        a, b = make_router("hash", 8), make_router("hash", 8)
         names = [f"src{i}" for i in range(50)]
         assert [a.shard_of(n) for n in names] == [b.shard_of(n) for n in names]
 
     def test_all_sources_of_one_name_land_on_one_shard(self):
-        router = HashRouter(3)
-        parts = router.partition(arrivals_for(["a", "b", "c", "d"], 5))
+        parts = split(make_router("hash", 3),
+                      arrivals_for(["a", "b", "c", "d"], 5))
         for part in parts:
             # within one shard, every source's tuples are all there or none
             by_source = {}
@@ -51,58 +53,63 @@ class TestHashRouter:
                 assert count == 5
 
     def test_partition_preserves_time_order(self):
-        router = HashRouter(2)
-        parts = router.partition(arrivals_for(["a", "b", "c"], 10))
+        parts = split(make_router("hash", 2),
+                      arrivals_for(["a", "b", "c"], 10))
         for part in parts:
             times = [t for t, __, __ in part]
             assert times == sorted(times)
 
     def test_single_shard_gets_everything(self):
-        router = HashRouter(1)
         arr = arrivals_for(["x", "y"], 4)
-        assert router.partition(arr) == [arr]
+        assert split(make_router("hash", 1), arr) == [arr]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ServiceError):
-            HashRouter(0)
+            make_router("hash", 0)
 
 
 class TestExplicitRouter:
+    """``make_router('explicit', n, pins)``: pins only, no hash fallback."""
+
     def test_pinning_followed(self):
-        router = ExplicitRouter({"hot": 0, "a": 1, "b": 1})
+        router = make_router("explicit", 2, {"hot": 0, "a": 1, "b": 1})
         assert router.n_shards == 2
         assert router.shard_of("hot") == 0
         assert router.shard_of("b") == 1
 
     def test_unknown_source_rejected(self):
-        router = ExplicitRouter({"a": 0})
+        router = make_router("explicit", 1, {"a": 0})
         with pytest.raises(ServiceError):
             router.shard_of("mystery")
 
     def test_unknown_source_rejected_during_partition(self):
-        router = ExplicitRouter({"a": 0})
+        router = make_router("explicit", 1, {"a": 0})
         with pytest.raises(ServiceError):
-            router.partition([(0.0, (1,), "mystery")])
+            split(router, [(0.0, (1,), "mystery")])
 
     def test_assignment_outside_shard_range_rejected(self):
         with pytest.raises(ServiceError):
-            ExplicitRouter({"a": 5}, n_shards=2)
+            make_router("explicit", 2, {"a": 5})
 
     def test_empty_assignment_rejected(self):
         with pytest.raises(ServiceError):
-            ExplicitRouter({})
+            make_router("explicit", 2, {})
 
     def test_explicit_n_shards_allows_spares(self):
-        router = ExplicitRouter({"a": 0}, n_shards=4)
-        parts = router.partition(arrivals_for(["a"], 2))
+        router = make_router("explicit", 4, {"a": 0})
+        parts = split(router, arrivals_for(["a"], 2))
         assert [len(p) for p in parts] == [2, 0, 0, 0]
 
 
 class TestMakeRouter:
     def test_specs(self):
-        assert isinstance(make_router("hash", 3), HashRouter)
+        hashed = make_router("hash", 3)
+        assert type(hashed) is RoutingTable
+        assert hashed.hash_fallback and hashed.routes() == {}
         explicit = make_router("explicit", 2, {"a": 0, "b": 1})
-        assert isinstance(explicit, ExplicitRouter)
+        assert type(explicit) is RoutingTable
+        assert not explicit.hash_fallback
+        assert explicit.routes() == {"a": 0, "b": 1}
 
     def test_explicit_without_table_rejected(self):
         with pytest.raises(ServiceError):
@@ -206,9 +213,16 @@ class TestRoutingTableInvariants:
 
 class TestRangeCheck:
     def test_out_of_range_mapping_caught(self):
-        class BadRouter(StreamRouter):
-            def shard_of(self, source):
-                return self.n_shards  # off by one
-
+        """Every way a shard index enters a table is range-checked, so
+        :func:`route` can index its per-shard lists without a check."""
+        table = RoutingTable(2)
         with pytest.raises(ServiceError):
-            BadRouter(2).partition([(0.0, (1,), "s")])
+            table.pin("s", 2)  # off by one
+        with pytest.raises(ServiceError):
+            table.pin("s", -1)
+        with pytest.raises(ServiceError):
+            table.apply_route("s", 2, epoch=1)
+        snapshot = dict(table.snapshot(), pins={"s": 2})
+        with pytest.raises(ServiceError):
+            RoutingTable.from_snapshot(snapshot)
+        assert split(table, [(0.0, (1,), "s")])[table.shard_of("s")]
