@@ -9,7 +9,7 @@ e2e workload contains, and one step no workload times on its own. Each
 writes one section ("tier") of ``BENCH_engine.json``:
 
 * ``grid_sweep`` — the Fig. 19-style tuning grid (control periods x delay
-  targets, 400 s runs) on the vectorized batch backend vs. the scalar
+  targets, 400 s runs) on the vectorized grid kernel vs. the scalar
   ``VirtualQueueEngine`` path, including a full QoS cross-check: violation
   time and loss ratio must agree within 1% on every grid point;
 * ``figure_fanout`` — wall-clock for the multi-strategy Fig. 12 job matrix
@@ -86,7 +86,7 @@ def too_few_cpus(degree: int, unit: str):
 
 
 def bench_grid_sweep(duration: float) -> dict:
-    """Fig. 19-style tuning grid: batch backend vs scalar engine path.
+    """Fig. 19-style tuning grid: grid kernel vs scalar engine path.
 
     Both paths consume the same disk-cached arrival traces (pre-warmed off
     the clock, the steady state the trace cache exists to provide), so the

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Sweeping a tuning grid on the vectorized batch backend.
+"""Sweeping a tuning grid on the vectorized grid kernel.
 
 The paper's Fig. 19 experiment re-runs the whole closed loop once per
-control period — with the ``batch`` backend the entire grid advances in
+control period — with ``backend="batch"`` the entire grid advances in
 lock-step through one stacked numpy recursion instead (one control period
 per step for every grid point at once), with an optional per-point
 cross-check against the scalar engine. This example sweeps control period
 x delay target on the quick config, cross-checks a sample, and prints the
 speed/fidelity trade-off. See docs/THEORY.md §8 for why the batch
-integration is exact, and README.md's "Engine backends" table.
+integration is exact, and README.md's "Engine backends" section.
 
-Run:  python examples/batch_grid_sweep.py      (needs numpy: repro[fast])
+Run:  python examples/batch_grid_sweep.py
 """
 
 import time
 
-from repro.dsms.batch import HAVE_NUMPY
 from repro.experiments import (
     QUICK_CONFIG,
     GridPoint,
@@ -28,10 +27,6 @@ from repro.metrics.report import format_table
 
 
 def main() -> int:
-    if not HAVE_NUMPY:
-        print("numpy not installed — the batch backend needs repro[fast]")
-        return 0
-
     # 1. A 4x3 tuning grid: control period x delay target, CTRL on the
     #    web workload. One run per cell on the scalar path; one stacked
     #    pass for all twelve cells on the batch path.

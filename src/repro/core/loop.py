@@ -163,17 +163,12 @@ class ControlLoop:
         boundary = (k + 1) * self.period
         offered = 0
         admitted = 0
-        # engines that integrate whole spans at once (BatchFluidEngine)
-        # ask for bulk submission: skip the per-arrival clock advance,
-        # which only exists so *in-network* actuators see live queue state
-        bulk = (getattr(self.engine, "prefers_bulk_submit", False)
-                and self.actuator.drops_outside_engine)
         ttr = self.tuple_tracer
         for t, values, source in arrivals:
             # advance the engine to the arrival instant so in-network
             # actuators cull against the queue state the tuple actually
             # meets (entry actuators are indifferent to this)
-            if not bulk and t > self.engine.now:
+            if t > self.engine.now:
                 self.engine.run_until(t)
             offered += 1
             ctx = ttr.on_arrival(t, source) if ttr is not None else None

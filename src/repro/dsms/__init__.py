@@ -8,7 +8,6 @@ headroom factor. :class:`VirtualQueueEngine` is the fast single-FIFO model
 (the paper's Eq. 2 abstraction) sharing the same interface.
 """
 
-from .batch import BatchFluidEngine, FluidLanes, HAVE_NUMPY, require_numpy
 from .builder import (
     DEFAULT_CAPACITY,
     chain_network,
@@ -18,7 +17,7 @@ from .builder import (
 )
 from .catalog import Catalog, OperatorStats, PeriodStats, Snapshot
 from .engine import Departure, Engine, note_late_arrival
-from .factory import BACKENDS, available_backends, make_engine, register_backend
+from .factory import BACKENDS, make_engine
 from .fluid import VirtualQueueEngine
 from .network import QueryNetwork
 from .protocol import EngineProtocol
@@ -43,7 +42,6 @@ from .tuple_ import Lineage, StreamTuple, make_source_tuple
 __all__ = [
     "AggregateOperator",
     "BACKENDS",
-    "BatchFluidEngine",
     "Catalog",
     "DEFAULT_CAPACITY",
     "Departure",
@@ -51,8 +49,6 @@ __all__ = [
     "Engine",
     "EngineProtocol",
     "FilterOperator",
-    "FluidLanes",
-    "HAVE_NUMPY",
     "Lineage",
     "MapOperator",
     "Operator",
@@ -69,7 +65,6 @@ __all__ = [
     "UnionOperator",
     "VirtualQueueEngine",
     "WindowJoinOperator",
-    "available_backends",
     "chain_network",
     "expected_identification_cost",
     "identification_network",
@@ -77,5 +72,4 @@ __all__ = [
     "make_source_tuple",
     "monitoring_network",
     "note_late_arrival",
-    "register_backend",
 ]

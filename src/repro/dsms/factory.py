@@ -1,4 +1,4 @@
-"""Engine-backend registry and factory.
+"""The engine-backend table and factory.
 
 Every layer that needs an engine — the control loop, the service shards,
 the sweep drivers — goes through :func:`make_engine` instead of naming an
@@ -9,73 +9,39 @@ engine class, so the backend becomes configuration:
     network (highest fidelity; needs a ``network=`` keyword);
 ``"fluid"``
     the scalar :class:`~repro.dsms.fluid.VirtualQueueEngine` (the paper's
-    Eq. 2 virtual queue, served tuple by tuple);
-``"batch"``
-    the :class:`~repro.dsms.batch.BatchFluidEngine` (same fluid model,
-    integrated a whole span at a time with numpy; needs ``repro[fast]``).
+    Eq. 2 virtual queue, served tuple by tuple).
 
-Extensions register under new names with :func:`register_backend`.
+:data:`BACKENDS` is the one place those names are declared; config
+validation (:class:`repro.service.ServiceConfig`) reads it too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from ..errors import BackendError
-from ..obs.bus import get_bus
-from ..obs.events import BackendSelected
-from .batch import BatchFluidEngine
 from .engine import Engine
 from .fluid import VirtualQueueEngine
 
 BACKENDS: Dict[str, Callable[..., object]] = {
     "full": Engine,
     "fluid": VirtualQueueEngine,
-    "batch": BatchFluidEngine,
 }
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names accepted by :func:`make_engine`, sorted."""
-    return tuple(sorted(BACKENDS))
-
-
-def register_backend(name: str, builder: Callable[..., object],
-                     overwrite: bool = False) -> None:
-    """Register ``builder`` as an engine backend under ``name``.
-
-    ``builder`` is any callable returning an object satisfying
-    :class:`~repro.dsms.protocol.EngineProtocol`. Re-registering an
-    existing name raises unless ``overwrite`` is set.
-    """
-    if not name or not isinstance(name, str):
-        raise BackendError(f"backend name must be a non-empty string, got {name!r}")
-    if name in BACKENDS and not overwrite:
-        raise BackendError(
-            f"backend {name!r} is already registered; pass overwrite=True "
-            "to replace it"
-        )
-    BACKENDS[name] = builder
-
-
 def make_engine(backend: str = "full", **kwargs):
-    """Construct an engine through the backend registry.
+    """Construct the engine named ``backend`` in :data:`BACKENDS`.
 
-    ``kwargs`` are forwarded to the backend's constructor (e.g.
-    ``network=``/``scheduler=`` for ``"full"``, ``cost=``/``headroom=`` for
-    the fluid backends). Unknown names raise
-    :class:`~repro.errors.BackendError` listing the registered ones.
+    ``kwargs`` are forwarded to the engine's constructor (``network=``/
+    ``scheduler=`` for ``"full"``, ``cost=``/``headroom=`` for
+    ``"fluid"``). Unknown names raise :class:`~repro.errors.BackendError`
+    listing the accepted ones.
     """
     try:
         builder = BACKENDS[backend]
     except KeyError:
         raise BackendError(
-            f"unknown engine backend {backend!r}; registered backends: "
-            f"{', '.join(available_backends())}"
+            f"unknown engine backend {backend!r}; accepted backends: "
+            f"{', '.join(sorted(BACKENDS))}"
         ) from None
-    engine = builder(**kwargs)
-    bus = get_bus()
-    if bus:
-        bus.emit(BackendSelected(backend=backend,
-                                 engine=type(engine).__name__))
-    return engine
+    return builder(**kwargs)

@@ -1,12 +1,12 @@
 """The engine-backend contract.
 
-Three engine implementations share one interface (the paper's Fig. 3 plant
+Two engine implementations share one interface (the paper's Fig. 3 plant
 seen from the control loop's side): the full discrete-event
-:class:`~repro.dsms.engine.Engine`, the scalar single-FIFO
-:class:`~repro.dsms.fluid.VirtualQueueEngine`, and the vectorized
-:class:`~repro.dsms.batch.BatchFluidEngine`. :class:`EngineProtocol` writes
-that contract down so monitors, actuators, control loops, shards and sweep
-drivers can be checked against it instead of against a concrete class.
+:class:`~repro.dsms.engine.Engine` and the scalar single-FIFO
+:class:`~repro.dsms.fluid.VirtualQueueEngine` (Eq. 2's virtual queue).
+:class:`EngineProtocol` writes that contract down so monitors, actuators,
+control loops, shards and sweep drivers can be checked against it instead
+of against a concrete class.
 
 The contract deliberately covers only what the control stack consumes:
 
@@ -24,9 +24,9 @@ The contract deliberately covers only what the control stack consumes:
   :meth:`~EngineProtocol.effective_cost` (the paper's ``c``).
 
 In-network shedding entry points (``shed_queue_*`` on the full engine,
-``shed_oldest``/``shed_newest`` on the fluid engines) stay backend-specific:
-the single-FIFO abstractions have no operator queues to cull, which is why
-the fluid backends support only entry actuation.
+``shed_oldest``/``shed_newest`` on the fluid engine) stay backend-specific:
+the single-FIFO abstraction has no operator queues to cull, which is why
+the fluid backend supports only entry actuation.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class EngineProtocol(Protocol):
     """Structural interface every engine backend implements.
 
     ``runtime_checkable`` makes ``isinstance(obj, EngineProtocol)`` verify
-    the method surface (not signatures); the backend-equivalence tests do
-    exactly that for all registered backends.
+    the method surface (not signatures); ``tests/dsms/test_backends.py``
+    does exactly that for every name in the factory's table.
     """
 
     #: virtual clock, seconds

@@ -1,12 +1,12 @@
-"""Vectorized closed-loop grid sweeps on the batch fluid backend.
+"""Vectorized closed-loop grid sweeps: the ``batch`` grid kernel.
 
 The paper's tuning and robustness results (Figs. 16/17/19) are parameter
 *grids*: the same feedback loop re-run across control periods, delay
 targets, burstiness factors or retuned comparators. The scalar path
 simulates every grid point tuple-by-tuple; this module instead advances a
-whole stack of grid points one control period per iteration, with the
-:class:`~repro.dsms.batch.FluidLanes` kernel holding every lane's queue
-state, mirroring the scalar loop signal-for-signal:
+whole stack of grid points one control period per iteration, every lane's
+Eq. 2 queue held in one numpy vector, mirroring the scalar loop
+signal-for-signal:
 
 * arrivals come from the *same* materialized (and disk-cached) arrival
   lists, binned into per-period offered counts;
@@ -48,6 +48,8 @@ import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import (
     ControlLoop,
     DsmsModel,
@@ -56,16 +58,12 @@ from ..core import (
 )
 from ..core.pole_placement import design_gains
 from ..dsms import make_engine
-from ..dsms.batch import FluidLanes, HAVE_NUMPY, require_numpy
 from ..errors import ExperimentError
 from ..metrics.qos import QosMetrics
 from ..metrics.recorder import PeriodRecord, RunRecord
 from ..workloads import cached_arrivals_from_trace
 from .config import ExperimentConfig
 from .runner import STRATEGIES, make_cost_trace, make_workload
-
-if HAVE_NUMPY:  # pragma: no branch - the image ships numpy
-    import numpy as np
 
 #: strategies the vectorized controller bank implements
 BATCH_STRATEGIES = ("CTRL", "BASELINE", "AURORA", "BACKPRESSURE")
@@ -437,14 +435,13 @@ def _ragged_indices(dst_starts, src_starts, lengths):
 # the vectorized closed loop
 # --------------------------------------------------------------------- #
 def run_batch_grid(points: Sequence[GridPoint]) -> List[BatchPointResult]:
-    """Run a whole grid of closed-loop simulations on the batch backend.
+    """Run a whole grid of closed-loop simulations in one stacked loop.
 
-    All points advance together, one control period per iteration, inside
-    one stacked :class:`~repro.dsms.batch.FluidLanes` call per period;
+    All points advance together, one control period per iteration, one
+    vectorized Lindley step of Eq. 2 per period across every lane;
     results come back in input order. Points may mix control periods and
     strategies freely — shorter runs simply pad out.
     """
-    require_numpy()
     points = list(points)
     if not points:
         raise ExperimentError("batch grid needs at least one point")
@@ -502,7 +499,7 @@ def run_batch_grid(points: Sequence[GridPoint]) -> List[BatchPointResult]:
     avg_cost = np.where(sat > 0, cpu_sched / np.maximum(sat, 1.0),
                         base_cost[:, None])
 
-    lanes = FluidLanes(g, cost=1.0, headroom=1.0)
+    q = np.zeros(g)                # Eq. 2 virtual queue per lane
     acc = np.zeros(g)              # error-diffusion accumulator
     allowance = np.full(g, np.inf)
     expected = np.zeros(g)         # inflow estimate (last period's offered)
@@ -543,8 +540,9 @@ def run_batch_grid(points: Sequence[GridPoint]) -> List[BatchPointResult]:
             admitted = np.minimum(np.floor(total), n)
             acc = np.maximum(total - admitted, 0.0)
 
-            served = lanes.run_period(admitted, sat[:, k])
-            q = lanes.q
+            backlog = q + admitted
+            q = np.maximum(0.0, backlog - sat[:, k])
+            served = backlog - q
             full = served == sat[:, k]
             cpu = np.where(full, cpu_sched[:, k],
                            served * avg_cost[:, k]) + cycle

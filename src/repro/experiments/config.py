@@ -56,8 +56,7 @@ class ExperimentConfig:
     use_cost_trace: bool = True    # apply the Fig. 14 cost variations
     poisson_arrivals: bool = True  # Poisson within-period arrival placement
     #: engine backend driven by :func:`repro.dsms.make_engine` — "full"
-    #: (discrete-event), "fluid" (scalar Eq. 2 FIFO) or "batch"
-    #: (vectorized fluid spans; needs the ``repro[fast]`` extra)
+    #: (discrete-event) or "fluid" (scalar Eq. 2 FIFO)
     engine_backend: str = "full"
 
     @property

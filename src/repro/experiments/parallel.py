@@ -90,8 +90,8 @@ class Job:
     target: Union[float, Callable[[int], float], None] = None
     controller_kwargs: Optional[dict] = None
     estimator: Optional[str] = None       # key into ESTIMATOR_SPECS
-    #: engine backend name for repro.dsms.make_engine; None follows the
-    #: job config's ``engine_backend``
+    #: engine backend name for repro.dsms.make_engine ('full' | 'fluid');
+    #: None follows the job config's ``engine_backend``
     engine_kind: Optional[str] = None
     scheduler: Optional[str] = None       # spec string, see runner.make_scheduler
     seed: Optional[int] = None            # overrides config.seed when set

@@ -60,14 +60,14 @@ def period_sweep(config: Optional[ExperimentConfig] = None,
                  cross_check: bool = False) -> PeriodSweepResult:
     """Fig. 19: the same run at different control periods.
 
-    With ``backend=None`` (or any scalar backend name) each period is an
-    independent seeded simulation fanned out over the experiment process
-    pool (workload generation included — every period resamples its own
-    trace, exactly as the serial version did).
+    With ``backend=None`` (or an engine name, ``"full"``/``"fluid"``)
+    each period is an independent seeded simulation fanned out over the
+    experiment process pool (workload generation included — every period
+    resamples its own trace, exactly as the serial version did).
 
     ``backend="batch"`` instead runs the whole sweep as one vectorized
-    grid on the :mod:`repro.experiments.batch_sweep` fast path (needs the
-    ``repro[fast]`` extra); ``cross_check=True`` additionally re-runs
+    grid on the :mod:`repro.experiments.batch_sweep` fast path (the grid
+    kernel, not an engine); ``cross_check=True`` additionally re-runs
     every period on the scalar fluid engine and raises if violation time
     or loss ratio disagree beyond 1%.
     """

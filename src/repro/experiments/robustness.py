@@ -49,7 +49,9 @@ def aurora_retuned(workload_kind: str,
     """Fig. 16: AURORA with a deliberately pessimistic capacity estimate.
 
     ``backend="batch"`` runs both comparators as one vectorized grid on
-    the :mod:`repro.experiments.batch_sweep` fast path.
+    the :mod:`repro.experiments.batch_sweep` fast path; an engine name
+    (``"full"``/``"fluid"``) runs them on that engine, ``None`` on
+    ``config.engine_backend``.
     """
     config = config or ExperimentConfig()
     if backend == "batch":
@@ -75,8 +77,10 @@ def aurora_retuned(workload_kind: str,
     aurora = run_strategy(
         "AURORA", workload, config, cost_trace,
         controller_kwargs={"headroom_override": headroom_override},
+        engine_kind=backend,
     )
-    ctrl = run_strategy("CTRL", workload, config, cost_trace)
+    ctrl = run_strategy("CTRL", workload, config, cost_trace,
+                        engine_kind=backend)
     return RetunedAuroraResult(
         workload=workload_kind,
         aurora_record=aurora,
@@ -127,7 +131,9 @@ def burstiness_sweep(strategy: str,
     """Fig. 17: one strategy across Pareto bias factors.
 
     ``backend="batch"`` runs the whole sweep as one vectorized grid on
-    the :mod:`repro.experiments.batch_sweep` fast path.
+    the :mod:`repro.experiments.batch_sweep` fast path; an engine name
+    (``"full"``/``"fluid"``) runs it on that engine, ``None`` on
+    ``config.engine_backend``.
     """
     config = config or ExperimentConfig()
     if backend == "batch":
@@ -151,6 +157,7 @@ def burstiness_sweep(strategy: str,
             config.n_periods, beta=beta, target_mean=config.pareto_mean_rate,
             period=config.period, seed=config.seed,
         )
-        record = run_strategy(strategy, workload, config, cost_trace)
+        record = run_strategy(strategy, workload, config, cost_trace,
+                              engine_kind=backend)
         metrics[beta] = record.qos()
     return BurstinessSweepResult(strategy=strategy, metrics=metrics)

@@ -141,9 +141,9 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
     ``estimator_factory`` overrides the config's cost estimator (used by
     the estimator ablation benchmark). ``engine_kind`` names an engine
     backend for :func:`repro.dsms.make_engine` — ``"full"`` (discrete
-    event), ``"fluid"`` (scalar Eq. 2 FIFO) or ``"batch"`` (vectorized
-    fluid spans); ``None`` takes ``config.engine_backend``. The fluid
-    backends support only the entry actuator. ``scheduler`` is a spec
+    event) or ``"fluid"`` (scalar Eq. 2 FIFO); ``None`` takes
+    ``config.engine_backend``. The fluid engine supports only the entry
+    actuator. ``scheduler`` is a spec
     string for :func:`make_scheduler` (full engine only). ``bus``,
     ``tracer`` and ``tuple_tracer`` thread straight into the
     :class:`ControlLoop` for live observability (see :mod:`repro.obs`).
@@ -168,24 +168,20 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
         engine_kind = config.engine_backend
     if engine_kind == "full":
         engine = build_engine(config, cost_trace, scheduler=scheduler)
-    elif engine_kind in ("fluid", "batch"):
+    elif engine_kind == "fluid":
         if actuator != "entry":
             raise ExperimentError(
-                "the fluid engines have no operator queues; use actuator='entry'"
+                "the fluid engine has no operator queues; use actuator='entry'"
             )
         if scheduler is not None:
             raise ExperimentError(
-                "the fluid engines have no operator scheduler to configure"
+                "the fluid engine has no operator scheduler to configure"
             )
         multiplier = (cost_trace.as_multiplier(config.base_cost)
                       if cost_trace is not None else None)
-        kwargs = dict(cost=config.base_cost, headroom=config.headroom,
-                      cost_multiplier=multiplier)
-        if engine_kind == "batch" and cost_trace is not None:
-            # the cost trace is piecewise-constant on its own period grid;
-            # telling the batch engine makes its span sampling exact
-            kwargs["multiplier_period"] = cost_trace.period
-        engine = make_engine(engine_kind, **kwargs)
+        engine = make_engine("fluid", cost=config.base_cost,
+                             headroom=config.headroom,
+                             cost_multiplier=multiplier)
     else:
         raise ExperimentError(f"unknown engine kind {engine_kind!r}")
     model = DsmsModel(cost=config.base_cost, headroom=config.headroom,

@@ -69,7 +69,6 @@ from .bus import (
 from .events import (
     EVENT_KINDS,
     AlphaCapped,
-    BackendSelected,
     CompletionStats,
     DrainTruncated,
     HeadroomChanged,
@@ -143,7 +142,7 @@ __all__ = [
     # events
     "ObsEvent", "EVENT_KINDS", "RunStarted", "PeriodDecision", "ShedAction",
     "LateArrival", "DrainTruncated", "TargetChanged", "HeadroomChanged",
-    "AlphaCapped", "ShardRebalanced", "BackendSelected", "IngestStats",
+    "AlphaCapped", "ShardRebalanced", "IngestStats",
     "RunFinished", "CompletionStats", "TupleTraceCompleted",
     "WorkerDown", "WorkerRestarted",
     "SysIdUpdate", "ModelMismatch", "MarginEroded", "IncidentDumped",

@@ -143,16 +143,6 @@ class ShardRebalanced(ObsEvent):
 
 
 @dataclass
-class BackendSelected(ObsEvent):
-    """An engine backend was constructed through the factory registry."""
-
-    kind: ClassVar[str] = "backend"
-    backend: str = ""
-    engine: str = ""
-    shard: Optional[str] = None
-
-
-@dataclass
 class RunFinished(ObsEvent):
     """A control loop finished (drain complete, record closed)."""
 
@@ -412,7 +402,7 @@ EVENT_KINDS = tuple(
     cls.kind for cls in (
         RunStarted, PeriodDecision, ShedAction, LateArrival, DrainTruncated,
         TargetChanged, HeadroomChanged, AlphaCapped, ShardRebalanced,
-        BackendSelected, IngestStats, RunFinished, CompletionStats,
+        IngestStats, RunFinished, CompletionStats,
         TupleTraceCompleted, WorkerDown, WorkerRestarted, RouteChanged,
         MigrationStarted, MigrationCompleted,
         SysIdUpdate, ModelMismatch, MarginEroded, IncidentDumped,

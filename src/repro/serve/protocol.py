@@ -73,7 +73,8 @@ def decode_line(line: bytes, default_source: str = "live",
     if text[0] == "{":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: brackets nested deeper than the parser's stack
             raise ServeError(f"bad JSON frame: {exc}") from exc
         if not isinstance(doc, dict) or "v" not in doc:
             raise ServeError("JSON frame must be an object with a 'v' list")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import ClassVar, List, Optional, Tuple
 
+from ..dsms.factory import BACKENDS
 from ..errors import ServiceError
 from ..obs.attach import ObsConfig
 
@@ -40,7 +41,7 @@ class ServiceConfig(ObsConfig):
     loss_bound: Optional[float] = None  # global drop SLA (fraction), None = off
     strategy: str = "CTRL"              # per-shard controller
     #: engine backend per shard, resolved through repro.dsms.make_engine
-    #: ('full' | 'fluid' | 'batch')
+    #: ('full' | 'fluid')
     backend: str = "full"
     drain_max_extra: float = 600.0
     # skew/hotspot workload shape
@@ -70,6 +71,11 @@ class ServiceConfig(ObsConfig):
             raise ServiceError(f"need at least one shard, got {self.n_shards}")
         if self.n_sources < 1:
             raise ServiceError(f"need at least one source, got {self.n_sources}")
+        if self.backend not in BACKENDS:
+            raise ServiceError(
+                f"unknown engine backend {self.backend!r}; pick from "
+                f"{', '.join(sorted(BACKENDS))}"
+            )
         if not 0.0 < self.total_headroom <= 1.0:
             raise ServiceError(
                 f"total headroom must be in (0, 1], got {self.total_headroom}"

@@ -1,25 +1,25 @@
-"""Backend equivalence: the engines behind ``make_engine`` agree.
+"""Backend equivalence: the two engines behind ``make_engine`` agree.
 
-Property-style checks driving the discrete-event :class:`Engine`, the
-scalar :class:`VirtualQueueEngine`, and the span-integrating
-:class:`BatchFluidEngine` with identical arrival/cost traces through the
-same clocking, then asserting the shared counters (admitted / departed /
-outstanding / shed) and the Eq. 11 delay estimates agree within tolerance.
-The fluid pair must track each other to tuple granularity; the full
-network engine — which actually executes the 14-operator plan — is held
-to a looser throughput tolerance.
+Drives the discrete-event :class:`Engine` — which actually executes the
+14-operator plan — and the scalar :class:`VirtualQueueEngine` (Eq. 2's
+virtual queue) with identical arrival traces through the same clocking,
+then asserts the shared counters (admitted / departed / outstanding) and
+the Eq. 11 delay estimates agree within a throughput tolerance. Both
+names in the factory's table must also satisfy :class:`EngineProtocol`
+and count clock-rewritten arrivals the same way.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.dsms import identification_network, make_engine
-from repro.dsms.batch import HAVE_NUMPY
+from repro.dsms import (
+    BACKENDS,
+    EngineProtocol,
+    identification_network,
+    make_engine,
+)
 from repro.errors import BackendError
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs repro[fast]")
 
 COST = 1.0 / 190.0
 HEADROOM = 0.97
@@ -29,8 +29,8 @@ def deterministic_arrivals(rates, period=1.0, seed=0):
     """Evenly spaced arrivals: ``rates[k]`` tuples inside period ``k``.
 
     Values carry four seeded-random fields so the full network engine's
-    predicate/join operators have something to chew on; the fluid engines
-    ignore them.
+    predicate/join operators have something to chew on; the fluid engine
+    ignores them.
     """
     rng = random.Random(seed)
     out = []
@@ -39,11 +39,6 @@ def deterministic_arrivals(rates, period=1.0, seed=0):
             values = (rng.random(), rng.random(), rng.random(), rng.random())
             out.append((k * period + (j + 0.5) * period / n, values, "src"))
     return out
-
-
-def step_multiplier(t):
-    """A piecewise-constant cost variation on the 1-second grid."""
-    return 1.5 if 3.0 <= t < 6.0 else 1.0
 
 
 def drive(engine, arrivals, n_periods, period=1.0):
@@ -60,56 +55,6 @@ def drive(engine, arrivals, n_periods, period=1.0):
         engine.run_until(max(boundary, engine.now))
         q_series.append(engine.outstanding)
     return q_series
-
-
-@needs_numpy
-@settings(max_examples=25, deadline=None)
-@given(rates=st.lists(st.integers(min_value=0, max_value=400),
-                      min_size=3, max_size=12))
-def test_fluid_and_batch_track_to_tuple_granularity(rates):
-    """Scalar and batch fluid backends serve the same virtual queue."""
-    n = len(rates)
-    fluid = make_engine("fluid", cost=COST, headroom=HEADROOM,
-                        cost_multiplier=step_multiplier)
-    batch = make_engine("batch", cost=COST, headroom=HEADROOM,
-                        cost_multiplier=step_multiplier,
-                        multiplier_period=1.0)
-    q_fluid = drive(fluid, deterministic_arrivals(rates), n)
-    q_batch = drive(batch, deterministic_arrivals(rates), n)
-    assert fluid.admitted_total == batch.admitted_total
-    # the batch engine integrates fluid spans (fractional service) while
-    # the scalar engine completes whole tuples: they may disagree by the
-    # tuple in service, never more
-    for k, (qf, qb) in enumerate(zip(q_fluid, q_batch)):
-        assert abs(qf - qb) <= 2, f"queue diverged at period {k}: {qf} vs {qb}"
-    assert abs(fluid.departed_total - batch.departed_total) <= 2
-    assert fluid.shed_total == batch.shed_total == 0
-    # Eq. 11 delay estimates built from the final queue agree accordingly
-    d_fluid = (q_fluid[-1] + 1) * COST / HEADROOM
-    d_batch = (q_batch[-1] + 1) * COST / HEADROOM
-    assert abs(d_fluid - d_batch) <= 2 * COST / HEADROOM + 1e-12
-
-
-@needs_numpy
-@settings(max_examples=10, deadline=None)
-@given(rates=st.lists(st.integers(min_value=0, max_value=350),
-                      min_size=3, max_size=8),
-       shed=st.integers(min_value=0, max_value=50))
-def test_shedding_counters_match_across_fluid_backends(rates, shed):
-    """shed_oldest bookkeeping is identical on both fluid backends."""
-    engines = [
-        make_engine("fluid", cost=COST, headroom=HEADROOM),
-        make_engine("batch", cost=COST, headroom=HEADROOM),
-    ]
-    results = []
-    for engine in engines:
-        drive(engine, deterministic_arrivals(rates), len(rates))
-        dropped = engine.shed_oldest(shed)
-        results.append((dropped, engine.shed_total, engine.departed_total))
-    (drop_f, shed_f, dep_f), (drop_b, shed_b, dep_b) = results
-    assert abs(drop_f - drop_b) <= 2
-    assert abs(shed_f - shed_b) <= 2
-    assert abs(dep_f - dep_b) <= 4  # service granularity + shed difference
 
 
 def test_full_engine_matches_fluid_throughput():
@@ -131,26 +76,35 @@ def test_full_engine_matches_fluid_throughput():
     assert d_fluid == pytest.approx(d_full, rel=0.25, abs=0.3)
 
 
-@needs_numpy
-def test_batch_engine_reports_late_arrivals_like_the_others():
-    """All backends count clock-rewritten arrivals the same way."""
+def build(backend):
+    """One engine per table entry, with the keywords its class needs."""
+    if backend == "full":
+        return make_engine("full", network=identification_network(),
+                           headroom=HEADROOM, rng=random.Random(7))
+    return make_engine(backend, cost=COST, headroom=HEADROOM)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_backend_satisfies_the_engine_protocol(backend):
+    assert isinstance(build(backend), EngineProtocol)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_engines_report_late_arrivals_alike(backend):
+    """Both backends count clock-rewritten arrivals the same way."""
     from repro.obs import get_bus
 
-    engines = [
-        make_engine("fluid", cost=COST, headroom=HEADROOM),
-        make_engine("batch", cost=COST, headroom=HEADROOM),
-    ]
-    for engine in engines:
-        engine.submit(1.0, (), "src")
-        engine.run_until(5.0)
-        seen = []
-        with get_bus().subscribed(seen.append, kinds=("late_arrival",)):
-            engine.submit(2.0, (0.5, 0.5, 0.5, 0.5), "src")  # behind the clock
-        assert engine.late_arrivals == 1
-        assert len(seen) == 1
-        assert seen[0].engine == type(engine).__name__
+    engine = build(backend)
+    engine.submit(1.0, (0.5, 0.5, 0.5, 0.5), "src")
+    engine.run_until(5.0)
+    seen = []
+    with get_bus().subscribed(seen.append, kinds=("late_arrival",)):
+        engine.submit(2.0, (0.5, 0.5, 0.5, 0.5), "src")  # behind the clock
+    assert engine.late_arrivals == 1
+    assert len(seen) == 1
+    assert seen[0].engine == type(engine).__name__
 
 
 def test_make_engine_rejects_unknown_backend():
-    with pytest.raises(BackendError):
-        make_engine("no-such-backend")
+    with pytest.raises(BackendError, match="fluid, full"):
+        make_engine("batch")

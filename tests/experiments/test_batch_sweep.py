@@ -10,7 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.dsms.batch import HAVE_NUMPY
 from repro.errors import ExperimentError
 from repro.experiments import (
     BATCH_STRATEGIES,
@@ -21,8 +20,6 @@ from repro.experiments import (
     scalar_reference,
 )
 from repro.metrics.qos import QosMetrics
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="needs repro[fast]")
 
 
 def small_grid():

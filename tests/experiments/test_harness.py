@@ -104,6 +104,39 @@ class TestRobustness:
                     < aurora.metrics[beta].max_overshoot)
 
 
+class TestScalarBackendReachesTheEngine:
+    """``backend="fluid"`` on the robustness drivers builds a fluid engine."""
+
+    SHORT = ExperimentConfig(duration=20.0)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.experiments import runner
+
+        kinds = []
+        make_engine = runner.make_engine
+
+        def spy(backend="full", **kwargs):
+            kinds.append(backend)
+            return make_engine(backend, **kwargs)
+
+        monkeypatch.setattr(runner, "make_engine", spy)
+        return kinds
+
+    def test_aurora_retuned_threads_backend(self, built):
+        aurora_retuned("web", self.SHORT, backend="fluid")
+        assert built == ["fluid", "fluid"]
+
+    @pytest.mark.parametrize("backend, expected", [
+        ("fluid", "fluid"),
+        (None, SHORT.engine_backend),   # None still follows the config
+    ])
+    def test_burstiness_sweep_threads_backend(self, built, backend, expected):
+        burstiness_sweep("CTRL", self.SHORT, bias_factors=(1.0,),
+                         backend=backend)
+        assert built == [expected]
+
+
 class TestSetpoint:
     def test_schedule_fn(self):
         fn = schedule_fn(((0, 1.0), (150, 3.0), (300, 5.0)))

@@ -132,6 +132,21 @@ def test_server_counts_malformed_and_keeps_connection():
         server.stop()
 
 
+def test_server_survives_a_deeply_nested_frame():
+    server, buf = _started_server()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b'{"v":' + b"[" * 20000 + b"]" * 20000 + b"}\n")
+            assert _wait_for(lambda: server.malformed == 1)
+            sock.sendall(b"7,8,9\n")
+            assert _wait_for(lambda: buf.accepted == 1)
+            assert server.malformed == 1
+            assert server.open_connections == 1
+    finally:
+        server.stop()
+
+
 def test_server_records_sender_skew():
     server, buf = _started_server()
     try:

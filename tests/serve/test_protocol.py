@@ -58,6 +58,14 @@ def test_malformed_lines_raise(line):
         decode_line(line)
 
 
+def test_deeply_nested_json_is_malformed_not_a_crash():
+    # 40 KB — under MAX_LINE_BYTES — but nested past the parser's stack
+    line = b'{"v":' + b"[" * 20000 + b"]" * 20000 + b"}"
+    assert len(line) < MAX_LINE_BYTES
+    with pytest.raises(ServeError):
+        decode_line(line)
+
+
 def test_oversized_line_rejected():
     with pytest.raises(ServeError):
         decode_line(b"1," * (MAX_LINE_BYTES // 2 + 1))

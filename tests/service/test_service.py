@@ -180,6 +180,14 @@ class TestServiceConstruction:
             # equal split 0.97/64 falls below the default floor
             ServiceConfig(n_shards=64)
 
+    def test_unknown_backend_rejected_at_construction(self):
+        # not later, inside build_shard (for a ProcessFleet: in a worker)
+        from repro.service import FleetConfig
+
+        for cls in (ServiceConfig, FleetConfig):
+            with pytest.raises(ServiceError, match="fluid, full"):
+                cls(backend="hologram")
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ServiceError):
             build_service(CFG, ServiceConfig(strategy="MAGIC"))

@@ -1,8 +1,14 @@
 """Public-API consistency: every exported name exists and imports cleanly."""
 
+import ast
 import importlib
+import re
+import sys
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -68,3 +74,20 @@ def test_every_public_callable_has_a_docstring():
             if callable(obj) and not getattr(obj, "__doc__", None):
                 missing.append(f"{name}.{symbol}")
     assert not missing, f"public callables without docstrings: {missing}"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Whatever ``src/`` imports beyond the stdlib, pyproject declares."""
+    imported = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    declared = re.search(r"^dependencies = \[(.*?)\]",
+                         (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    names = {re.split(r"[<>=!~ \[;]", spec, maxsplit=1)[0]
+             for spec in re.findall(r'"([^"]+)"', declared.group(1))}
+    assert third_party <= names, f"undeclared: {sorted(third_party - names)}"
