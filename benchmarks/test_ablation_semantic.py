@@ -19,7 +19,6 @@ from repro.core import (
 )
 from repro.experiments import build_engine, make_cost_trace, make_workload
 from repro.metrics.report import format_table
-from repro.shedding import SemanticEntryShedder
 from repro.workloads import arrivals_from_trace
 
 
@@ -42,9 +41,7 @@ def test_ablation_semantic(benchmark, config, save_report):
 
     def run_both():
         semantic_act = SemanticEntryActuator(
-            SemanticEntryShedder(utility=lambda v: v[0] if v else 0.0,
-                                 rng=random.Random(1))
-        )
+            utility=lambda v: v[0] if v else 0.0, rng=random.Random(1))
         rec_sem = run(semantic_act)
         rec_rand = run(EntryActuator())
         return rec_sem, rec_rand, semantic_act

@@ -24,7 +24,6 @@ from repro.core import (
 )
 from repro.dsms import MapOperator, QueryNetwork, make_engine
 from repro.metrics.report import format_table
-from repro.shedding import PriorityEntryShedder, SemanticEntryShedder
 from repro.workloads import merge_arrivals
 
 TIERS = {"gold": 3.0, "silver": 2.0, "bronze": 1.0}
@@ -74,9 +73,7 @@ def main() -> None:
           "be shed.\n")
 
     # 1. priority-aware: gold survives, bronze absorbs the loss
-    priority = PriorityEntryActuator(
-        PriorityEntryShedder(TIERS, rng=random.Random(3))
-    )
+    priority = PriorityEntryActuator(TIERS, rng=random.Random(3))
     rec = run(priority)
     rows = [[tier, f"{TIERS[tier]:.0f}", f"{loss:.1%}"]
             for tier, loss in sorted(priority.loss_by_source().items(),
@@ -89,9 +86,7 @@ def main() -> None:
 
     # 2. semantic: same loss, but the high-severity events survive
     semantic = SemanticEntryActuator(
-        SemanticEntryShedder(utility=lambda v: v[0] if v else 0.0,
-                             rng=random.Random(4))
-    )
+        utility=lambda v: v[0] if v else 0.0, rng=random.Random(4))
     rec_sem = run(semantic)
     random_baseline = EntryActuator()
     rec_rand = run(random_baseline)

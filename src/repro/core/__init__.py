@@ -2,8 +2,8 @@
 
 Model (Eq. 2/3/11), pole-placement controller synthesis (Appendix A),
 the CTRL/BASELINE/AURORA strategies, the monitor with estimated-delay
-feedback, actuators binding decisions to load shedders, and the control
-loop that ties them together.
+feedback, the actuators (one admission filter per drop policy), and the
+control loop that ties them together.
 """
 
 from .actuator import (

@@ -1,35 +1,36 @@
-"""Actuators: binding controller decisions to concrete load shedders.
+"""Actuators: one admission filter per drop policy.
 
-The paper's Section 4.5.2 describes two actuator styles and argues the
-controller is agnostic between them because only the *amount* of discarded
-load matters for the delay dynamics:
+The paper's Section 4.5.2 argues the controller is agnostic to *how* load
+is discarded because only the *amount* matters for the delay dynamics, so
+every policy here is armed the same way — Eq. 13 turns the allowance into
+the drop probability ``alpha`` for the coming period — and differs only in
+which tuples it picks:
 
-* :class:`EntryActuator` — proactive: converts the allowance into the
-  Eq. 13 drop probability applied to arrivals during the coming period
-  (requires an inflow estimate; the paper uses the last period's ``fin``);
+* :class:`EntryActuator` — a fair coin at the stream entry, optionally
+  capped (a loss SLA; ``requested_alpha`` keeps the uncapped demand);
+* :class:`SemanticEntryActuator` — the least useful tuples first;
+* :class:`PriorityEntryActuator` — the lowest-priority sources first;
+* :class:`SamplingActuator` — deterministic decimation;
 * :class:`InNetworkActuator` — admits everything and continuously culls
-  queued tuples (one random victim per arriving tuple, with the Eq. 13
-  probability), via the random-location shedder or the LSRM; a boundary
+  queued tuples (one victim per arriving tuple, with the Eq. 13
+  probability); *which* queued tuple dies is the separate decision a
+  :class:`~repro.shedding.base.LoadShedder` makes. A boundary
   reconciliation removes any residual surplus. Continuous culling matters:
   shedding the whole surplus in one boundary batch would let the queue run
   inflated for most of the period and bias every tuple's delay upward.
 
-Both keep offered/dropped counters so data-loss metrics are comparable.
+All keep offered/dropped counters so data-loss metrics are comparable.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Optional, Union
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import SheddingError
-from ..shedding.base import drop_probability
-from ..shedding.entry import EntryShedder
-from ..shedding.lsrm import LsrmShedder
-from ..shedding.priority import PriorityEntryShedder
-from ..shedding.queue_shedder import QueueShedder
-from ..shedding.semantic import SemanticEntryShedder
+from ..shedding.base import LoadShedder, drop_probability
+from ..shedding.semantic import StreamingQuantile
 
 
 class Actuator(abc.ABC):
@@ -42,10 +43,21 @@ class Actuator(abc.ABC):
     def __init__(self):
         self.offered_total = 0
         self.dropped_total = 0
+        #: drop probability in force for the armed period
+        self.alpha = 0.0
+        #: the controller's uncapped Eq. 13 demand for the armed period
+        #: (differs from ``alpha`` only under an :class:`EntryActuator` cap)
+        self.requested_alpha = 0.0
 
-    @abc.abstractmethod
     def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        """Arm the actuator for the coming period."""
+        """Arm the actuator for the coming period (Eq. 13).
+
+        ``allowed_tuples`` is the controller's desired number of admissions
+        (``v(k) * T``); ``expected_inflow`` estimates how many tuples will
+        arrive (the paper uses ``fin(k)`` for ``fin(k+1)``).
+        """
+        self.requested_alpha = self.alpha = drop_probability(
+            allowed_tuples, expected_inflow)
 
     @abc.abstractmethod
     def admit(self, values: tuple = (), source: str = "") -> bool:
@@ -68,52 +80,64 @@ class Actuator(abc.ABC):
 
 
 class EntryActuator(Actuator):
-    """Eq. 13 coin-flip shedding at the stream entry."""
+    """Eq. 13 coin-flip shedding at the stream entry, optionally capped.
+
+    The sharded service layer runs one per shard: each shard's controller
+    requests a drop probability as usual and the global coordinator may
+    then :meth:`cap` it so the fleet's aggregate expected loss stays within
+    a configured bound; ``requested_alpha`` keeps the uncapped demand so
+    the drop budget can be allocated proportionally to it.
+    """
 
     drops_outside_engine = True
 
-    def __init__(self, shedder: Optional[EntryShedder] = None):
+    def __init__(self, rng: Optional[random.Random] = None,
+                 alpha_cap: float = 1.0):
         super().__init__()
-        self.shedder = shedder or EntryShedder()
+        self.rng = rng or random.Random(0)
+        self.cap(alpha_cap)
 
     def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        self.shedder.set_allowance(allowed_tuples, expected_inflow)
+        super().begin_period(allowed_tuples, expected_inflow)
+        self.alpha = min(self.requested_alpha, self.alpha_cap)
+
+    def cap(self, alpha_cap: float) -> None:
+        """Tighten (or relax) the cap; applies to the armed period too."""
+        if not 0.0 <= alpha_cap <= 1.0:
+            raise SheddingError(f"alpha cap {alpha_cap} outside [0, 1]")
+        self.alpha_cap = alpha_cap
+        self.alpha = min(self.requested_alpha, alpha_cap)
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
+        """Flip the unfair coin for one arriving tuple."""
         self.offered_total += 1
-        ok = self.shedder.admit()
-        if not ok:
+        if self.alpha > 0.0 and self.rng.random() < self.alpha:
             self.dropped_total += 1
-        return ok
-
-    @property
-    def alpha(self) -> float:
-        """Current drop probability (for logging)."""
-        return self.shedder.alpha
+            return False
+        return True
 
 
 class InNetworkActuator(Actuator):
     """Continuous in-network queue culling (random-location or LSRM)."""
 
-    def __init__(self, shedder: Union[QueueShedder, LsrmShedder],
+    def __init__(self, shedder: LoadShedder,
                  rng: Optional[random.Random] = None):
         super().__init__()
         self.shedder = shedder
         self.rng = rng or random.Random(0)
-        self._alpha = 0.0
         self._allowance = float("inf")
         self._culled_this_period = 0
 
     def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        self._alpha = drop_probability(allowed_tuples, expected_inflow)
+        super().begin_period(allowed_tuples, expected_inflow)
         self._allowance = max(allowed_tuples, 0.0)
         self._culled_this_period = 0
-        self.shedder.trace_alpha = self._alpha
+        self.shedder.trace_alpha = self.alpha
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
         """Admit the arrival; cull one queued tuple with probability alpha."""
         self.offered_total += 1
-        if self._alpha > 0.0 and self.rng.random() < self._alpha:
+        if self.alpha > 0.0 and self.rng.random() < self.alpha:
             got = self.shedder.shed_tuples(1)
             self.dropped_total += got
             self._culled_this_period += got
@@ -130,79 +154,150 @@ class InNetworkActuator(Actuator):
         self.dropped_total += shed
         return self._culled_this_period + shed
 
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
 
 class SemanticEntryActuator(Actuator):
     """Value-aware entry shedding: drop the least useful tuples first.
 
     Same allowance semantics as :class:`EntryActuator`, but victims are
-    chosen by a utility function instead of a fair coin (the semantic
-    shedding of the Aurora line of work). The realized loss ratio matches
-    the statistical shedder's; the retained *utility* is higher.
+    chosen by a user-supplied utility function instead of a fair coin (the
+    semantic shedding of the Aurora line of work, paper Section 2): a tuple
+    is dropped when its utility is below the running alpha-quantile of
+    recent utilities, tracked over a sliding window so the threshold adapts
+    to drifting value distributions. A small dithering band (±``dither``)
+    around the threshold is resolved by a coin flip so the realized drop
+    rate matches alpha even when many tuples share the same utility. The
+    realized loss ratio matches the statistical coin's; the retained
+    *utility* is higher.
     """
 
     drops_outside_engine = True
 
-    def __init__(self, shedder: SemanticEntryShedder):
+    def __init__(self, utility: Callable[[Tuple], float],
+                 window: int = 512,
+                 dither: float = 0.02,
+                 rng: Optional[random.Random] = None):
         super().__init__()
-        self.shedder = shedder
-
-    def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        self.shedder.set_allowance(allowed_tuples, expected_inflow)
+        if dither < 0:
+            raise SheddingError("dither must be non-negative")
+        self.utility = utility
+        self.dither = dither
+        self.rng = rng or random.Random(0)
+        self._quantile = StreamingQuantile(window)
+        #: total utility of admitted vs offered tuples (quality accounting)
+        self.utility_admitted = 0.0
+        self.utility_offered = 0.0
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
+        """Value-aware admission decision for one arriving tuple."""
         self.offered_total += 1
-        ok = self.shedder.admit(values)
-        if not ok:
+        score = float(self.utility(values))
+        self.utility_offered += score
+        self._quantile.add(score)
+        if self.alpha <= 0.0:
+            drop = False
+        elif self.alpha >= 1.0:
+            drop = True
+        else:
+            # never None: this tuple's score is already in the window
+            threshold = self._quantile.quantile(self.alpha)
+            if score < threshold - self.dither:
+                drop = True
+            elif score > threshold + self.dither:
+                drop = False
+            else:
+                drop = self.rng.random() < self.alpha
+        if drop:
             self.dropped_total += 1
-        return ok
-
-    @property
-    def alpha(self) -> float:
-        return self.shedder.alpha
+            return False
+        self.utility_admitted += score
+        return True
 
     @property
     def utility_retention(self) -> float:
-        return self.shedder.utility_retention
+        """Fraction of offered utility that survived shedding."""
+        if self.utility_offered == 0:
+            return 1.0
+        return self.utility_admitted / self.utility_offered
 
 
 class PriorityEntryActuator(Actuator):
     """Strict-priority entry shedding across multiple sources.
 
     The controller's aggregate allowance is water-filled down the priority
-    order (paper Section 6's heterogeneous-guarantees extension): drops
-    concentrate on the lowest-priority streams.
+    order (paper Section 6's heterogeneous-guarantees extension):
+    high-priority streams are admitted in full while any allowance
+    remains, the drop burden falls on the lowest priorities first, and
+    within one priority class the residual is shared proportionally (a
+    per-class coin flip). ``priorities`` maps source name to a numeric
+    priority (higher = more important).
     """
 
     drops_outside_engine = True
 
-    def __init__(self, shedder: PriorityEntryShedder):
+    def __init__(self, priorities: Dict[str, float],
+                 rng: Optional[random.Random] = None):
         super().__init__()
-        self.shedder = shedder
+        if not priorities:
+            raise SheddingError("need at least one source priority")
+        self.priorities = dict(priorities)
+        self.rng = rng or random.Random(0)
+        #: per-source admit probability for the current period
+        self.admit_probability: Dict[str, float] = dict.fromkeys(priorities, 1.0)
+        self._seen_this_period: Dict[str, int] = dict.fromkeys(priorities, 0)
+        self.dropped_by_source: Dict[str, int] = dict.fromkeys(priorities, 0)
+        self.offered_by_source: Dict[str, int] = dict.fromkeys(priorities, 0)
 
     def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        self.shedder.set_allowance(allowed_tuples, expected_inflow)
+        """Water-fill the aggregate allowance down the priority order.
+
+        The per-source inflow expectation is last period's observed count,
+        rescaled so the mix sums to ``expected_inflow``. Water-filling
+        admits ``min(allowed, expected)`` in expectation, so the aggregate
+        ``alpha`` is Eq. 13's, like every other entry policy.
+        """
+        super().begin_period(allowed_tuples, expected_inflow)
+        seen = self._seen_this_period
+        self._seen_this_period = dict.fromkeys(self.priorities, 0)
+        mix_total = sum(seen.values())
+        if mix_total <= 0:
+            # no history: assume a uniform mix
+            share = dict.fromkeys(self.priorities, 1.0 / len(self.priorities))
+        else:
+            share = {n: c / mix_total for n, c in seen.items()}
+        expected = {n: share[n] * expected_inflow for n in self.priorities}
+        remaining = max(allowed_tuples, 0.0)
+        # admit in descending priority; ties share proportionally
+        for prio in sorted(set(self.priorities.values()), reverse=True):
+            klass = [n for n, p in self.priorities.items() if p == prio]
+            demand = sum(expected[n] for n in klass)
+            if remaining >= demand:  # also a class nobody sent to
+                fraction = 1.0
+                remaining -= demand
+            else:
+                fraction = remaining / demand
+                remaining = 0.0
+            for n in klass:
+                self.admit_probability[n] = fraction
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
+        """Per-source coin flip with the water-filled probability."""
+        if source not in self.priorities:
+            raise SheddingError(f"unknown source {source!r}")
         self.offered_total += 1
-        ok = self.shedder.admit(source)
-        if not ok:
-            self.dropped_total += 1
-        return ok
+        self.offered_by_source[source] += 1
+        self._seen_this_period[source] += 1
+        p = self.admit_probability[source]
+        if p >= 1.0 or self.rng.random() < p:
+            return True
+        self.dropped_total += 1
+        self.dropped_by_source[source] += 1
+        return False
 
-    @property
-    def alpha(self) -> float:
-        """Aggregate drop expectation over the current mix (for logging)."""
-        probs = self.shedder.admit_probability
-        if not probs:
-            return 0.0
-        return 1.0 - sum(probs.values()) / len(probs)
-
-    def loss_by_source(self):
-        return self.shedder.loss_by_source()
+    def loss_by_source(self) -> Dict[str, float]:
+        """Per-source realized loss ratios."""
+        return {name: (self.dropped_by_source[name] / offered
+                       if offered else 0.0)
+                for name, offered in self.offered_by_source.items()}
 
 
 class SamplingActuator(Actuator):
@@ -228,6 +323,7 @@ class SamplingActuator(Actuator):
         else:
             self._admit_ratio = min(1.0, max(0.0,
                                              allowed_tuples / expected_inflow))
+        self.requested_alpha = self.alpha = 1.0 - self._admit_ratio
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
         """Error-diffusion decimation: admit when the ratio accumulates to 1."""
@@ -238,7 +334,3 @@ class SamplingActuator(Actuator):
             return True
         self.dropped_total += 1
         return False
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self._admit_ratio

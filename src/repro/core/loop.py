@@ -177,13 +177,11 @@ class ControlLoop:
                 # (it finishes the tuple in service); clamping to its
                 # clock here is intended, so the engine's late-arrival
                 # accounting stays reserved for genuine clock bugs
-                t_submit = max(t, k * self.period)
-                now = getattr(self.engine, "now", t_submit)
+                t_submit = max(t, k * self.period, self.engine.now)
                 if ctx is None:
-                    self.engine.submit(max(t_submit, now), values, source)
+                    self.engine.submit(t_submit, values, source)
                 else:
-                    self.engine.submit(max(t_submit, now), values, source,
-                                       trace=ctx)
+                    self.engine.submit(t_submit, values, source, trace=ctx)
                 admitted += 1
             elif ctx is not None:
                 ttr.on_entry_drop(ctx, t, self.actuator, k)
@@ -252,7 +250,7 @@ class ControlLoop:
             v=decision.v,
             u=decision.u,
             error=decision.error,
-            alpha=getattr(self.actuator, "alpha", 0.0),
+            alpha=self.actuator.alpha,
         )
         record.add(period_record, m.departures)
         record.offered_total += offered

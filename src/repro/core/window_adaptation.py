@@ -48,7 +48,6 @@ class WindowAdaptationActuator(Actuator):
         self.join_cost_full = float(join_cost_full)
         self.min_scale = float(min_scale)
         self.rng = rng or random.Random(0)
-        self._alpha = 0.0
 
     @property
     def scale(self) -> float:
@@ -62,7 +61,7 @@ class WindowAdaptationActuator(Actuator):
         if expected_inflow <= 0:
             # idle input: restore full windows, admit everything
             self._set_scale(1.0)
-            self._alpha = 0.0
+            self.requested_alpha = self.alpha = 0.0
             return
         rho = max(allowed_tuples, 0.0) / expected_inflow
         target_cost = rho * self._cost_at(self.scale)
@@ -73,9 +72,10 @@ class WindowAdaptationActuator(Actuator):
             # windows bottomed out: shed the residual load at the entry
             admissible = (target_cost / self._cost_at(self.min_scale)
                           * expected_inflow)
-            self._alpha = drop_probability(admissible, expected_inflow)
+            alpha = drop_probability(admissible, expected_inflow)
         else:
-            self._alpha = 0.0
+            alpha = 0.0
+        self.requested_alpha = self.alpha = alpha
 
     def _set_scale(self, scale: float) -> None:
         for join in self.joins:
@@ -83,11 +83,7 @@ class WindowAdaptationActuator(Actuator):
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
         self.offered_total += 1
-        if self._alpha > 0.0 and self.rng.random() < self._alpha:
+        if self.alpha > 0.0 and self.rng.random() < self.alpha:
             self.dropped_total += 1
             return False
         return True
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha

@@ -29,7 +29,7 @@ from ..dsms import (
 from ..errors import ExperimentError
 from ..metrics.recorder import RunRecord
 from ..obs.logconf import get_logger
-from ..shedding import BoundedEntryShedder, LsrmShedder, QueueShedder
+from ..shedding import LsrmShedder, QueueShedder
 from ..workloads import (
     CostTrace,
     RateTrace,
@@ -147,7 +147,7 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
     string for :func:`make_scheduler` (full engine only). ``bus``,
     ``tracer`` and ``tuple_tracer`` thread straight into the
     :class:`ControlLoop` for live observability (see :mod:`repro.obs`).
-    ``alpha_cap`` < 1 bounds the entry shedder's drop probability (a
+    ``alpha_cap`` < 1 bounds the entry actuator's drop probability (a
     per-run loss SLA); capping below the overload's required drop rate
     saturates the actuator — the canonical way to force the
     queue-divergence regime the sysid/health detectors and the flight
@@ -191,10 +191,7 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
     monitor = Monitor(engine, model, cost_estimator=estimator)
     controller = factory(model, **(controller_kwargs or {}))
     if actuator == "entry":
-        if alpha_cap < 1.0:
-            act = EntryActuator(BoundedEntryShedder(alpha_cap=alpha_cap))
-        else:
-            act = EntryActuator()
+        act = EntryActuator(alpha_cap=alpha_cap)
     elif actuator == "queue":
         act = InNetworkActuator(QueueShedder(engine, random.Random(config.seed)))
     else:

@@ -183,10 +183,9 @@ class TupleTracer:
     def on_entry_drop(self, ctx: TraceContext, t: float, actuator,
                       k: int = -1) -> None:
         """A sampled tuple was refused by the admission filter."""
-        shedder = getattr(actuator, "shedder", actuator)
         ctx.shed("entry", t, reason="entry",
-                 shedder=type(shedder).__name__,
-                 alpha=float(getattr(actuator, "alpha", 0.0)))
+                 shedder=type(actuator).__name__,
+                 alpha=float(actuator.alpha))
         ctx.events.append(("period", t, 0.0, str(k), None))
         ctx.finish(t, "dropped")
 

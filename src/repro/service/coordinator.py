@@ -342,7 +342,7 @@ class HeadroomCoordinator:
     def _reconcile_drop_caps(self, shards: Sequence[EngineShard],
                              periods: Sequence[PeriodRecord],
                              entry: dict) -> None:
-        # inflow weights: the same estimate the loops armed their shedders
+        # inflow weights: the same estimate the loops armed their actuators
         # with (this period's offered count as the forecast for the next)
         weights = [float(p.offered) for p in periods]
         requested = [s.requested_alpha for s in shards]

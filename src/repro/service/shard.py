@@ -52,7 +52,6 @@ from ..obs.events import (
 )
 from ..obs.tracing import PeriodTracer
 from ..obs.tuptrace import TupleTracer
-from ..shedding import BoundedEntryShedder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
@@ -161,14 +160,18 @@ class EngineShard:
         self.loop.set_target(float(target))
 
     def cap_alpha(self, alpha_cap: float) -> None:
-        """Bound the entry shedder's drop probability (no-op otherwise)."""
-        shedder = getattr(self.loop.actuator, "shedder", None)
-        if isinstance(shedder, BoundedEntryShedder):
-            shedder.cap(alpha_cap)
-            bus = self.loop.bus
-            if bus and alpha_cap < 1.0:
-                # only a binding cap is news; cap=1.0 just lifts a prior one
-                bus.emit(AlphaCapped(cap=float(alpha_cap), shard=self.name))
+        """Bound the entry actuator's drop probability."""
+        actuator = self.loop.actuator
+        if not isinstance(actuator, EntryActuator):
+            raise ServiceError(
+                f"shard {self.name!r}: {type(actuator).__name__} has no "
+                "drop-probability cap; a loss bound needs an EntryActuator"
+            )
+        actuator.cap(alpha_cap)
+        bus = self.loop.bus
+        if bus and alpha_cap < 1.0:
+            # only a binding cap is news; cap=1.0 just lifts a prior one
+            bus.emit(AlphaCapped(cap=float(alpha_cap), shard=self.name))
 
     # ------------------------------------------------------------------ #
     # migration support
@@ -243,10 +246,7 @@ class EngineShard:
     @property
     def requested_alpha(self) -> float:
         """The controller's uncapped drop demand for the armed period."""
-        shedder = getattr(self.loop.actuator, "shedder", None)
-        if isinstance(shedder, BoundedEntryShedder):
-            return shedder.requested_alpha
-        return getattr(self.loop.actuator, "alpha", 0.0)
+        return self.loop.actuator.requested_alpha
 
 
 def build_shard(name: str,
@@ -283,9 +283,7 @@ def build_shard(name: str,
     monitor = Monitor(engine, model,
                       cost_estimator=config.make_cost_estimator())
     controller = factory(model)
-    actuator = EntryActuator(
-        shedder=BoundedEntryShedder(random.Random(engine_seed + 1))
-    )
+    actuator = EntryActuator(random.Random(engine_seed + 1))
     loop = ControlLoop(
         engine, controller, monitor, actuator,
         target=target,

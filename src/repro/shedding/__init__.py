@@ -1,23 +1,17 @@
-"""Load-shedder substrate: entry coin-flip, in-network random, and LSRM."""
+"""Load-shedder substrate: Eq. 13, in-network random and LSRM victim pickers."""
 
 from .base import LoadShedder, drop_probability
-from .entry import BoundedEntryShedder, EntryShedder
 from .lsrm import LoadSheddingRoadmap, LsrmShedder, output_yield
 from .plan import DropLocation, SheddingPlan, rank_locations
-from .priority import PriorityEntryShedder
 from .queue_shedder import QueueShedder
-from .semantic import SemanticEntryShedder, StreamingQuantile
+from .semantic import StreamingQuantile
 
 __all__ = [
-    "BoundedEntryShedder",
     "DropLocation",
-    "EntryShedder",
     "LoadShedder",
     "LoadSheddingRoadmap",
     "LsrmShedder",
-    "PriorityEntryShedder",
     "QueueShedder",
-    "SemanticEntryShedder",
     "SheddingPlan",
     "StreamingQuantile",
     "drop_probability",

@@ -1,18 +1,20 @@
-"""Load-shedder (actuator) interface.
+"""What the drop policies share: Eq. 13, and the in-network victim picker.
 
-A load shedder is the control loop's *actuator* (paper Fig. 3): given the
-controller's desired admissions for the next period, it discards load so the
-engine receives approximately that amount. The paper studies two
-realizations (Section 4.5.2):
+The control loop's *actuator* (paper Fig. 3) discards load so the engine
+receives approximately the controller's desired admissions. The paper
+studies two realizations (Section 4.5.2) and argues they are equivalent
+for delay control because the model depends only on the outstanding load,
+not on where it is discarded:
 
-* shedding *intact* tuples at the stream entry (:class:`EntryShedder` —
-  Eq. 13's coin flip), and
-* shedding *partially processed* tuples from queues inside the network
-  (:class:`~repro.shedding.queue_shedder.QueueShedder`, plus the
-  LSRM-optimized :class:`~repro.shedding.lsrm.LsrmShedder`),
-
-and argues they are equivalent for delay control because the model depends
-only on the outstanding load, not on where it is discarded.
+* shedding *intact* tuples at the stream entry — *how much* is all there
+  is to decide, so the entry policies are single classes in
+  :mod:`repro.core.actuator`;
+* shedding *partially processed* tuples from queues inside the network —
+  *how much* (the actuator) and *which queued victim* (a
+  :class:`LoadShedder`:
+  :class:`~repro.shedding.queue_shedder.QueueShedder` or the
+  LSRM-optimized :class:`~repro.shedding.lsrm.LsrmShedder`) are separate
+  decisions.
 """
 
 from __future__ import annotations
@@ -21,39 +23,32 @@ import abc
 import random
 from typing import Optional
 
+from ..dsms.engine import Engine
 from ..errors import SheddingError
 
 
 class LoadShedder(abc.ABC):
-    """Turns a desired admission count into actual drops."""
+    """Picks which queued tuples of a live engine to discard."""
 
-    def __init__(self, rng: Optional[random.Random] = None):
+    def __init__(self, engine: Engine, rng: Optional[random.Random] = None):
+        self.engine = engine
         self.rng = rng or random.Random(0)
         #: tuples deliberately discarded so far
         self.dropped_total = 0
-        #: tuples offered to the shedder so far (entry shedders only)
-        self.offered_total = 0
+        #: CPU seconds saved by :meth:`shed_load` so far
+        self.load_shed_total = 0.0
         #: drop probability in force, stamped by the owning actuator each
         #: period so per-tuple shed traces can record it (observability
         #: only — never read by the shedding logic itself)
         self.trace_alpha = 0.0
 
     @abc.abstractmethod
-    def set_allowance(self, tuples_allowed: float, expected_inflow: float) -> None:
-        """Configure shedding for the next control period.
+    def shed_tuples(self, count: int) -> int:
+        """Drop up to ``count`` queued tuples; returns how many died."""
 
-        ``tuples_allowed`` is the controller's desired number of admissions
-        during the next period (``v(k) * T``); ``expected_inflow`` is the
-        estimate of how many tuples will arrive (the paper uses the current
-        period's count, ``fin(k)``, for ``fin(k+1)``).
-        """
-
-    @property
-    def loss_ratio(self) -> float:
-        """Fraction of offered tuples dropped so far."""
-        if self.offered_total == 0:
-            return 0.0
-        return self.dropped_total / self.offered_total
+    @abc.abstractmethod
+    def shed_load(self, load_target: float) -> float:
+        """Drop ~``load_target`` CPU seconds of queued work; returns saved."""
 
 
 def drop_probability(tuples_allowed: float, expected_inflow: float) -> float:

@@ -100,10 +100,8 @@ class LsrmShedder(LoadShedder):
     def __init__(self, engine: Engine,
                  rng: Optional[random.Random] = None,
                  selectivities: Optional[Dict[str, float]] = None):
-        super().__init__(rng)
-        self.engine = engine
+        super().__init__(engine, rng)
         self.roadmap = LoadSheddingRoadmap(engine.network, selectivities)
-        self.load_shed_total = 0.0
 
     def refresh(self) -> None:
         """Rebuild the roadmap from current observed selectivities."""
@@ -144,9 +142,3 @@ class LsrmShedder(LoadShedder):
                 shed += got
                 self.dropped_total += got
         return shed
-
-    def set_allowance(self, tuples_allowed: float, expected_inflow: float) -> None:
-        surplus = (self.engine.queued_tuples + expected_inflow) - tuples_allowed
-        self.offered_total += int(round(expected_inflow))
-        if surplus > 0:
-            self.shed_tuples(int(round(surplus)))

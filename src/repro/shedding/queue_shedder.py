@@ -30,10 +30,8 @@ class QueueShedder(LoadShedder):
     """Random-location in-network shedding on a full engine."""
 
     def __init__(self, engine: Engine, rng: Optional[random.Random] = None):
-        super().__init__(rng)
-        self.engine = engine
+        super().__init__(engine, rng)
         self._coeffs: Dict[str, float] = {}
-        self.load_shed_total = 0.0
 
     def refresh_coefficients(self) -> None:
         """Recompute load coefficients from observed selectivities."""
@@ -98,15 +96,3 @@ class QueueShedder(LoadShedder):
             shed += got
             self.dropped_total += got
         return shed
-
-    def set_allowance(self, tuples_allowed: float, expected_inflow: float) -> None:
-        """Shed the tuple surplus from queues right now.
-
-        With in-network shedding the "allowance" is enforced by removing
-        ``q_now + expected_inflow - allowed`` tuples; incoming tuples are
-        admitted and culled at the next boundary if still in excess.
-        """
-        surplus = (self.engine.queued_tuples + expected_inflow) - tuples_allowed
-        self.offered_total += int(round(expected_inflow))
-        if surplus > 0:
-            self.shed_tuples(int(round(surplus)))

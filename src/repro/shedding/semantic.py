@@ -1,28 +1,21 @@
-"""Semantic (value-based) load shedding.
+"""Sliding-window quantile: the threshold semantic shedding drops below.
 
 Besides statistical shedding that discards tuples randomly, the Aurora
 work the paper builds on also explores *semantic* shedding that chooses
-victim tuples based on a utility analysis (paper Section 2). This module
-implements the entry-point variant: a user-supplied utility function maps
-tuple values to a utility score, and when a fraction ``alpha`` of the
-input must be shed, the shedder drops the tuples whose utility falls below
-the running ``alpha``-quantile — preserving the most valuable data at the
-same loss ratio as the statistical coin flip.
-
-The quantile is tracked over a sliding reservoir of recent scores, so the
-threshold adapts to drifting value distributions.
+victim tuples based on a utility analysis (paper Section 2). When a
+fraction ``alpha`` of the input must be shed,
+:class:`~repro.core.actuator.SemanticEntryActuator` drops the tuples whose
+utility falls below the running ``alpha``-quantile kept here, over a
+sliding reservoir of recent scores so the threshold adapts to drifting
+value distributions.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from ..errors import SheddingError
-from .base import LoadShedder, drop_probability
-
-UtilityFn = Callable[[Tuple], float]
 
 
 class StreamingQuantile:
@@ -48,69 +41,3 @@ class StreamingQuantile:
 
     def __len__(self) -> int:
         return len(self._samples)
-
-
-class SemanticEntryShedder(LoadShedder):
-    """Utility-ordered admission control at the stream entry.
-
-    Given the same per-period allowance as the statistical
-    :class:`~repro.shedding.entry.EntryShedder`, this shedder drops the
-    *least useful* tuples instead of random ones: a tuple is dropped when
-    its utility is below the running alpha-quantile of recent utilities.
-    A small dithering band (±``dither``) around the threshold is resolved
-    by a coin flip so the realized drop rate matches alpha even when many
-    tuples share the same utility.
-    """
-
-    def __init__(self, utility: UtilityFn,
-                 window: int = 512,
-                 dither: float = 0.02,
-                 rng: Optional[random.Random] = None):
-        super().__init__(rng)
-        if dither < 0:
-            raise SheddingError("dither must be non-negative")
-        self.utility = utility
-        self.alpha = 0.0
-        self.dither = dither
-        self._quantile = StreamingQuantile(window)
-        #: total utility of admitted vs offered tuples (quality accounting)
-        self.utility_admitted = 0.0
-        self.utility_offered = 0.0
-
-    def set_allowance(self, tuples_allowed: float, expected_inflow: float) -> None:
-        self.alpha = drop_probability(tuples_allowed, expected_inflow)
-
-    def admit(self, values: Tuple = ()) -> bool:
-        """Value-aware admission decision for one arriving tuple."""
-        self.offered_total += 1
-        score = float(self.utility(values))
-        self.utility_offered += score
-        self._quantile.add(score)
-        if self.alpha <= 0.0:
-            self.utility_admitted += score
-            return True
-        if self.alpha >= 1.0:
-            self.dropped_total += 1
-            return False
-        threshold = self._quantile.quantile(self.alpha)
-        if threshold is None:
-            # no history yet: fall back to the statistical coin
-            drop = self.rng.random() < self.alpha
-        elif score < threshold - self.dither:
-            drop = True
-        elif score > threshold + self.dither:
-            drop = False
-        else:
-            drop = self.rng.random() < self.alpha
-        if drop:
-            self.dropped_total += 1
-            return False
-        self.utility_admitted += score
-        return True
-
-    @property
-    def utility_retention(self) -> float:
-        """Fraction of offered utility that survived shedding."""
-        if self.utility_offered == 0:
-            return 1.0
-        return self.utility_admitted / self.utility_offered

@@ -17,7 +17,6 @@ from repro.core import (
     SemanticEntryActuator,
 )
 from repro.dsms import Engine, QueryNetwork, MapOperator, identification_network
-from repro.shedding import PriorityEntryShedder, SemanticEntryShedder
 from repro.workloads import arrivals_from_trace, constant_rate, ramp_rate
 
 
@@ -63,9 +62,7 @@ class TestSemanticActuator:
             return loop.run(arrivals, 50.0)
 
         semantic = SemanticEntryActuator(
-            SemanticEntryShedder(utility=lambda v: v[0] if v else 0.0,
-                                 rng=random.Random(3))
-        )
+            utility=lambda v: v[0] if v else 0.0, rng=random.Random(3))
         rec_sem = run(semantic)
         rec_rand = run(EntryActuator())
         # equal loss ...
@@ -76,9 +73,7 @@ class TestSemanticActuator:
 
     def test_loop_still_regulates(self):
         actuator = SemanticEntryActuator(
-            SemanticEntryShedder(utility=lambda v: v[0] if v else 0.0,
-                                 rng=random.Random(4))
-        )
+            utility=lambda v: v[0] if v else 0.0, rng=random.Random(4))
         loop, __ = make_loop(actuator)
         rec = loop.run(arrivals_from_trace(constant_rate(370.0, 50), seed=4),
                        50.0)
@@ -98,10 +93,8 @@ class TestPriorityActuator:
     def test_low_priority_absorbs_the_loss(self):
         net = self._two_source_network()
         engine = Engine(net, headroom=0.97, rng=random.Random(5))
-        actuator = PriorityEntryActuator(
-            PriorityEntryShedder({"gold": 2.0, "bronze": 1.0},
-                                 rng=random.Random(6))
-        )
+        actuator = PriorityEntryActuator({"gold": 2.0, "bronze": 1.0},
+                                         rng=random.Random(6))
         loop, __ = make_loop(actuator, engine=engine)
         rng = random.Random(7)
         arrivals = []

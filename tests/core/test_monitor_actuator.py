@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.dsms import Engine, identification_network
 from repro.errors import SheddingError
-from repro.shedding import EntryShedder, LsrmShedder, QueueShedder
+from repro.shedding import LsrmShedder, QueueShedder
 
 
 def make_engine(seed=0):
@@ -93,13 +93,13 @@ class TestEntryActuator:
         assert all(act.admit() for _ in range(50))
 
     def test_allowance_sets_drop_rate(self):
-        act = EntryActuator(EntryShedder(random.Random(0)))
+        act = EntryActuator(random.Random(0))
         act.begin_period(50.0, 200.0)  # alpha = 0.75
         admitted = sum(1 for _ in range(4000) if act.admit())
         assert admitted / 4000 == pytest.approx(0.25, abs=0.03)
 
     def test_counters_track_offers_and_drops(self):
-        act = EntryActuator(EntryShedder(random.Random(0)))
+        act = EntryActuator(random.Random(0))
         act.begin_period(0.0, 100.0)  # drop everything
         for _ in range(100):
             act.admit()
@@ -112,7 +112,7 @@ class TestEntryActuator:
         assert act.end_period(100) == 0
 
     def test_alpha_exposed(self):
-        act = EntryActuator(EntryShedder(random.Random(0)))
+        act = EntryActuator(random.Random(0))
         act.begin_period(100.0, 200.0)
         assert act.alpha == pytest.approx(0.5)
 

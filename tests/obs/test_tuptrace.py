@@ -116,7 +116,8 @@ class TestSpanThreading:
         assert entry
         shed = next(e for e in entry[0]["events"] if e["kind"] == "shed")
         assert shed["detail"]["reason"] == "entry"
-        assert "Shedder" in shed["detail"]["shedder"]
+        # the deciding class: the entry policy is the actuator itself
+        assert shed["detail"]["shedder"] == "EntryActuator"
         assert 0.0 < shed["detail"]["alpha"] <= 1.0
 
     def test_run_is_reproducible(self):

@@ -10,6 +10,15 @@ import random
 
 import pytest
 
+from repro.core import (
+    ControlLoop,
+    DsmsModel,
+    EntryActuator,
+    Monitor,
+    PolePlacementController,
+    SamplingActuator,
+)
+from repro.dsms import make_engine
 from repro.errors import ServiceError
 from repro.experiments import (
     ExperimentConfig,
@@ -20,12 +29,12 @@ from repro.experiments import (
 )
 from repro.metrics.export import load_json
 from repro.service import (
+    EngineShard,
     ServiceConfig,
     StreamService,
     build_service,
     make_router,
 )
-from repro.shedding import BoundedEntryShedder
 
 CFG = ExperimentConfig(duration=120.0, seed=11)
 SVC = ServiceConfig()  # 4 shards, 4 sources, hotspot x3 on s0
@@ -194,27 +203,50 @@ class TestServiceConstruction:
 
 
 class TestBoundedEntryShedder:
+    """The drop-probability cap (now :class:`EntryActuator`'s own)."""
+
     def test_cap_bounds_armed_alpha(self):
-        shedder = BoundedEntryShedder(random.Random(0), alpha_cap=0.25)
-        shedder.set_allowance(10.0, 100.0)  # wants to drop 90%
-        assert shedder.requested_alpha == pytest.approx(0.9)
-        assert shedder.alpha == pytest.approx(0.25)
+        act = EntryActuator(random.Random(0), alpha_cap=0.25)
+        act.begin_period(10.0, 100.0)  # wants to drop 90%
+        assert act.requested_alpha == pytest.approx(0.9)
+        assert act.alpha == pytest.approx(0.25)
 
     def test_cap_recalculates_current_alpha(self):
-        shedder = BoundedEntryShedder(random.Random(0))
-        shedder.set_allowance(10.0, 100.0)
-        assert shedder.alpha == pytest.approx(0.9)
-        shedder.cap(0.5)
-        assert shedder.alpha == pytest.approx(0.5)
-        shedder.cap(1.0)  # lifting the cap restores the controller's wish
-        assert shedder.alpha == pytest.approx(0.9)
+        act = EntryActuator(random.Random(0))
+        act.begin_period(10.0, 100.0)
+        assert act.alpha == pytest.approx(0.9)
+        act.cap(0.5)
+        assert act.alpha == pytest.approx(0.5)
+        act.cap(1.0)  # lifting the cap restores the controller's wish
+        assert act.alpha == pytest.approx(0.9)
 
     def test_invalid_cap_rejected(self):
         from repro.errors import SheddingError
         with pytest.raises(SheddingError):
-            BoundedEntryShedder(alpha_cap=1.5)
+            EntryActuator(alpha_cap=1.5)
         with pytest.raises(SheddingError):
-            BoundedEntryShedder().cap(-0.1)
+            EntryActuator().cap(-0.1)
+
+    def _hand_built_shard(self, actuator=None):
+        engine = make_engine("fluid", cost=1 / 190, headroom=0.97)
+        model = DsmsModel(cost=1 / 190, headroom=0.97, period=1.0)
+        loop = ControlLoop(engine, PolePlacementController(model),
+                           Monitor(engine, model), actuator)
+        return EngineShard("s0", engine, loop, model, base_target=2.0)
+
+    def test_default_actuator_shard_honours_the_cap(self):
+        """522a8d3 capped only ``EntryActuator(BoundedEntryShedder)``: a
+        shard around the loop's default actuator ignored the coordinator."""
+        shard = self._hand_built_shard()
+        shard.loop.actuator.begin_period(10.0, 100.0)
+        shard.cap_alpha(0.1)
+        assert shard.loop.actuator.alpha == 0.1
+        assert shard.requested_alpha == pytest.approx(0.9)
+
+    def test_uncappable_actuator_refuses_the_cap(self):
+        shard = self._hand_built_shard(SamplingActuator())
+        with pytest.raises(ServiceError, match="SamplingActuator"):
+            shard.cap_alpha(0.1)
 
     def test_loss_bound_respected_end_to_end(self):
         """With a global drop SLA the fleet's realized loss stays near it."""

@@ -4,12 +4,9 @@ import random
 
 import pytest
 
+from repro.core import PriorityEntryActuator, SemanticEntryActuator
 from repro.errors import SheddingError
-from repro.shedding import (
-    PriorityEntryShedder,
-    SemanticEntryShedder,
-    StreamingQuantile,
-)
+from repro.shedding import StreamingQuantile
 
 
 class TestStreamingQuantile:
@@ -43,23 +40,23 @@ class TestStreamingQuantile:
 
 class TestSemanticShedder:
     def make(self, seed=0, **kw):
-        return SemanticEntryShedder(utility=lambda v: v[0],
-                                    rng=random.Random(seed), **kw)
+        return SemanticEntryActuator(utility=lambda v: v[0],
+                                     rng=random.Random(seed), **kw)
 
     def test_no_shedding_admits_all(self):
         s = self.make()
-        s.set_allowance(100.0, 100.0)
+        s.begin_period(100.0, 100.0)
         assert all(s.admit((random.random(),)) for _ in range(100))
         assert s.utility_retention == 1.0
 
     def test_full_shedding_drops_all(self):
         s = self.make()
-        s.set_allowance(0.0, 100.0)
+        s.begin_period(0.0, 100.0)
         assert not any(s.admit((0.9,)) for _ in range(50))
 
     def test_loss_ratio_matches_alpha(self):
         s = self.make(seed=1)
-        s.set_allowance(60.0, 100.0)  # alpha = 0.4
+        s.begin_period(60.0, 100.0)  # alpha = 0.4
         rng = random.Random(2)
         n = 8000
         dropped = sum(1 for _ in range(n) if not s.admit((rng.random(),)))
@@ -68,7 +65,7 @@ class TestSemanticShedder:
     def test_drops_low_utility_first(self):
         """At the same loss ratio, the retained utility beats random."""
         s = self.make(seed=3)
-        s.set_allowance(50.0, 100.0)  # alpha = 0.5
+        s.begin_period(50.0, 100.0)  # alpha = 0.5
         rng = random.Random(4)
         # warm the quantile window
         for _ in range(600):
@@ -92,19 +89,19 @@ class TestSemanticShedder:
 
 class TestPriorityShedder:
     def make(self, seed=0):
-        return PriorityEntryShedder(
+        return PriorityEntryActuator(
             {"gold": 3.0, "silver": 2.0, "bronze": 1.0},
             rng=random.Random(seed),
         )
 
     def test_needs_priorities(self):
         with pytest.raises(SheddingError):
-            PriorityEntryShedder({})
+            PriorityEntryActuator({})
 
     def test_unknown_source_rejected(self):
         s = self.make()
         with pytest.raises(SheddingError):
-            s.admit("platinum")
+            s.admit(source="platinum")
 
     def _run_period(self, s, counts):
         admitted = {name: 0 for name in counts}
@@ -113,7 +110,7 @@ class TestPriorityShedder:
             offered.extend([name] * n)
         random.Random(9).shuffle(offered)
         for name in offered:
-            if s.admit(name):
+            if s.admit(source=name):
                 admitted[name] += 1
         return admitted
 
@@ -121,11 +118,11 @@ class TestPriorityShedder:
         s = self.make(seed=5)
         counts = {"gold": 100, "silver": 100, "bronze": 100}
         # period 0: learn the mix (no allowance pressure yet)
-        s.set_allowance(300.0, 300.0)
+        s.begin_period(300.0, 300.0)
         self._run_period(s, counts)
         # period 1: only 150 of 300 allowed -> gold full, silver ~50%,
         # bronze nothing
-        s.set_allowance(150.0, 300.0)
+        s.begin_period(150.0, 300.0)
         admitted = self._run_period(s, counts)
         assert admitted["gold"] == 100
         assert admitted["bronze"] < 15
@@ -133,25 +130,25 @@ class TestPriorityShedder:
 
     def test_everything_admitted_when_allowance_covers_demand(self):
         s = self.make(seed=6)
-        s.set_allowance(1000.0, 300.0)
+        s.begin_period(1000.0, 300.0)
         admitted = self._run_period(s, {"gold": 50, "silver": 50, "bronze": 50})
         assert admitted == {"gold": 50, "silver": 50, "bronze": 50}
 
     def test_equal_priorities_share_proportionally(self):
-        s = PriorityEntryShedder({"a": 1.0, "b": 1.0},
-                                 rng=random.Random(7))
-        s.set_allowance(400.0, 400.0)
+        s = PriorityEntryActuator({"a": 1.0, "b": 1.0},
+                                  rng=random.Random(7))
+        s.begin_period(400.0, 400.0)
         self._run_period(s, {"a": 200, "b": 200})
-        s.set_allowance(200.0, 400.0)
+        s.begin_period(200.0, 400.0)
         admitted = self._run_period(s, {"a": 200, "b": 200})
         assert admitted["a"] == pytest.approx(100, abs=30)
         assert admitted["b"] == pytest.approx(100, abs=30)
 
     def test_loss_by_source(self):
         s = self.make(seed=8)
-        s.set_allowance(300.0, 300.0)
+        s.begin_period(300.0, 300.0)
         self._run_period(s, {"gold": 100, "silver": 100, "bronze": 100})
-        s.set_allowance(100.0, 300.0)
+        s.begin_period(100.0, 300.0)
         self._run_period(s, {"gold": 100, "silver": 100, "bronze": 100})
         loss = s.loss_by_source()
         assert loss["gold"] < loss["bronze"]

@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import EntryActuator
 from repro.dsms import Engine, identification_network
 from repro.errors import SheddingError
 from repro.shedding import (
     DropLocation,
-    EntryShedder,
     LoadSheddingRoadmap,
     LsrmShedder,
     QueueShedder,
@@ -55,28 +55,30 @@ class TestDropProbability:
 
 
 class TestEntryShedder:
+    """The entry coin flip (now :class:`EntryActuator` itself)."""
+
     def test_alpha_zero_admits_all(self):
-        s = EntryShedder(random.Random(0))
-        s.set_allowance(100.0, 100.0)
+        s = EntryActuator(random.Random(0))
+        s.begin_period(100.0, 100.0)
         assert all(s.admit() for _ in range(100))
         assert s.loss_ratio == 0.0
 
     def test_alpha_one_drops_all(self):
-        s = EntryShedder(random.Random(0))
-        s.set_allowance(0.0, 100.0)
+        s = EntryActuator(random.Random(0))
+        s.begin_period(0.0, 100.0)
         assert not any(s.admit() for _ in range(100))
         assert s.loss_ratio == 1.0
 
     def test_statistical_drop_rate(self):
-        s = EntryShedder(random.Random(42))
-        s.set_allowance(70.0, 100.0)  # alpha = 0.3
+        s = EntryActuator(random.Random(42))
+        s.begin_period(70.0, 100.0)  # alpha = 0.3
         n = 10_000
         admitted = sum(1 for _ in range(n) if s.admit())
         assert admitted / n == pytest.approx(0.7, abs=0.02)
 
     def test_counters(self):
-        s = EntryShedder(random.Random(1))
-        s.set_allowance(50.0, 100.0)
+        s = EntryActuator(random.Random(1))
+        s.begin_period(50.0, 100.0)
         for _ in range(200):
             s.admit()
         assert s.offered_total == 200

@@ -91,3 +91,33 @@ def test_every_third_party_import_is_a_declared_dependency():
     names = {re.split(r"[<>=!~ \[;]", spec, maxsplit=1)[0]
              for spec in re.findall(r'"([^"]+)"', declared.group(1))}
     assert third_party <= names, f"undeclared: {sorted(third_party - names)}"
+
+
+def test_design_md_tree_matches_the_source_tree():
+    """DESIGN.md §3's module map names every module under src/repro/, and
+    every ``*.py`` it names exists."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text[text.index("## 3. System inventory"):text.index("\n## 4.")]
+    named = set()
+    for block in section.split("```")[1::2]:
+        # (indent, path) of the directory entries the current line sits
+        # under; the extensions block has none and names core/x.py
+        dirs = [(-1, ROOT / "src" / "repro")]
+        for line in block.splitlines():
+            indent = len(line) - len(line.lstrip())
+            if line.strip() and indent < 20:  # an entry, not wrapped text
+                dirs = [d for d in dirs if d[0] < indent]
+                entry = line.split()[0]
+                if entry.endswith("/"):
+                    base = ROOT if entry.startswith("src/") else dirs[-1][1]
+                    dirs.append((indent, base / entry))
+            named.update(dirs[-1][1] / name
+                         for name in re.findall(r"[\w/]+\.py\b", line))
+    actual = {path for path in (ROOT / "src" / "repro").rglob("*.py")
+              if path.name != "__init__.py"}
+
+    def rel(paths):
+        return sorted(str(path.relative_to(ROOT)) for path in paths)
+
+    assert named == actual, (f"not under src/: {rel(named - actual)}; "
+                             f"not in DESIGN.md: {rel(actual - named)}")
