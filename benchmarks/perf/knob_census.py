@@ -1,0 +1,234 @@
+"""Count the independently settable values under ``src/`` and who sets them.
+
+ROADMAP north star 2 gates on "fewer independently settable values than
+today"; this report makes that number reproducible. It names no
+parameter: everything it prints is read from the tree.
+
+A **knob** is a defaulted parameter of a public class's ``__init__``, a
+defaulted parameter of a public module-level function, or a defaulted
+field of a public dataclass, declared under ``src/``. A knob is **passed**
+when some call under ``src/``, ``examples/``, ``benchmarks/``,
+``.github/`` or ``tests/`` reaches its owner by name (``Owner(...)``,
+``mod.Owner(...)``, a subclass's name, or ``super().__init__(...)`` inside
+a subclass) and either names it as a keyword or supplies enough positional
+arguments to cover it; a dataclass field also counts as passed when a
+``replace(...)`` call anywhere names it. ``**splat`` arguments are
+opaque and count for nothing.
+
+Two readings are printed:
+
+* **never passed** -- the strict reading above. It over-counts: a knob
+  reached only through a forwarding layer (``make_engine(**kwargs)``,
+  ``controller_kwargs={...}``) is listed although it is in use.
+* **conservative** -- additionally treats as a use every identifier-shaped
+  string literal or dict key (``dict(name=...)`` included) and every
+  attribute store on something other than ``self`` with the knob's name,
+  anywhere in the scanned roots. It under-counts: an unrelated string that
+  happens to spell a knob's name hides it.
+
+The truth is between the two, and only reading the call sites closes the
+gap. This is a report, not a gate; the gate is
+``tests/test_public_api.py::test_every_config_field_is_set_by_some_caller``.
+
+Usage::
+
+    python benchmarks/perf/knob_census.py [CHECKOUT]
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+from pathlib import Path
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+DECLARING_ROOT = "src"
+CALLING_ROOTS = ("src", "examples", "benchmarks", ".github", "tests")
+
+
+class Knob(NamedTuple):
+    """One defaulted parameter or field (``position is None``: keyword-only)."""
+
+    path: str
+    owner: str
+    name: str
+    position: Optional[int]
+    is_field: bool
+
+
+class Uses(NamedTuple):
+    """What the calling roots pass, by callee name."""
+
+    keywords: Dict[str, Set[str]]
+    depth: Dict[str, int]
+    replaced: Set[str]
+    loose: Set[str]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(args: ast.arguments, skip_self: bool) -> Iterator[tuple]:
+    """``(name, position)`` of each parameter that has a default."""
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index - (1 if skip_self else 0)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    return [base.attr if isinstance(base, ast.Attribute)
+            else getattr(base, "id", "") for base in cls.bases]
+
+
+def declared_knobs(root: Path) -> tuple:
+    """Every knob under ``root/src`` and the subclass map of its classes."""
+    knobs: List[Knob] = []
+    bases: Dict[str, List[str]] = {}
+    for path in sorted((root / DECLARING_ROOT).rglob("*.py")):
+        rel = str(path.relative_to(root))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    knobs.extend(Knob(rel, node.name, name, pos, False)
+                                 for name, pos in _defaulted(node.args, False))
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = _base_names(node)
+                if node.name.startswith("_"):
+                    continue
+                dataclass = _is_dataclass(node)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name == "__init__":
+                        knobs.extend(
+                            Knob(rel, node.name, name, pos, False)
+                            for name, pos in _defaulted(item.args, True))
+                    elif dataclass and isinstance(item, ast.AnnAssign) \
+                            and item.value is not None \
+                            and isinstance(item.target, ast.Name) \
+                            and "ClassVar" not in ast.dump(item.annotation):
+                        knobs.append(Knob(rel, node.name, item.target.id,
+                                          None, True))
+    return knobs, bases
+
+
+def _ancestors(name: str, bases: Dict[str, List[str]]) -> Set[str]:
+    seen: Set[str] = set()
+    stack = [name]
+    while stack:
+        for base in bases.get(stack.pop(), ()):
+            if base and base not in seen:
+                seen.add(base)
+                stack.append(base)
+    return seen
+
+
+class _CallCollector(ast.NodeVisitor):
+    """Record every call's keywords and positional depth by callee name."""
+
+    def __init__(self, uses: Uses, bases: Dict[str, List[str]]):
+        self.uses = uses
+        self.bases = bases
+        self.classes: List[str] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.bases.setdefault(node.name, _base_names(node))
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def _callees(self, func: ast.expr) -> Set[str]:
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+            if name == "__init__" and self.classes:
+                # super().__init__(...) / Base.__init__(self, ...): a call
+                # to every ancestor of the enclosing class
+                return _ancestors(self.classes[-1], self.bases)
+        else:
+            return set()
+        return {name} | _ancestors(name, self.bases)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        keywords = {kw.arg for kw in node.keywords if kw.arg}
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        depth = 1 << 30 if starred else len(node.args)
+        callees = self._callees(node.func)
+        for callee in callees:
+            self.uses.keywords.setdefault(callee, set()).update(keywords)
+            self.uses.depth[callee] = max(self.uses.depth.get(callee, 0),
+                                          depth)
+        if "replace" in callees:
+            self.uses.replaced.update(keywords)
+        if "dict" in callees:
+            self.uses.loose.update(keywords)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.uses.loose.add(node.value)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Store) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"):
+            self.uses.loose.add(node.attr)
+        self.generic_visit(node)
+
+
+def collected_uses(root: Path, bases: Dict[str, List[str]]) -> Uses:
+    """Walk every ``*.py`` under the calling roots of ``root``."""
+    uses = Uses({}, {}, set(), set())
+    collector = _CallCollector(uses, bases)
+    for calling_root in CALLING_ROOTS:
+        for path in sorted((root / calling_root).rglob("*.py")):
+            collector.visit(ast.parse(path.read_text()))
+    return uses
+
+
+def is_passed(knob: Knob, uses: Uses) -> bool:
+    """The strict reading: some call to the owner supplies the knob."""
+    if knob.name in uses.keywords.get(knob.owner, ()):
+        return True
+    if knob.is_field:
+        return knob.name in uses.replaced
+    return knob.position is not None \
+        and uses.depth.get(knob.owner, 0) > knob.position
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=REPO_ROOT,
+                        help="tree to census (default: this repository)")
+    root = parser.parse_args(argv).checkout.resolve()
+    knobs, bases = declared_knobs(root)
+    uses = collected_uses(root, bases)
+    never = [knob for knob in knobs if not is_passed(knob, uses)]
+    conservative = [knob for knob in never if knob.name not in uses.loose]
+    print(f"defaulted parameters and fields under {DECLARING_ROOT}/: "
+          f"{len(knobs)}")
+    print(f"never passed: {len(never)}")
+    print(f"never passed, conservative reading: {len(conservative)}")
+    hidden = set(never) - set(conservative)
+    for knob in never:
+        mark = "~" if knob in hidden else " "
+        print(f"  {mark} {knob.path}: {knob.owner}({knob.name})")
+    print("(~ = the name also occurs as a string literal, dict key or "
+          "attribute store)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -53,6 +53,16 @@ from .pole_placement import (
     poles_from_specs,
 )
 
+#: strategy name -> controller factory: the one table the experiment
+#: runner, the grid sweep's scalar reference and every shard builder read
+STRATEGIES = {
+    "CTRL": PolePlacementController,
+    "BASELINE": BaselineController,
+    "AURORA": AuroraOpenLoopController,
+    "BACKPRESSURE": BackpressureController,
+    "ADAPTIVE": AdaptiveController,
+}
+
 __all__ = [
     "Actuator",
     "Ar1Predictor",
@@ -86,6 +96,7 @@ __all__ = [
     "PolePlacementController",
     "PriorityEntryActuator",
     "RlsGainEstimator",
+    "STRATEGIES",
     "SamplingActuator",
     "SemanticEntryActuator",
     "WallClock",

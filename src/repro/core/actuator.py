@@ -120,11 +120,12 @@ class EntryActuator(Actuator):
 class InNetworkActuator(Actuator):
     """Continuous in-network queue culling (random-location or LSRM)."""
 
-    def __init__(self, shedder: LoadShedder,
-                 rng: Optional[random.Random] = None):
+    def __init__(self, shedder: LoadShedder):
         super().__init__()
         self.shedder = shedder
-        self.rng = rng or random.Random(0)
+        #: the per-arrival culling coin; which tuple a cull removes is the
+        #: shedder's own (seeded) draw
+        self.rng = random.Random(0)
         self._allowance = float("inf")
         self._culled_this_period = 0
 

@@ -63,13 +63,11 @@ class AdaptiveController(Controller):
 
     def __init__(self, model: DsmsModel,
                  gains: Optional[ControllerGains] = None,
-                 forgetting: float = 0.98,
                  min_excitation: float = 1.0):
         super().__init__(model)
         self.gains = gains or design_gains()
         self.estimator = RlsGainEstimator(
             initial_gain=model.gain,
-            forgetting=forgetting,
             min_excitation=min_excitation,
         )
         self._e_prev = 0.0
@@ -103,6 +101,5 @@ class AdaptiveController(Controller):
         self._y_prev = None
         self.estimator = RlsGainEstimator(
             initial_gain=self.model.gain,
-            forgetting=self.estimator.forgetting,
             min_excitation=self.estimator.min_excitation,
         )

@@ -67,17 +67,13 @@ class ControlLoop:
                  charge_cycle_within_period: bool = False,
                  bus=None,
                  tracer=None,
-                 tuple_tracer=None,
-                 dither: float = 0.0):
+                 tuple_tracer=None):
         if period <= 0:
             raise ExperimentError(f"control period must be positive, got {period}")
         if cycle_cost < 0:
             raise ExperimentError("cycle cost cannot be negative")
         if drain_max_extra < 0:
             raise ExperimentError("drain budget cannot be negative")
-        if not 0.0 <= dither < 1.0:
-            raise ExperimentError(
-                f"dither must be in [0, 1), got {dither}")
         self.engine = engine
         self.controller = controller
         self.monitor = monitor
@@ -111,13 +107,6 @@ class ControlLoop:
         #: optional :class:`~repro.obs.tuptrace.TupleTracer` sampling
         #: per-tuple lifecycle spans; None (the default) skips everything
         self.tuple_tracer = tuple_tracer
-        #: opt-in identifiability excitation: scale the actuator allowance
-        #: by ``1 ± dither`` on alternating periods. A loop in steady
-        #: state barely moves ``u``, which leaves closed-loop system
-        #: identification starved of signal (docs/THEORY.md §15); a small
-        #: deterministic square wave restores persistent excitation
-        #: without touching the controller state or breaking replay.
-        self.dither = float(dither)
         self._target = target
         self._target_in_force: Optional[float] = None
 
@@ -223,8 +212,6 @@ class ControlLoop:
             tracer.add("controller", now - mark)
             mark = now
         allowance = max(0.0, decision.v) * self.period
-        if self.dither:
-            allowance *= 1.0 + (self.dither if k % 2 == 0 else -self.dither)
         if self.predictor is not None:
             self.predictor.update(float(offered))
             inflow_estimate = self.predictor.predict()

@@ -41,17 +41,17 @@ class Monitor:
     """Snapshots the engine once per control period."""
 
     def __init__(self, engine, model: DsmsModel,
-                 cost_estimator: Optional[CostEstimator] = None,
-                 clock=None):
+                 cost_estimator: Optional[CostEstimator] = None):
         self.engine = engine
         self.model = model
         self.catalog = Catalog(engine)
         self.cost_estimator = cost_estimator or LastValueEstimator(model.cost)
-        #: optional wall clock (repro.core.clock.Clock); when set, the
-        #: measurement's boundary time is real seconds-since-start rather
-        #: than the engine's virtual now — live mode stamps arrivals on
-        #: the same axis, so queue/cost feedback stays consistent.
-        self.clock = clock
+        #: optional wall clock (repro.core.clock.Clock) the live runtime
+        #: assigns; when set, the measurement's boundary time is real
+        #: seconds-since-start rather than the engine's virtual now — live
+        #: mode stamps arrivals on the same axis, so queue/cost feedback
+        #: stays consistent.
+        self.clock = None
         self._k = 0
 
     def measure(self) -> Measurement:

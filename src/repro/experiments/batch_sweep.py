@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import (
+    STRATEGIES,
     ControlLoop,
     DsmsModel,
     Monitor,
@@ -63,7 +64,7 @@ from ..metrics.qos import QosMetrics
 from ..metrics.recorder import PeriodRecord, RunRecord
 from ..workloads import cached_arrivals_from_trace
 from .config import ExperimentConfig
-from .runner import STRATEGIES, make_cost_trace, make_workload
+from .runner import make_cost_trace, make_workload
 
 #: strategies the vectorized controller bank implements
 BATCH_STRATEGIES = ("CTRL", "BASELINE", "AURORA", "BACKPRESSURE")
@@ -770,27 +771,33 @@ def scalar_reference(point: GridPoint) -> Tuple[QosMetrics, float]:
     return record.qos(), wall
 
 
+#: the agreed accuracy of the grid kernel against the scalar fluid engine
+#: (THEORY.md §8): 1%, relative for violation time, absolute for loss ratio
+CROSS_CHECK_TOLERANCE = 0.01
+#: seconds of violation below which the relative error is taken against
+#: this floor, so near-zero violations do not blow up the ratio
+VIOLATION_FLOOR = 1.0
+
+
 def cross_check_grid(points: Sequence[GridPoint],
-                     results: Sequence[BatchPointResult],
-                     tolerance: float = 0.01,
-                     violation_floor: float = 1.0) -> List[CrossCheckReport]:
+                     results: Sequence[BatchPointResult]
+                     ) -> List[CrossCheckReport]:
     """Verify batch results against scalar reference runs, point by point.
 
-    Violation time must agree within ``tolerance`` relative to the scalar
-    value (with ``violation_floor`` seconds as the comparison floor so
-    near-zero violations do not blow up the ratio); loss ratios must agree
-    within ``tolerance`` absolutely. Raises
+    Violation time must agree within ``CROSS_CHECK_TOLERANCE`` relative to
+    the scalar value (floored at ``VIOLATION_FLOOR`` seconds); loss ratios
+    must agree within it absolutely. Raises
     :class:`~repro.errors.ExperimentError` listing every failing point.
     """
     reports: List[CrossCheckReport] = []
     failures: List[str] = []
     for point, res in zip(points, results):
         scalar_qos, wall = scalar_reference(point)
-        denom = max(abs(scalar_qos.accumulated_violation), violation_floor)
+        denom = max(abs(scalar_qos.accumulated_violation), VIOLATION_FLOOR)
         v_err = abs(res.qos.accumulated_violation
                     - scalar_qos.accumulated_violation) / denom
         l_err = abs(res.qos.loss_ratio - scalar_qos.loss_ratio)
-        ok = v_err <= tolerance and l_err <= tolerance
+        ok = v_err <= CROSS_CHECK_TOLERANCE and l_err <= CROSS_CHECK_TOLERANCE
         reports.append(CrossCheckReport(
             key=point.label, batch_qos=res.qos, scalar_qos=scalar_qos,
             violation_err=v_err, loss_err=l_err, scalar_wall=wall, ok=ok,

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
 from ..core.estimation import CostEstimator, EwmaEstimator
+from ..dsms import BACKENDS
+from ..errors import ExperimentError
 
 #: paper defaults
 DEFAULT_CAPACITY = 190.0          # tuples/s at H = 1
@@ -58,6 +61,22 @@ class ExperimentConfig:
     #: engine backend driven by :func:`repro.dsms.make_engine` — "full"
     #: (discrete-event) or "fluid" (scalar Eq. 2 FIFO)
     engine_backend: str = "full"
+
+    def __post_init__(self) -> None:
+        if self.engine_backend not in BACKENDS:
+            raise ExperimentError(
+                f"unknown engine backend {self.engine_backend!r}; pick from "
+                f"{', '.join(sorted(BACKENDS))}"
+            )
+        for name in ("capacity", "period", "duration"):
+            if getattr(self, name) <= 0:
+                raise ExperimentError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
+        if not 0.0 < self.headroom <= 1.0:
+            raise ExperimentError(
+                f"headroom must be in (0, 1], got {self.headroom}"
+            )
 
     @property
     def base_cost(self) -> float:

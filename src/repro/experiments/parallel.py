@@ -21,7 +21,7 @@ Environment knobs:
 * ``REPRO_WORKERS=N`` sets the default pool size (default: CPU count).
 
 Failure handling: a job that dies for *transient* infrastructure reasons
-(worker process killed, pool broken, per-job wait timeout) is retried once
+(worker process killed, pool broken) is retried once
 serially in the parent process — which, by the determinism contract, gives
 the same answer a healthy worker would have. Deterministic exceptions from
 the experiment itself propagate to the caller unchanged. Jobs that cannot
@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -48,6 +47,7 @@ from ..core.estimation import (
     LastValueEstimator,
     WindowMedianEstimator,
 )
+from ..dsms import BACKENDS
 from ..errors import ExperimentError
 from ..metrics.recorder import RunRecord
 from ..service.config import ServiceConfig
@@ -116,6 +116,11 @@ class Job:
             raise ExperimentError(
                 f"unknown estimator spec {self.estimator!r}; "
                 f"pick from {sorted(ESTIMATOR_SPECS)}"
+            )
+        if self.engine_kind is not None and self.engine_kind not in BACKENDS:
+            raise ExperimentError(
+                f"unknown engine kind {self.engine_kind!r}; pick from "
+                f"{', '.join(sorted(BACKENDS))}"
             )
 
     @property
@@ -218,16 +223,14 @@ def _picklable(job: Job) -> bool:
 
 def run_jobs(jobs: Sequence[Job],
              workers: Optional[int] = None,
-             timeout: Optional[float] = None,
              relay=None) -> List[RunRecord]:
     """Execute ``jobs`` and return their records in submission order.
 
     ``workers`` caps the process pool (default: :func:`default_workers`,
-    never more than there are jobs). ``timeout`` is the per-job wait budget
-    in wall seconds once the caller starts waiting on that job; a job that
-    exceeds it, or whose worker dies, is retried once serially in the
-    parent. With ``REPRO_PARALLEL=0``, one job, or one worker, everything
-    runs serially in-process — producing bit-identical records either way.
+    never more than there are jobs). A job whose worker dies is retried
+    once serially in the parent. With ``REPRO_PARALLEL=0``, one job, or one
+    worker, everything runs serially in-process — producing bit-identical
+    records either way.
 
     ``relay`` (a started-or-not :class:`~repro.obs.relay.EventRelay`)
     makes pool workers stream their bus events back to the parent, so
@@ -266,8 +269,8 @@ def run_jobs(jobs: Sequence[Job],
                            for i in pool_indices}
             for i, future in futures.items():
                 try:
-                    results[i] = future.result(timeout=timeout)
-                except (BrokenProcessPool, _FutureTimeoutError, OSError):
+                    results[i] = future.result()
+                except (BrokenProcessPool, OSError):
                     # transient infrastructure failure: the single retry runs
                     # serially here, which determinism makes equivalent
                     results[i] = execute_job(jobs[i])
@@ -279,9 +282,7 @@ def run_jobs(jobs: Sequence[Job],
 
 
 def run_jobs_keyed(jobs: Sequence[Job],
-                   workers: Optional[int] = None,
-                   timeout: Optional[float] = None,
-                   relay=None) -> Dict[str, RunRecord]:
+                   workers: Optional[int] = None) -> Dict[str, RunRecord]:
     """Like :func:`run_jobs` but returns ``{job.label: record}``.
 
     Labels must be unique across ``jobs``.
@@ -290,5 +291,5 @@ def run_jobs_keyed(jobs: Sequence[Job],
     labels = [job.label for job in jobs]
     if len(set(labels)) != len(labels):
         raise ExperimentError("job labels must be unique for keyed execution")
-    records = run_jobs(jobs, workers=workers, timeout=timeout, relay=relay)
+    records = run_jobs(jobs, workers=workers)
     return dict(zip(labels, records))

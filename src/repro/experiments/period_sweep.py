@@ -56,8 +56,7 @@ def period_sweep(config: Optional[ExperimentConfig] = None,
                  strategy: str = "CTRL",
                  workload_kind: str = "web",
                  workers: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 cross_check: bool = False) -> PeriodSweepResult:
+                 backend: Optional[str] = None) -> PeriodSweepResult:
     """Fig. 19: the same run at different control periods.
 
     With ``backend=None`` (or an engine name, ``"full"``/``"fluid"``)
@@ -67,13 +66,12 @@ def period_sweep(config: Optional[ExperimentConfig] = None,
 
     ``backend="batch"`` instead runs the whole sweep as one vectorized
     grid on the :mod:`repro.experiments.batch_sweep` fast path (the grid
-    kernel, not an engine); ``cross_check=True`` additionally re-runs
-    every period on the scalar fluid engine and raises if violation time
-    or loss ratio disagree beyond 1%.
+    kernel, not an engine); verify such a grid against the scalar fluid
+    engine with :func:`~repro.experiments.batch_sweep.cross_check_grid`.
     """
     config = config or ExperimentConfig()
     if backend == "batch":
-        from .batch_sweep import GridPoint, cross_check_grid, run_batch_grid
+        from .batch_sweep import GridPoint, run_batch_grid
 
         points = [
             GridPoint(config=config.scaled(period=t), strategy=strategy,
@@ -81,8 +79,6 @@ def period_sweep(config: Optional[ExperimentConfig] = None,
             for t in periods
         ]
         results = run_batch_grid(points)
-        if cross_check:
-            cross_check_grid(points, results)
         return PeriodSweepResult(
             metrics={t: r.qos for t, r in zip(periods, results)}
         )

@@ -6,17 +6,13 @@ import random
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core import (
-    AdaptiveController,
-    AuroraOpenLoopController,
-    BackpressureController,
-    BaselineController,
+    STRATEGIES,
     ControlLoop,
     Controller,
     DsmsModel,
     EntryActuator,
     InNetworkActuator,
     Monitor,
-    PolePlacementController,
 )
 from ..dsms import (
     DepthFirstScheduler,
@@ -39,15 +35,6 @@ from ..workloads import (
     web_rate_trace,
 )
 from .config import ExperimentConfig
-
-#: strategy name -> controller factory
-STRATEGIES: Dict[str, Callable[[DsmsModel], Controller]] = {
-    "CTRL": PolePlacementController,
-    "BASELINE": BaselineController,
-    "AURORA": AuroraOpenLoopController,
-    "BACKPRESSURE": BackpressureController,
-    "ADAPTIVE": AdaptiveController,
-}
 
 ACTUATORS = ("entry", "queue", "lsrm")
 
@@ -105,7 +92,6 @@ def make_scheduler(spec: Optional[str], network) -> Optional[Scheduler]:
 
 def build_engine(config: ExperimentConfig,
                  cost_trace: Optional[CostTrace] = None,
-                 engine_seed: int = 0,
                  scheduler: Optional[str] = None) -> Engine:
     """A fresh identification-network engine wired to the cost trace."""
     multiplier = (cost_trace.as_multiplier(config.base_cost)
@@ -117,7 +103,7 @@ def build_engine(config: ExperimentConfig,
         headroom=config.headroom,
         scheduler=make_scheduler(scheduler, network),
         cost_multiplier=multiplier,
-        rng=random.Random(engine_seed),
+        rng=random.Random(0),
     )
 
 

@@ -11,7 +11,7 @@ watches the per-period decision stream for sustained pathologies:
     consecutive periods — the loop is not holding its SLA;
 ``actuator_saturated``
     the entry drop probability has pinned at its upper bound
-    (``alpha >= saturation_alpha``) for ``saturation_patience`` periods —
+    (``alpha >= SATURATION_ALPHA``) for ``saturation_patience`` periods —
     the controller is demanding more shedding than the actuator can
     deliver, so the loop is effectively open;
 ``controller_windup``
@@ -39,12 +39,12 @@ watches the per-period decision stream for sustained pathologies:
     node is overloaded beyond even its admission-control posture;
 ``model_mismatch``
     the online-identified plant gain (:mod:`repro.obs.sysid`) has sat
-    outside the design model's mismatch band for ``mismatch_patience``
+    outside the design model's mismatch band for ``MISMATCH_PATIENCE``
     consecutive periods — the controller is flying a plant it was not
     designed for, typically *before* the QoS consequence lands;
 ``margin_eroded``
     the stability margins re-evaluated with the identified gain have
-    dipped below their floors for ``margin_patience`` consecutive
+    dipped below their floors for ``MARGIN_PATIENCE`` consecutive
     periods — the paper's ``1/K`` robustness budget is nearly spent.
 
 Detectors report *episodes*: one :class:`HealthReport` per contiguous
@@ -62,6 +62,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .bus import EventBus, get_bus
 from .events import ObsEvent
+from .sysid import SATURATION_ALPHA
+
+#: consecutive periods a sysid verdict must hold before it becomes an
+#: episode: mismatch is critical and reported fast, an eroded margin is a
+#: warning and waits one period longer
+MISMATCH_PATIENCE = 2
+MARGIN_PATIENCE = 3
 
 SEVERITY_WARNING = "warning"
 SEVERITY_CRITICAL = "critical"
@@ -139,34 +146,26 @@ class HealthMonitor:
     def __init__(self, bus: Optional[EventBus] = None,
                  qos_patience: int = 5,
                  qos_tolerance: float = 0.0,
-                 saturation_alpha: float = 0.999,
                  saturation_patience: int = 3,
                  windup_patience: int = 5,
                  imbalance_spread: float = 1.0,
                  imbalance_patience: int = 3,
-                 ingest_patience: int = 3,
-                 mismatch_patience: int = 2,
-                 margin_patience: int = 3):
+                 ingest_patience: int = 3):
         for name, patience in (("qos_patience", qos_patience),
                                ("saturation_patience", saturation_patience),
                                ("windup_patience", windup_patience),
                                ("imbalance_patience", imbalance_patience),
-                               ("ingest_patience", ingest_patience),
-                               ("mismatch_patience", mismatch_patience),
-                               ("margin_patience", margin_patience)):
+                               ("ingest_patience", ingest_patience)):
             if patience < 1:
                 raise ValueError(f"{name} must be >= 1, got {patience}")
         self.bus = bus if bus is not None else get_bus()
         self.qos_patience = qos_patience
         self.qos_tolerance = qos_tolerance
-        self.saturation_alpha = saturation_alpha
         self.saturation_patience = saturation_patience
         self.windup_patience = windup_patience
         self.imbalance_spread = imbalance_spread
         self.imbalance_patience = imbalance_patience
         self.ingest_patience = ingest_patience
-        self.mismatch_patience = mismatch_patience
-        self.margin_patience = margin_patience
 
         #: optional callback fired once per *newly opened* report (the
         #: flight recorder hooks this to auto-dump on critical episodes)
@@ -330,7 +329,7 @@ class HealthMonitor:
 
         self._run_streak(self._mismatch, shard,
                          bool(event.mismatch), event.k, deviation,
-                         self.mismatch_patience, "model_mismatch",
+                         MISMATCH_PATIENCE, "model_mismatch",
                          SEVERITY_CRITICAL, mismatch_detail)
 
         def margin_detail(streak: _Streak) -> str:
@@ -343,7 +342,7 @@ class HealthMonitor:
         margin_value = event.gain_margin if event.gain_margin > 0 else 0.0
         self._run_streak(self._margin, shard,
                          bool(event.eroded), event.k, margin_value,
-                         self.margin_patience, "margin_eroded",
+                         MARGIN_PATIENCE, "margin_eroded",
                          SEVERITY_WARNING, margin_detail)
 
     # ------------------------------------------------------------------ #
@@ -385,7 +384,7 @@ class HealthMonitor:
                          SEVERITY_CRITICAL, detail)
 
     def _check_saturation(self, shard: str, p) -> None:
-        bad = p.alpha >= self.saturation_alpha
+        bad = p.alpha >= SATURATION_ALPHA
 
         def detail(streak: _Streak) -> str:
             return (f"entry drop probability pinned at alpha="

@@ -35,6 +35,10 @@ _LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
+#: namespace of every series of the standard metric set (dashboards, the
+#: e2e benchmark and CI's HTTP smokes grep for ``repro_...`` names)
+PREFIX = "repro"
+
 #: default histogram buckets: delay-ish seconds, log-spaced
 DEFAULT_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -527,13 +531,10 @@ class MetricsBridge:
     """
 
     def __init__(self, bus: Optional[EventBus] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "repro"):
-        if not _NAME_RE.match(prefix):
-            raise ObservabilityError(f"bad metric prefix {prefix!r}")
+                 registry: Optional[MetricsRegistry] = None):
         self.bus = bus if bus is not None else get_bus()
         self.registry = registry if registry is not None else get_registry()
-        r, p = self.registry, prefix
+        r, p = self.registry, PREFIX
         self.periods = r.counter(f"{p}_periods_total",
                                  "control periods closed")
         self.offered = r.counter(f"{p}_tuples_offered_total",
@@ -750,7 +751,7 @@ class MetricsBridge:
 
 
 def install_metrics(bus: Optional[EventBus] = None,
-                    registry: Optional[MetricsRegistry] = None,
-                    prefix: str = "repro") -> MetricsBridge:
+                    registry: Optional[MetricsRegistry] = None
+                    ) -> MetricsBridge:
     """Wire the standard metric set onto a bus (defaults: global bus+registry)."""
-    return MetricsBridge(bus=bus, registry=registry, prefix=prefix)
+    return MetricsBridge(bus=bus, registry=registry)

@@ -52,6 +52,9 @@ _log = get_logger("obs.relay")
 _FLUSH = "__flush__"
 #: queue marker that stops the pump: ("__stop__", None)
 _STOP = "__stop__"
+#: seconds the pump blocks on an empty queue before looking again; stop and
+#: flush arrive as queue markers, so this only bounds a wake-up, not latency
+POLL_INTERVAL = 0.25
 
 _flush_tokens = itertools.count()
 
@@ -72,7 +75,7 @@ def relay_forwarder(relay_queue, worker: str):
 
 @contextmanager
 def worker_relay(relay_queue, worker: Optional[str] = None,
-                 bus: Optional[EventBus] = None, kinds=None):
+                 bus: Optional[EventBus] = None):
     """Forward this process's bus events to a parent's relay queue.
 
     Meant for the worker side of a process boundary: wrap the work in
@@ -84,7 +87,7 @@ def worker_relay(relay_queue, worker: Optional[str] = None,
     bus = bus if bus is not None else get_bus()
     worker = worker if worker is not None else f"pid{os.getpid()}"
     forward = relay_forwarder(relay_queue, worker)
-    bus.subscribe(forward, kinds=kinds)
+    bus.subscribe(forward)
     try:
         yield worker
     finally:
@@ -102,10 +105,8 @@ class EventRelay:
     :meth:`start`/:meth:`stop`.
     """
 
-    def __init__(self, bus: Optional[EventBus] = None, registry=None,
-                 poll_interval: float = 0.25):
+    def __init__(self, bus: Optional[EventBus] = None, registry=None):
         self.bus = bus if bus is not None else get_bus()
-        self.poll_interval = float(poll_interval)
         self.relayed = 0
         self.errors = 0
         self.per_worker: Dict[str, int] = {}
@@ -168,7 +169,7 @@ class EventRelay:
     def _pump(self) -> None:
         while True:
             try:
-                worker, event = self.queue.get(timeout=self.poll_interval)
+                worker, event = self.queue.get(timeout=POLL_INTERVAL)
             except _queue.Empty:
                 continue
             except (EOFError, OSError, ConnectionError):

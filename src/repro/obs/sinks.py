@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import IO, Optional, Union
 
-from .bus import BoundedSubscription, EventBus, get_bus
+from .bus import EventBus, get_bus
 from .events import ObsEvent
 
 PathLike = Union[str, Path]
@@ -29,32 +29,18 @@ class PeriodJsonlSink:
     :class:`~repro.metrics.recorder.PeriodRecord` is flattened with the
     canonical column set (``repro.metrics.export.PERIOD_FIELDS``) plus the
     shard label, and flushed immediately so ``tail -f`` sees rows as the
-    run produces them.
-
-    By default the write+flush happens synchronously on the emitting
-    control loop — fine for local disks. ``bounded=True`` moves the I/O
-    behind a :class:`~repro.obs.bus.BoundedSubscription` drain thread
-    (``maxlen``/``policy`` as there), so a slow filesystem backs up the
-    sink's own ring buffer instead of the run; drops are counted on
-    ``repro_obs_dropped_total``.
+    run produces them. The write+flush happens synchronously on the
+    emitting control loop — fine for local disks.
     """
 
-    def __init__(self, path: PathLike, bus: Optional[EventBus] = None,
-                 bounded: bool = False, maxlen: int = 1024,
-                 policy: str = "drop_oldest"):
+    def __init__(self, path: PathLike, bus: Optional[EventBus] = None):
         from ..metrics.export import PERIOD_FIELDS  # lazy: import cycle
         self._fields = PERIOD_FIELDS
         self.path = Path(path)
         self.bus = bus if bus is not None else get_bus()
         self.rows = 0
         self._fh: Optional[IO[str]] = self.path.open("a")
-        self._sub: Optional[BoundedSubscription] = None
-        if bounded:
-            self._sub = self.bus.subscribe_bounded(
-                self._on_event, kinds=("period",), maxlen=maxlen,
-                policy=policy, name=f"jsonl:{self.path.name}")
-        else:
-            self.bus.subscribe(self._on_event, kinds=("period",))
+        self.bus.subscribe(self._on_event, kinds=("period",))
 
     def _on_event(self, event: ObsEvent) -> None:
         if self._fh is None:
@@ -67,11 +53,7 @@ class PeriodJsonlSink:
         self.rows += 1
 
     def close(self) -> None:
-        if self._sub is not None:
-            self._sub.close()  # joins the drain thread: buffered rows land
-            self._sub = None
-        else:
-            self.bus.unsubscribe(self._on_event)
+        self.bus.unsubscribe(self._on_event)
         if self._fh is not None:
             self._fh.close()
             self._fh = None

@@ -50,16 +50,37 @@ import math
 from collections import deque
 from typing import Deque, Dict, Optional
 
-from typing import TYPE_CHECKING
-
 from ..control.margins import StabilityMargins, stability_margins
 from ..control.rls import rls_step
 from ..control.transfer_function import TransferFunction
 from .bus import EventBus, get_bus
 from .events import MarginEroded, ModelMismatch, SysIdUpdate
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.pole_placement import ControllerGains
+#: RLS forgetting factor λ: an effective memory of 1/(1-λ) ≈ 3 informative
+#: periods, so a cost step shows in the identified gain within a few periods
+FORGETTING = 0.7
+#: informative samples folded in before the estimate counts as converged
+MIN_SAMPLES = 8
+#: ``alpha`` at or above this is pinned at the actuator limit: the commanded
+#: input never reached the plant, so the period says nothing about its gain
+SATURATION_ALPHA = 0.999
+#: periods' worth of departures that must be queued at *both* boundaries of
+#: a period for the server to count as busy end to end
+BUSY_BACKLOG = 1.0
+#: gain ratio K (or 1/K) beyond which the design model counts as mismatched
+MISMATCH_RATIO = 1.35
+#: effective gain margin / modulus margin below which the margin counts as
+#: eroded (the nominal CTRL loop has GM ≈ 5.07 and modulus ≈ 0.80)
+GAIN_MARGIN_FLOOR = 3.0
+MODULUS_FLOOR = 0.25
+#: the full frequency sweep (phase and modulus margins) is re-run every this
+#: many periods, on this many grid points; the gain margin is exact and O(1)
+MARGIN_SWEEP_EVERY = 8
+MARGIN_SWEEP_POINTS = 256
+#: error samples the oscillation score looks back over
+OSC_WINDOW = 32
+#: largest autocorrelation lag (in periods) searched for a limit cycle
+OSC_MAX_LAG = 8
 
 
 class RlsGainEstimator:
@@ -81,7 +102,7 @@ class RlsGainEstimator:
     is carried explicitly so there is no numpy on the per-period path.
     """
 
-    def __init__(self, forgetting: float = 0.7, delta: float = 1e4):
+    def __init__(self, forgetting: float = FORGETTING, delta: float = 1e4):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError(f"forgetting factor must be in (0, 1], got {forgetting}")
         if delta <= 0:
@@ -118,7 +139,7 @@ class RlsGainEstimator:
             self.s *= factor
 
 
-def oscillation_score(errors, max_lag: int = 8) -> float:
+def oscillation_score(errors) -> float:
     """Limit-cycle score in [0, 1] for a recent error window.
 
     Blends the sign-alternation rate of the error signal with the
@@ -142,7 +163,7 @@ def oscillation_score(errors, max_lag: int = 8) -> float:
     )
     alternation = flips / (n - 1)
     best_rho = 0.0
-    for lag in range(1, min(max_lag, n - 2) + 1):
+    for lag in range(1, min(OSC_MAX_LAG, n - 2) + 1):
         acc = sum(centered[i] * centered[i + lag] for i in range(n - lag))
         rho = acc / (var * n)
         if rho > best_rho:
@@ -156,11 +177,11 @@ class _ShardSysId:
     __slots__ = ("estimator", "prev_queue", "have_prev", "errors",
                  "excluded", "full_margins", "last_update")
 
-    def __init__(self, forgetting: float, window: int):
-        self.estimator = RlsGainEstimator(forgetting=forgetting)
+    def __init__(self):
+        self.estimator = RlsGainEstimator()
         self.prev_queue = 0.0
         self.have_prev = False
-        self.errors: Deque[float] = deque(maxlen=window)
+        self.errors: Deque[float] = deque(maxlen=OSC_WINDOW)
         self.excluded = 0
         self.full_margins: Optional[StabilityMargins] = None
         self.last_update: Optional[SysIdUpdate] = None
@@ -182,43 +203,17 @@ class SysIdMonitor:
     bus, events relayed up with provenance) and on the live runtime.
     """
 
-    def __init__(self, bus: Optional[EventBus] = None, *,
-                 gains: Optional[ControllerGains] = None,
-                 forgetting: float = 0.7,
-                 min_samples: int = 8,
-                 saturation_alpha: float = 0.999,
-                 busy_backlog: float = 1.0,
-                 mismatch_ratio: float = 1.35,
-                 gain_margin_floor: float = 3.0,
-                 modulus_floor: float = 0.25,
-                 margin_sweep_every: int = 8,
-                 margin_sweep_points: int = 256,
-                 osc_window: int = 32):
-        if mismatch_ratio <= 1.0:
-            raise ValueError(f"mismatch ratio must exceed 1, got {mismatch_ratio}")
-        if margin_sweep_every < 1:
-            raise ValueError("margin_sweep_every must be >= 1")
+    def __init__(self, bus: Optional[EventBus] = None):
         # deferred: repro.core pulls in the engine stack, which imports
         # this package back — resolving the gains at construction time
         # keeps repro.obs importable from inside repro.dsms
         from ..core.pole_placement import paper_gains
         self.bus = bus if bus is not None else get_bus()
-        self.gains = gains if gains is not None else paper_gains()
-        self.forgetting = float(forgetting)
-        self.min_samples = int(min_samples)
-        self.saturation_alpha = float(saturation_alpha)
-        self.busy_backlog = float(busy_backlog)
-        self.mismatch_ratio = float(mismatch_ratio)
-        self.gain_margin_floor = float(gain_margin_floor)
-        self.modulus_floor = float(modulus_floor)
-        self.margin_sweep_every = int(margin_sweep_every)
-        self.margin_sweep_points = int(margin_sweep_points)
-        self.osc_window = int(osc_window)
         # The nominal CTRL open loop C(z)G(z): the controller gain H/(cT)
         # cancels the design plant gain cT/H, leaving a loop that depends
         # only on the pole-placement coefficients — so one precomputed
         # nominal is valid for every shard, whatever its cost or headroom.
-        g = self.gains
+        g = paper_gains()
         self.nominal_open_loop = TransferFunction(
             [g.b0, g.b1],
             [1.0, g.a - 1.0, -g.a],          # (z + a)(z - 1)
@@ -242,7 +237,7 @@ class SysIdMonitor:
     def _state(self, shard: str) -> _ShardSysId:
         state = self._shards.get(shard)
         if state is None:
-            state = _ShardSysId(self.forgetting, self.osc_window)
+            state = _ShardSysId()
             self._shards[shard] = state
         return state
 
@@ -263,12 +258,12 @@ class SysIdMonitor:
         # Δu: net tuples the period pushed into the virtual queue —
         # entry-admitted minus the retro-shed culled back out of it.
         du = float(record.admitted) - float(record.shed_retro)
-        saturated = record.alpha >= self.saturation_alpha
+        saturated = record.alpha >= SATURATION_ALPHA
         # busy guard: the integrator model only holds while the server is
         # busy end to end.  Requiring at least one full period's worth of
         # departures queued at *both* boundaries guarantees the queue
         # could not have emptied mid-period even with zero arrivals.
-        needed = self.busy_backlog * float(record.outflow_rate) * \
+        needed = BUSY_BACKLOG * float(record.outflow_rate) * \
             self._period_of(record)
         idle = (queue < max(needed, 1.0)
                 or (state.have_prev and state.prev_queue < max(needed, 1.0)))
@@ -282,7 +277,7 @@ class SysIdMonitor:
         state.have_prev = True
         state.errors.append(float(record.error))
 
-        converged = est.samples >= self.min_samples and est.service_rate > 0
+        converged = est.samples >= MIN_SAMPLES and est.service_rate > 0
         # Eq. 11: y = (q + 1) c_est / H  =>  H / c_est = (q + 1) / y
         ratio = 1.0
         identified_gain = 0.0
@@ -302,18 +297,18 @@ class SysIdMonitor:
         gain_margin = gm_nom / k_ratio if math.isfinite(gm_nom) else gm_nom
         if converged and k_ratio > 0 and (
                 state.full_margins is None
-                or record.k % self.margin_sweep_every == 0):
+                or record.k % MARGIN_SWEEP_EVERY == 0):
             state.full_margins = stability_margins(
                 k_ratio * self.nominal_open_loop,
-                n_points=self.margin_sweep_points)
+                n_points=MARGIN_SWEEP_POINTS)
         full = state.full_margins or self.nominal_margins
         osc = oscillation_score(state.errors)
 
         mismatch = converged and (
-            k_ratio > self.mismatch_ratio or k_ratio < 1.0 / self.mismatch_ratio)
+            k_ratio > MISMATCH_RATIO or k_ratio < 1.0 / MISMATCH_RATIO)
         eroded = converged and (
-            gain_margin < self.gain_margin_floor
-            or full.modulus_margin < self.modulus_floor)
+            gain_margin < GAIN_MARGIN_FLOOR
+            or full.modulus_margin < MODULUS_FLOOR)
 
         update = SysIdUpdate(
             k=record.k,
@@ -339,15 +334,15 @@ class SysIdMonitor:
             if mismatch:
                 self.bus.emit(ModelMismatch(
                     k=record.k, gain_ratio=k_ratio,
-                    threshold=self.mismatch_ratio,
+                    threshold=MISMATCH_RATIO,
                     identified_gain=identified_gain,
                     design_gain=design_gain, shard=shard))
             if eroded:
                 self.bus.emit(MarginEroded(
                     k=record.k, gain_margin=float(gain_margin),
-                    gain_margin_floor=self.gain_margin_floor,
+                    gain_margin_floor=GAIN_MARGIN_FLOOR,
                     modulus_margin=float(full.modulus_margin),
-                    modulus_floor=self.modulus_floor, shard=shard))
+                    modulus_floor=MODULUS_FLOOR, shard=shard))
 
     @staticmethod
     def _period_of(record) -> float:

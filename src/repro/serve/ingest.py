@@ -118,11 +118,10 @@ class IngestServer:
     """
 
     def __init__(self, buffer: IngestBuffer, host: str = "127.0.0.1",
-                 port: int = 0, default_source: str = "live"):
+                 port: int = 0):
         self.buffer = buffer
         self.host = host
         self.port = port
-        self.default_source = default_source
         self.malformed = 0
         self.bytes_read = 0
         self.connections = 0
@@ -205,8 +204,7 @@ class IngestServer:
                     break
                 self.bytes_read += len(line)
                 try:
-                    values, source, sent = decode_line(
-                        line, self.default_source)
+                    values, source, sent = decode_line(line)
                 except ServeError:
                     self.malformed += 1
                     continue

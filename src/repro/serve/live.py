@@ -50,6 +50,7 @@ from ..service.service import (
 )
 from ..service.shard import arm_loop, arm_shard, build_shard
 from .ingest import IngestBuffer, IngestServer
+from .protocol import DEFAULT_SOURCE
 
 
 class _LiveNode:
@@ -69,12 +70,8 @@ class _LiveNode:
     replayable rather than guessing.
     """
 
-    #: shard label on the node's IngestStats events (None: service-wide)
-    shard: Optional[str] = None
-
     def __init__(self, loops: Dict[str, ControlLoop], obs: ObsConfig,
                  clock: Optional[Clock], host: str, ingest_port: int,
-                 buffer_maxlen: int, default_source: str,
                  max_periods: Optional[int]):
         if max_periods is not None and max_periods <= 0:
             raise ServeError(f"max_periods must be positive: {max_periods}")
@@ -82,9 +79,8 @@ class _LiveNode:
         self._loops = list(loops.values())
         self.period = self._loops[0].period
         self.clock = clock if clock is not None else WallClock()
-        self.buffer = IngestBuffer(self.clock, maxlen=buffer_maxlen)
-        self.ingest = IngestServer(self.buffer, host=host, port=ingest_port,
-                                   default_source=default_source)
+        self.buffer = IngestBuffer(self.clock)
+        self.ingest = IngestServer(self.buffer, host=host, port=ingest_port)
         self.max_periods = max_periods
         self._records: List[RunRecord] = []
         self._lasts: List[PeriodRecord] = []
@@ -238,7 +234,6 @@ class _LiveNode:
                     skew=snap.skew_last,
                     jitter=self._jitter,
                     buffered=len(buffer),
-                    shard=self.shard,
                 ))
             prev = snap
             lasts = self._step(k, due)
@@ -294,17 +289,12 @@ class LiveRunner(_LiveNode):
                  clock: Optional[Clock] = None,
                  host: str = "127.0.0.1",
                  ingest_port: int = 0,
-                 buffer_maxlen: int = 100_000,
-                 default_source: str = "live",
                  max_periods: Optional[int] = None,
-                 shard: Optional[str] = None,
                  obs: ObsConfig = ObsConfig()):
         self.loop = loop
         self.entry_source = entry_source
-        self.shard = shard
-        arm_loop(loop, shard, 0, obs)
-        super().__init__({shard or "live": loop}, obs, clock, host,
-                         ingest_port, buffer_maxlen, default_source,
+        arm_loop(loop, None, 0, obs)
+        super().__init__({"live": loop}, obs, clock, host, ingest_port,
                          max_periods)
 
     @property
@@ -366,8 +356,6 @@ class LiveService(_LiveNode):
                  clock: Optional[Clock] = None,
                  host: str = "127.0.0.1",
                  ingest_port: int = 0,
-                 buffer_maxlen: int = 100_000,
-                 default_source: str = "live",
                  bus=None,
                  max_periods: Optional[int] = None,
                  obs: ObsConfig = ObsConfig()):
@@ -380,8 +368,7 @@ class LiveService(_LiveNode):
         for i, shard in enumerate(self.shards):
             arm_shard(shard, self.bus, i, obs)
         super().__init__({shard.name: shard.loop for shard in self.shards},
-                         obs, clock, host, ingest_port, buffer_maxlen,
-                         default_source, max_periods)
+                         obs, clock, host, ingest_port, max_periods)
 
     @property
     def records(self) -> Dict[str, RunRecord]:
@@ -414,8 +401,6 @@ def build_live_service(config, svc,
                        clock: Optional[Clock] = None,
                        host: str = "127.0.0.1",
                        ingest_port: int = 0,
-                       buffer_maxlen: int = 100_000,
-                       default_source: str = "live",
                        bus=None,
                        max_periods: Optional[int] = None) -> LiveService:
     """A complete multi-shard live node from ``(config, svc)`` specs.
@@ -428,12 +413,10 @@ def build_live_service(config, svc,
     real seconds and fed by a socket.
     """
     shards, table, coordinator = build_topology(
-        config, svc, default_source=default_source)
+        config, svc, default_source=DEFAULT_SOURCE)
     return LiveService(shards, table, coordinator,
                        clock=clock, host=host, ingest_port=ingest_port,
-                       buffer_maxlen=buffer_maxlen,
-                       default_source=default_source, bus=bus,
-                       max_periods=max_periods, obs=svc)
+                       bus=bus, max_periods=max_periods, obs=svc)
 
 
 def build_live_runner(config,
@@ -442,9 +425,6 @@ def build_live_runner(config,
                       host: str = "127.0.0.1",
                       ingest_port: int = 0,
                       max_periods: Optional[int] = None,
-                      buffer_maxlen: int = 100_000,
-                      engine_seed: int = 0,
-                      shard: Optional[str] = None,
                       obs: ObsConfig = ObsConfig()) -> LiveRunner:
     """A complete live node from an ExperimentConfig.
 
@@ -453,17 +433,14 @@ def build_live_runner(config,
     the config's headroom/target), then wraps its loop in a
     :class:`LiveRunner` listening on ``host:ingest_port``.
     """
-    built = build_shard(shard or "live", config,
+    built = build_shard("live", config,
                         headroom=config.headroom,
                         target=config.target,
                         strategy=strategy,
-                        engine_seed=engine_seed,
                         backend=backend)
     return LiveRunner(built.loop,
                       entry_source=built.entry_source,
                       host=host,
                       ingest_port=ingest_port,
                       max_periods=max_periods,
-                      buffer_maxlen=buffer_maxlen,
-                      shard=shard,
                       obs=obs)

@@ -53,7 +53,12 @@ def _csv_values(text: str) -> Tuple:
     return tuple(values)
 
 
-def decode_line(line: bytes, default_source: str = "live",
+#: source name of a tuple whose frame names none (every bare CSV line);
+#: a live service's pins-only routing table pins it to shard 0
+DEFAULT_SOURCE = "live"
+
+
+def decode_line(line: bytes, default_source: str = DEFAULT_SOURCE,
                 ) -> Tuple[Tuple, str, Optional[float]]:
     """Parse one framed line into ``(values, source, sent_epoch)``.
 

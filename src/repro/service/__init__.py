@@ -21,7 +21,7 @@ coordinated loops stay stable.
 from .config import DEFAULT_TOTAL_HEADROOM, FleetConfig, ServiceConfig
 from .coordinator import MODES, HeadroomCoordinator, MigrationPolicy
 from .fleet import ProcessFleet, ShardProxy, build_fleet
-from .router import RouteEntry, RoutingTable, StreamRouter, make_router
+from .router import RouteEntry, RoutingTable, make_router
 from .service import (
     PeriodDispatcher,
     ServiceResult,
@@ -32,7 +32,6 @@ from .service import (
     run_service_period,
 )
 from .shard import (
-    SHARD_CONTROLLERS,
     DrainReport,
     EngineShard,
     arm_shard,
@@ -51,11 +50,9 @@ __all__ = [
     "ProcessFleet",
     "RouteEntry",
     "RoutingTable",
-    "SHARD_CONTROLLERS",
     "ServiceConfig",
     "ServiceResult",
     "ShardProxy",
-    "StreamRouter",
     "StreamService",
     "arm_shard",
     "build_fleet",

@@ -18,6 +18,9 @@ from ..obs.attach import ObsConfig
 #: default machine-level CPU fraction available for query processing —
 #: the paper's H, now shared by all shards on the machine
 DEFAULT_TOTAL_HEADROOM = 0.97
+#: smallest per-shard CPU share the headroom rebalancer's box projection
+#: may allocate (a shard's H must stay positive: the plant gain is cT/H)
+HEADROOM_FLOOR = 0.02
 
 
 @dataclass(frozen=True)
@@ -32,18 +35,14 @@ class ServiceConfig(ObsConfig):
     error: ClassVar[type] = ServiceError
 
     n_shards: int = 4
-    router: str = "explicit"            # 'hash' | 'explicit'
     mode: str = "headroom"              # 'independent' | 'target' | 'headroom'
-    rebalance_gain: float = 0.5
     total_headroom: float = DEFAULT_TOTAL_HEADROOM
-    headroom_floor: float = 0.02
     headroom_ceiling: float = 0.97
     loss_bound: Optional[float] = None  # global drop SLA (fraction), None = off
     strategy: str = "CTRL"              # per-shard controller
     #: engine backend per shard, resolved through repro.dsms.make_engine
     #: ('full' | 'fluid')
     backend: str = "full"
-    drain_max_extra: float = 600.0
     # skew/hotspot workload shape
     n_sources: int = 4
     hotspot_factor: float = 3.0
@@ -58,12 +57,6 @@ class ServiceConfig(ObsConfig):
     migration_patience: int = 4
     #: periods to wait after any migration before considering another
     migration_cooldown: int = 12
-    #: headroom deficit (demand - allocation) that counts as "still hot"
-    migration_deficit: float = 0.10
-    #: virtual seconds the old shard may spend draining at cutover
-    migration_drain_budget: float = 5.0
-    #: hard cap on moves per run; None = unlimited
-    max_migrations: Optional[int] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -90,10 +83,10 @@ class ServiceConfig(ObsConfig):
                 f"hotspot factor must be positive, got {self.hotspot_factor}"
             )
         share = self.total_headroom / self.n_shards
-        if not self.headroom_floor <= share <= self.headroom_ceiling:
+        if not HEADROOM_FLOOR <= share <= self.headroom_ceiling:
             raise ServiceError(
                 f"equal split {share:.4f} falls outside the per-shard bounds "
-                f"[{self.headroom_floor}, {self.headroom_ceiling}]"
+                f"[{HEADROOM_FLOOR}, {self.headroom_ceiling}]"
             )
         if self.migration_patience < 1:
             raise ServiceError(
@@ -104,19 +97,6 @@ class ServiceConfig(ObsConfig):
             raise ServiceError(
                 f"migration_cooldown must be >= 0, got "
                 f"{self.migration_cooldown}"
-            )
-        if self.migration_deficit < 0:
-            raise ServiceError(
-                f"migration_deficit must be >= 0, got {self.migration_deficit}"
-            )
-        if self.migration_drain_budget < 0:
-            raise ServiceError(
-                f"migration_drain_budget must be >= 0, got "
-                f"{self.migration_drain_budget}"
-            )
-        if self.max_migrations is not None and self.max_migrations < 0:
-            raise ServiceError(
-                f"max_migrations must be >= 0, got {self.max_migrations}"
             )
         if self.migration and self.mode != "headroom":
             raise ServiceError(
@@ -137,7 +117,7 @@ class ServiceConfig(ObsConfig):
         return [self.total_headroom / self.n_shards] * self.n_shards
 
     def default_assignments(self) -> dict:
-        """Round-robin source -> shard pinning for the explicit router."""
+        """Round-robin source -> shard pinning of the routing table."""
         return {name: j % self.n_shards
                 for j, name in enumerate(self.source_names)}
 
@@ -169,9 +149,6 @@ class FleetConfig(ServiceConfig):
     #: how many times one shard's worker may die and be replayed before
     #: the whole run is declared failed
     max_restarts: int = 2
-    #: multiprocessing start method; None picks ``fork`` when the
-    #: platform offers it (cheapest spawn), else the platform default
-    start_method: Optional[str] = None
     #: forward worker events to the parent bus through an EventRelay
     #: (implied by ``serve``/``health``, which consume parent-side events)
     relay: bool = False

@@ -49,10 +49,20 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..errors import ServiceError
 from ..metrics.recorder import PeriodRecord
 from ..obs.events import ShardRebalanced
+from .config import HEADROOM_FLOOR
 from .router import RoutingTable
 from .shard import EngineShard
 
 MODES = ("independent", "target", "headroom")
+
+#: headroom deficit (demand - allocation) that counts as "still hot"
+HOT_DEFICIT = 0.10
+#: EWMA weight of the newest period in the per-source tuple-count estimate
+#: (the placement signal): smooth over bursts, follow a shifted hotspot
+#: within the default patience
+SOURCE_RATE_ALPHA = 0.3
+#: virtual seconds the old shard may spend draining at cutover
+DRAIN_BUDGET = 5.0
 
 
 class MigrationPolicy:
@@ -60,7 +70,7 @@ class MigrationPolicy:
 
     Observes each period's headroom-rebalance outcome: a shard whose
     demand still exceeds its (gain-smoothed) allocation by more than
-    ``deficit`` for ``patience`` consecutive periods is declared stuck —
+    ``HOT_DEFICIT`` for ``patience`` consecutive periods is declared stuck —
     rebalancing alone cannot fix it (typically because the per-shard
     ceiling binds). The policy then plans one move: the source on the
     hot shard whose estimated CPU share best fits the transferable gap,
@@ -72,33 +82,19 @@ class MigrationPolicy:
     """
 
     def __init__(self, patience: int = 4, cooldown: int = 12,
-                 deficit: float = 0.10,
-                 max_migrations: Optional[int] = None,
-                 ewma_alpha: float = 0.3,
-                 drain_budget: float = 5.0):
+                 max_migrations: Optional[int] = None):
         if patience < 1:
             raise ServiceError(f"migration patience must be >= 1, "
                                f"got {patience}")
         if cooldown < 0:
             raise ServiceError(f"migration cooldown must be >= 0, "
                                f"got {cooldown}")
-        if deficit < 0:
-            raise ServiceError(f"migration deficit must be >= 0, "
-                               f"got {deficit}")
         if max_migrations is not None and max_migrations < 0:
             raise ServiceError(f"max_migrations must be >= 0, "
                                f"got {max_migrations}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ServiceError(f"ewma alpha {ewma_alpha} outside (0, 1]")
-        if drain_budget < 0:
-            raise ServiceError(f"drain budget must be >= 0, "
-                               f"got {drain_budget}")
-        self.drain_budget = drain_budget
         self.patience = patience
         self.cooldown = cooldown
-        self.deficit = deficit
         self.max_migrations = max_migrations
-        self.ewma_alpha = ewma_alpha
         #: smoothed per-source tuple counts per period (the placement signal)
         self.source_rates: Dict[str, float] = {}
         self._streaks: Dict[int, int] = {}
@@ -115,7 +111,7 @@ class MigrationPolicy:
         The plan is ``{"source", "from", "to", "deficit", "budget"}`` —
         the runtime that executes it appends the cutover ``epoch``.
         """
-        a = self.ewma_alpha
+        a = SOURCE_RATE_ALPHA
         for source in sorted(source_counts):
             prev = self.source_rates.get(source)
             count = float(source_counts[source])
@@ -128,7 +124,7 @@ class MigrationPolicy:
             return None
         deficits = [d - h for d, h in zip(demands, headrooms)]
         for i, gap in enumerate(deficits):
-            if gap > self.deficit:
+            if gap > HOT_DEFICIT:
                 self._streaks[i] = self._streaks.get(i, 0) + 1
             else:
                 self._streaks[i] = 0
@@ -163,7 +159,7 @@ class MigrationPolicy:
         self._last_migration_k = k
         self.migrations += 1
         return {"source": source, "from": hot, "to": cold,
-                "deficit": deficits[hot], "budget": self.drain_budget}
+                "deficit": deficits[hot], "budget": DRAIN_BUDGET}
 
     def _shard_sources(self, table: RoutingTable) -> Dict[int, List[str]]:
         out: Dict[int, List[str]] = {}
@@ -195,7 +191,7 @@ class HeadroomCoordinator:
 
     def __init__(self, mode: str = "headroom",
                  gain: float = 0.5,
-                 headroom_floor: float = 0.02,
+                 headroom_floor: float = HEADROOM_FLOOR,
                  headroom_ceiling: float = 0.97,
                  target_floor_fraction: float = 0.25,
                  loss_bound: Optional[float] = None,

@@ -346,13 +346,6 @@ class ProcessFleet(RecordedRun):
                 "per-period tracing does not cross the process boundary; "
                 "run the lockstep StreamService with trace=True instead"
             )
-        if svc.start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if svc.start_method not in available:
-                raise ServiceError(
-                    f"start method {svc.start_method!r} unavailable here; "
-                    f"pick from {available}"
-                )
         self.config = config
         self.svc = svc
         self.bus = bus if bus is not None else get_bus()
@@ -390,12 +383,13 @@ class ProcessFleet(RecordedRun):
                 epoch=state.epoch if state else 0)
         return doc
 
-    def _mp_context(self):
-        method = self.svc.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else None
-        return multiprocessing.get_context(method)
+    @staticmethod
+    def _mp_context():
+        # fork where the platform offers it (cheapest spawn), else its default
+        try:
+            return multiprocessing.get_context("fork")
+        except ValueError:
+            return multiprocessing.get_context()
 
     def _run(self, arrivals: Sequence[Arrival],
              duration: float) -> ServiceResult:

@@ -33,25 +33,11 @@ a configuration error, not a silent hash placement).
 
 from __future__ import annotations
 
-import abc
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..errors import ServiceError
-
-
-class StreamRouter(abc.ABC):
-    """Maps source names to shard indices in ``[0, n_shards)``."""
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ServiceError(f"need at least one shard, got {n_shards}")
-        self.n_shards = n_shards
-
-    @abc.abstractmethod
-    def shard_of(self, source: str) -> int:
-        """The shard index serving ``source``."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +51,8 @@ class RouteEntry:
     pinned: bool    # explicit pin vs CRC32 fallback
 
 
-class RoutingTable(StreamRouter):
-    """Versioned, mutable source -> shard mapping.
+class RoutingTable:
+    """Versioned, mutable source -> shard mapping in ``[0, n_shards)``.
 
     The one routing abstraction every runtime shares: the lockstep
     :class:`~repro.service.service.StreamService` routes each period's
@@ -85,7 +71,9 @@ class RoutingTable(StreamRouter):
     def __init__(self, n_shards: int,
                  pins: Optional[Mapping[str, int]] = None,
                  hash_fallback: bool = True):
-        super().__init__(n_shards)
+        if n_shards < 1:
+            raise ServiceError(f"need at least one shard, got {n_shards}")
+        self.n_shards = n_shards
         self.hash_fallback = hash_fallback
         self.epoch = 0
         self._pins: Dict[str, int] = {}
@@ -101,6 +89,7 @@ class RoutingTable(StreamRouter):
     # lookups
     # ------------------------------------------------------------------ #
     def shard_of(self, source: str) -> int:
+        """The shard index serving ``source``."""
         shard = self._memo.get(source)
         if shard is not None:
             return shard

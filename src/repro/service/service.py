@@ -42,7 +42,7 @@ from ..obs.bus import get_bus
 from ..obs.events import RouteChanged
 from .config import ServiceConfig
 from .coordinator import HeadroomCoordinator, MigrationPolicy
-from .router import RoutingTable, StreamRouter, make_router
+from .router import RoutingTable, make_router
 from .shard import (SEED_STRIDE, DrainReport, EngineShard, arm_shard,
                     build_shard)
 
@@ -84,7 +84,7 @@ class PeriodDispatcher:
     server's ingest buffer does its own slicing.
     """
 
-    def __init__(self, router: StreamRouter, arrivals: Sequence[Arrival]):
+    def __init__(self, router: RoutingTable, arrivals: Sequence[Arrival]):
         self.router = router
         self._iter: Iterator[Arrival] = iter(arrivals)
         self._pending: Optional[Arrival] = next(self._iter, None)
@@ -115,7 +115,7 @@ def execute_migration(k: int, plan: dict, shards: Sequence[EngineShard],
     source = plan["source"]
     src, dst = plan["from"], plan["to"]
     report = shards[src].drain_source(
-        source, plan.get("budget", 5.0), k=k, from_shard=src, to_shard=dst)
+        source, plan["budget"], k=k, from_shard=src, to_shard=dst)
     epoch = table.migrate(source, src, dst)
     plan["epoch"] = epoch
     if bus:
@@ -271,7 +271,7 @@ def topology_status(coordinator: HeadroomCoordinator, table,
 
 
 def check_topology(shards: Sequence[EngineShard],
-                   router: StreamRouter) -> float:
+                   router: RoutingTable) -> float:
     """Validate what an in-process runtime steps; returns the period.
 
     One coordinator observes all shards at once (one shared period), and
@@ -356,7 +356,7 @@ class RecordedRun:
 class StreamService(RecordedRun):
     """N engine shards, a stream router, and a global coordinator."""
 
-    def __init__(self, shards: Sequence[EngineShard], router: StreamRouter,
+    def __init__(self, shards: Sequence[EngineShard], router: RoutingTable,
                  coordinator: HeadroomCoordinator,
                  bus=None, obs: ObsConfig = ObsConfig()):
         self.period = check_topology(shards, router)
@@ -376,14 +376,13 @@ class StreamService(RecordedRun):
              duration: float) -> ServiceResult:
         wall_start = _time.perf_counter()
         n_periods = int(round(duration / self.period))
-        table = self.router if isinstance(self.router, RoutingTable) else None
         dispatcher = PeriodDispatcher(self.router, arrivals)
         records = [shard.loop.begin() for shard in self.shards]
         for k in range(n_periods):
             run_service_period(
                 k, dispatcher.take((k + 1) * self.period),
                 self.router.shard_of, self.shards, records,
-                self.coordinator, table,
+                self.coordinator, self.router,
                 bus=self.bus, tracer=self.observers.tracer)
             self._k = k
         for shard, record in zip(self.shards, records):
@@ -409,7 +408,6 @@ def shard_build_spec(config: "ExperimentConfig", svc: ServiceConfig,
         target=config.target,
         strategy=svc.strategy,
         engine_seed=config.seed + SEED_STRIDE * (index + 1),
-        drain_max_extra=svc.drain_max_extra,
         backend=svc.backend,
     )
 
@@ -418,9 +416,8 @@ def build_control_plane(svc: ServiceConfig,
                         default_source: Optional[str] = None
                         ) -> Tuple[RoutingTable, HeadroomCoordinator]:
     """The routing table and coordinator (migration policy included)."""
-    assignments = (svc.default_assignments()
-                   if svc.router == "explicit" else None)
-    if assignments is not None and default_source is not None:
+    assignments = svc.default_assignments()
+    if default_source is not None:
         # bare wire tuples carry no source field and fall back to
         # default_source; a pins-only table must know where to put them
         assignments.setdefault(default_source, 0)
@@ -429,19 +426,14 @@ def build_control_plane(svc: ServiceConfig,
         policy = MigrationPolicy(
             patience=svc.migration_patience,
             cooldown=svc.migration_cooldown,
-            deficit=svc.migration_deficit,
-            max_migrations=svc.max_migrations,
-            drain_budget=svc.migration_drain_budget,
         )
     coordinator = HeadroomCoordinator(
         mode=svc.mode,
-        gain=svc.rebalance_gain,
-        headroom_floor=svc.headroom_floor,
         headroom_ceiling=svc.headroom_ceiling,
         loss_bound=svc.loss_bound,
         migration_policy=policy,
     )
-    return make_router(svc.router, svc.n_shards, assignments), coordinator
+    return make_router("explicit", svc.n_shards, assignments), coordinator
 
 
 def build_topology(config: "ExperimentConfig", svc: ServiceConfig,

@@ -27,19 +27,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core import (
-    AdaptiveController,
-    AuroraOpenLoopController,
-    BackpressureController,
-    BaselineController,
+    STRATEGIES,
     ControlLoop,
-    Controller,
     DsmsModel,
     EntryActuator,
     Monitor,
-    PolePlacementController,
 )
 from ..dsms import EngineProtocol, identification_network, make_engine
 from ..errors import ServiceError
@@ -77,16 +72,6 @@ class DrainReport:
     leftover: int           # still queued when the drain stopped
     virtual_seconds: float  # engine-clock time the drain consumed
     truncated: bool
-
-
-#: controller factories a picklable service spec may name
-SHARD_CONTROLLERS: Dict[str, Callable[[DsmsModel], Controller]] = {
-    "CTRL": PolePlacementController,
-    "BASELINE": BaselineController,
-    "AURORA": AuroraOpenLoopController,
-    "BACKPRESSURE": BackpressureController,
-    "ADAPTIVE": AdaptiveController,
-}
 
 
 class EngineShard:
@@ -255,7 +240,6 @@ def build_shard(name: str,
                 target: float,
                 strategy: str = "CTRL",
                 engine_seed: int = 0,
-                drain_max_extra: float = 600.0,
                 backend: str = "full") -> EngineShard:
     """A fresh identification-network shard at the given headroom share.
 
@@ -265,11 +249,11 @@ def build_shard(name: str,
     virtual queue (cheaper fleets for policy studies).
     """
     try:
-        factory = SHARD_CONTROLLERS[strategy]
+        factory = STRATEGIES[strategy]
     except KeyError:
         raise ServiceError(
             f"unknown shard strategy {strategy!r}; "
-            f"pick from {sorted(SHARD_CONTROLLERS)}"
+            f"pick from {sorted(STRATEGIES)}"
         ) from None
     if backend == "full":
         network = identification_network(capacity=config.capacity)
@@ -289,7 +273,6 @@ def build_shard(name: str,
         target=target,
         period=config.period,
         cycle_cost=config.control_overhead,
-        drain_max_extra=drain_max_extra,
     )
     return EngineShard(name, engine, loop, model, base_target=target)
 

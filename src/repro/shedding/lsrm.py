@@ -98,10 +98,9 @@ class LsrmShedder(LoadShedder):
     """Executes LSRM plans against a live engine."""
 
     def __init__(self, engine: Engine,
-                 rng: Optional[random.Random] = None,
-                 selectivities: Optional[Dict[str, float]] = None):
+                 rng: Optional[random.Random] = None):
         super().__init__(engine, rng)
-        self.roadmap = LoadSheddingRoadmap(engine.network, selectivities)
+        self.roadmap = LoadSheddingRoadmap(engine.network)
 
     def refresh(self) -> None:
         """Rebuild the roadmap from current observed selectivities."""

@@ -24,6 +24,22 @@ from repro.experiments import (
 CFG = ExperimentConfig(duration=120.0)
 
 
+class TestConfigValidation:
+    def test_unknown_engine_backend_rejected_at_construction(self):
+        with pytest.raises(ExperimentError, match="fluid, full"):
+            ExperimentConfig(engine_backend="hologram")
+
+    @pytest.mark.parametrize("knobs", [
+        {"capacity": 0.0}, {"period": 0.0}, {"duration": -1.0},
+        {"headroom": 0.0}, {"headroom": 1.5},
+    ])
+    def test_out_of_range_values_rejected(self, knobs):
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(**knobs)
+        with pytest.raises(ExperimentError):
+            CFG.scaled(**knobs)
+
+
 class TestRunner:
     def test_unknown_strategy_rejected(self):
         wl = make_workload("web", CFG)

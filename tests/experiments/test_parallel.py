@@ -38,6 +38,11 @@ class TestJobSpec:
             Job(strategy="CTRL", config=CFG, workload_kind="web",
                 estimator="nope")
 
+    def test_rejects_unknown_engine_kind_at_construction(self):
+        with pytest.raises(ExperimentError, match="fluid, full"):
+            Job(strategy="CTRL", config=CFG, workload_kind="web",
+                engine_kind="hologram")
+
     def test_seed_override(self):
         job = Job(strategy="CTRL", config=CFG, workload_kind="web", seed=7)
         assert job.resolved_config().seed == 7

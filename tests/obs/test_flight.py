@@ -168,6 +168,8 @@ class TestServiceBundles:
         doc = load_bundle(result.incidents[0])
         assert doc["runtime"] == "lockstep"
         assert doc["service"]["n_shards"] == 2
+        # as a bundle recorded before that field was retired carries it
+        doc["service"]["rebalance_gain"] = 0.5
         diff = replay_bundle(doc)
         assert diff.ok and diff.compared > 0
 

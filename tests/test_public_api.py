@@ -121,3 +121,37 @@ def test_design_md_tree_matches_the_source_tree():
 
     assert named == actual, (f"not under src/: {rel(named - actual)}; "
                              f"not in DESIGN.md: {rel(actual - named)}")
+
+
+#: config fields no caller needs to set, each with the reason it stays a
+#: field; asserted to still be unset so an exemption cannot go stale
+UNSET_FIELD_EXEMPTIONS = {
+    "serve_port": "an address: a deployment setting, like host and paths",
+}
+
+
+def test_every_config_field_is_set_by_some_caller():
+    """A config field nobody passes is a constant: every field of the three
+    config dataclasses is a keyword of some call outside its own module."""
+    from dataclasses import fields
+
+    from repro.obs import ObsConfig
+    from repro.service import FleetConfig, ServiceConfig
+
+    declared = {}
+    for config in (ObsConfig, ServiceConfig, FleetConfig):
+        module = Path(sys.modules[config.__module__].__file__)
+        for f in fields(config):
+            declared.setdefault(f.name, module)  # first = the declaring class
+    passed = {}
+    for root in ("src", "examples", "benchmarks", ".github", "tests"):
+        for path in (ROOT / root).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    for kw in node.keywords:
+                        passed.setdefault(kw.arg, set()).add(path)
+    unset = {name for name, module in declared.items()
+             if not passed.get(name, set()) - {module}}
+    assert unset == set(UNSET_FIELD_EXEMPTIONS), (
+        f"never set: {sorted(unset - set(UNSET_FIELD_EXEMPTIONS))}; "
+        f"stale exemption: {sorted(set(UNSET_FIELD_EXEMPTIONS) - unset)}")
