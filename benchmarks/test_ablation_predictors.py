@@ -23,19 +23,18 @@ PREDICTORS = {
 
 
 def _run(workload, cfg, predictor_cls):
-    from repro.core import (ControlLoop, DsmsModel, EntryActuator, Monitor,
-                            PolePlacementController)
-    from repro.experiments import build_engine, make_cost_trace
+    from repro.core import EntryActuator, PolePlacementController
+    from repro.experiments import make_cost_trace
+    from repro.service import build_loop
+    from repro.service.shard import build_engine
     from repro.workloads import arrivals_from_trace
 
-    engine = build_engine(cfg, make_cost_trace(cfg))
-    model = DsmsModel(cost=cfg.base_cost, headroom=cfg.headroom,
-                      period=cfg.period)
-    monitor = Monitor(engine, model, cost_estimator=cfg.make_cost_estimator())
-    loop = ControlLoop(engine, PolePlacementController(model), monitor,
-                       EntryActuator(), target=cfg.target, period=cfg.period,
-                       cycle_cost=cfg.control_overhead,
-                       predictor=predictor_cls() if predictor_cls else None)
+    engine = build_engine(cfg, "full", headroom=cfg.headroom, seed=0,
+                          cost_trace=make_cost_trace(cfg))
+    loop = build_loop(cfg, PolePlacementController, engine=engine,
+                      actuator=EntryActuator(), target=cfg.target,
+                      estimator=cfg.make_cost_estimator())
+    loop.predictor = predictor_cls() if predictor_cls else None
     arrivals = arrivals_from_trace(workload, poisson=True, seed=cfg.seed)
     return loop.run(arrivals, cfg.duration)
 

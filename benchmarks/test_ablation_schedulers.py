@@ -12,7 +12,7 @@ import statistics
 from repro.experiments import Job, run_jobs
 from repro.metrics.report import format_table
 
-#: display label -> picklable scheduler spec (see make_scheduler)
+#: display label -> scheduler spec (repro.dsms.scheduler.make_scheduler)
 SCHEDULERS = {
     "depth-first (virtual FIFO)": "depth_first",
     "round-robin trains": "round_robin",

@@ -10,15 +10,14 @@ while retaining substantially more utility mass.
 import random
 
 from repro.core import (
-    ControlLoop,
-    DsmsModel,
     EntryActuator,
-    Monitor,
     PolePlacementController,
     SemanticEntryActuator,
 )
-from repro.experiments import build_engine, make_cost_trace, make_workload
+from repro.experiments import make_cost_trace, make_workload
 from repro.metrics.report import format_table
+from repro.service import build_loop
+from repro.service.shard import build_engine
 from repro.workloads import arrivals_from_trace
 
 
@@ -28,14 +27,11 @@ def test_ablation_semantic(benchmark, config, save_report):
     cost_trace = make_cost_trace(cfg)
 
     def run(actuator):
-        engine = build_engine(cfg, cost_trace)
-        model = DsmsModel(cost=cfg.base_cost, headroom=cfg.headroom,
-                          period=cfg.period)
-        monitor = Monitor(engine, model,
-                          cost_estimator=cfg.make_cost_estimator())
-        loop = ControlLoop(engine, PolePlacementController(model), monitor,
-                           actuator, target=cfg.target, period=cfg.period,
-                           cycle_cost=cfg.control_overhead)
+        engine = build_engine(cfg, "full", headroom=cfg.headroom, seed=0,
+                              cost_trace=cost_trace)
+        loop = build_loop(cfg, PolePlacementController, engine=engine,
+                          actuator=actuator, target=cfg.target,
+                          estimator=cfg.make_cost_estimator())
         arrivals = arrivals_from_trace(workload, poisson=True, seed=cfg.seed)
         return loop.run(arrivals, cfg.duration)
 

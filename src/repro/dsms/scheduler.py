@@ -189,3 +189,30 @@ class DepthFirstScheduler(Scheduler):
     def reset(self) -> None:
         # stateless between tuples; the order is computed once in __init__
         pass
+
+
+def make_scheduler(spec: Optional[str],
+                   network: QueryNetwork) -> Optional[Scheduler]:
+    """Build a scheduler from a picklable spec string.
+
+    ``None`` keeps the engine default (depth-first). Recognized specs:
+    ``'depth_first'``, ``'round_robin'``, and ``'round_robin:<batch>'``.
+    """
+    if spec is None:
+        return None
+    if spec == "depth_first":
+        return DepthFirstScheduler(network)
+    if spec == "round_robin":
+        return RoundRobinScheduler(network)
+    if spec.startswith("round_robin:"):
+        try:
+            batch = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise SchedulingError(
+                f"bad round_robin batch in scheduler spec {spec!r}"
+            ) from None
+        return RoundRobinScheduler(network, batch=batch)
+    raise SchedulingError(
+        f"unknown scheduler spec {spec!r}; use 'depth_first', "
+        "'round_robin' or 'round_robin:<batch>'"
+    )

@@ -35,9 +35,7 @@ from .robustness import (
 from .runner import (
     ACTUATORS,
     STRATEGIES,
-    build_engine,
     make_cost_trace,
-    make_scheduler,
     make_workload,
     run_all_strategies,
     run_strategy,
@@ -91,7 +89,6 @@ __all__ = [
     "SetpointResult",
     "StepResponseResult",
     "aurora_retuned",
-    "build_engine",
     "build_service_workload",
     "burstiness_sweep",
     "compare_both_workloads",
@@ -101,7 +98,6 @@ __all__ = [
     "default_workers",
     "execute_job",
     "make_cost_trace",
-    "make_scheduler",
     "make_workload",
     "model_verification",
     "open_loop_run",

@@ -50,18 +50,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import (
-    STRATEGIES,
-    ControlLoop,
-    DsmsModel,
-    Monitor,
-    SamplingActuator,
-)
+from ..core import STRATEGIES, SamplingActuator
 from ..core.pole_placement import design_gains
-from ..dsms import make_engine
 from ..errors import ExperimentError
 from ..metrics.qos import QosMetrics
 from ..metrics.recorder import PeriodRecord, RunRecord
+from ..service.shard import build_engine, build_loop
 from ..workloads import cached_arrivals_from_trace
 from .config import ExperimentConfig
 from .runner import make_cost_trace, make_workload
@@ -215,11 +209,8 @@ def _build_schedule(config: ExperimentConfig, cost_trace,
     K = config.n_periods
     h = config.headroom
     cycle = config.control_overhead
-    base = config.base_cost
-    mult = (cost_trace.as_multiplier(base) if cost_trace is not None
-            else None)
-    engine = make_engine("fluid", cost=base, headroom=h,
-                         cost_multiplier=mult)
+    engine = build_engine(config, "fluid", headroom=h, seed=0,
+                          cost_trace=cost_trace)
     cpu = np.zeros(K)
     it = iter(arrivals)
     pending = next(it, None)
@@ -743,26 +734,19 @@ def scalar_reference(point: GridPoint) -> Tuple[QosMetrics, float]:
     """
     config = point.config
     _, cost_trace, arrivals = _point_inputs(point)
-    multiplier = (cost_trace.as_multiplier(config.base_cost)
-                  if cost_trace is not None else None)
-    engine = make_engine("fluid", cost=config.base_cost,
-                         headroom=config.headroom,
-                         cost_multiplier=multiplier)
-    model = DsmsModel(cost=config.base_cost, headroom=config.headroom,
-                      period=config.period)
-    monitor = Monitor(engine, model,
-                      cost_estimator=config.make_cost_estimator())
     kwargs = {}
     if point.strategy == "AURORA" and point.headroom_override is not None:
         kwargs["headroom_override"] = point.headroom_override
     if point.strategy == "BACKPRESSURE":
         kwargs["max_queue"] = point.max_queue
-    controller = STRATEGIES[point.strategy](model, **kwargs)
-    loop = ControlLoop(
-        engine, controller, monitor, SamplingActuator(),
+    engine = build_engine(config, "fluid", headroom=config.headroom,
+                          seed=0, cost_trace=cost_trace)
+    loop = build_loop(
+        config, STRATEGIES[point.strategy], engine=engine,
+        actuator=SamplingActuator(),
         target=point.resolved_target,
-        period=config.period,
-        cycle_cost=config.control_overhead,
+        estimator=config.make_cost_estimator(),
+        controller_kwargs=kwargs,
         charge_cycle_within_period=True,
     )
     start = _time.perf_counter()

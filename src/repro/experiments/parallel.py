@@ -47,13 +47,13 @@ from ..core.estimation import (
     LastValueEstimator,
     WindowMedianEstimator,
 )
-from ..dsms import BACKENDS
 from ..errors import ExperimentError
 from ..metrics.recorder import RunRecord
 from ..service.config import ServiceConfig
 from ..workloads import CostTrace, RateTrace
 from .config import ExperimentConfig
-from .runner import make_cost_trace, make_workload, run_strategy
+from .runner import (check_run_options, make_cost_trace, make_workload,
+                     run_strategy)
 
 #: sentinel for "derive the Fig. 14 cost trace from the job's config"
 AUTO = "auto"
@@ -90,10 +90,10 @@ class Job:
     target: Union[float, Callable[[int], float], None] = None
     controller_kwargs: Optional[dict] = None
     estimator: Optional[str] = None       # key into ESTIMATOR_SPECS
-    #: engine backend name for repro.dsms.make_engine ('full' | 'fluid');
+    #: engine backend name ('full' | 'fluid');
     #: None follows the job config's ``engine_backend``
     engine_kind: Optional[str] = None
-    scheduler: Optional[str] = None       # spec string, see runner.make_scheduler
+    scheduler: Optional[str] = None       # spec string, see make_scheduler
     seed: Optional[int] = None            # overrides config.seed when set
     arrival_seed: Optional[int] = None
     key: Optional[str] = None             # caller-chosen label
@@ -117,11 +117,9 @@ class Job:
                 f"unknown estimator spec {self.estimator!r}; "
                 f"pick from {sorted(ESTIMATOR_SPECS)}"
             )
-        if self.engine_kind is not None and self.engine_kind not in BACKENDS:
-            raise ExperimentError(
-                f"unknown engine kind {self.engine_kind!r}; pick from "
-                f"{', '.join(sorted(BACKENDS))}"
-            )
+        engine_kind = (self.resolved_config().engine_backend
+                       if self.engine_kind is None else self.engine_kind)
+        check_run_options(self.actuator, engine_kind, self.scheduler, 1.0)
 
     @property
     def label(self) -> str:

@@ -1,4 +1,4 @@
-"""Shared machinery: build an engine + control loop and run one strategy."""
+"""Shared machinery: run one strategy through the one loop assembly."""
 
 from __future__ import annotations
 
@@ -7,24 +7,16 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..core import (
     STRATEGIES,
-    ControlLoop,
     Controller,
     DsmsModel,
     EntryActuator,
     InNetworkActuator,
-    Monitor,
 )
-from ..dsms import (
-    DepthFirstScheduler,
-    Engine,
-    RoundRobinScheduler,
-    Scheduler,
-    identification_network,
-    make_engine,
-)
+from ..dsms import BACKENDS
 from ..errors import ExperimentError
 from ..metrics.recorder import RunRecord
 from ..obs.logconf import get_logger
+from ..service.shard import build_engine, build_loop
 from ..shedding import LsrmShedder, QueueShedder
 from ..workloads import (
     CostTrace,
@@ -64,47 +56,30 @@ def make_cost_trace(config: ExperimentConfig) -> Optional[CostTrace]:
                             seed=config.seed)
 
 
-def make_scheduler(spec: Optional[str], network) -> Optional[Scheduler]:
-    """Build a scheduler from a picklable spec string.
+def check_run_options(actuator: str, engine_kind: str,
+                      scheduler: Optional[str], alpha_cap: float) -> None:
+    """Reject an actuator / backend / scheduler / cap combination up front.
 
-    ``None`` keeps the engine default (depth-first). Recognized specs:
-    ``'depth_first'``, ``'round_robin'``, and ``'round_robin:<batch>'``.
+    Called by :func:`run_strategy` and at ``Job`` construction, so a bad
+    spec never reaches a pool worker.
     """
-    if spec is None:
-        return None
-    if spec == "depth_first":
-        return DepthFirstScheduler(network)
-    if spec == "round_robin":
-        return RoundRobinScheduler(network)
-    if spec.startswith("round_robin:"):
-        try:
-            batch = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ExperimentError(
-                f"bad round_robin batch in scheduler spec {spec!r}"
-            ) from None
-        return RoundRobinScheduler(network, batch=batch)
-    raise ExperimentError(
-        f"unknown scheduler spec {spec!r}; use 'depth_first', "
-        "'round_robin' or 'round_robin:<batch>'"
-    )
-
-
-def build_engine(config: ExperimentConfig,
-                 cost_trace: Optional[CostTrace] = None,
-                 scheduler: Optional[str] = None) -> Engine:
-    """A fresh identification-network engine wired to the cost trace."""
-    multiplier = (cost_trace.as_multiplier(config.base_cost)
-                  if cost_trace is not None else None)
-    network = identification_network(capacity=config.capacity)
-    return make_engine(
-        "full",
-        network=network,
-        headroom=config.headroom,
-        scheduler=make_scheduler(scheduler, network),
-        cost_multiplier=multiplier,
-        rng=random.Random(0),
-    )
+    if actuator not in ACTUATORS:
+        raise ExperimentError(
+            f"unknown actuator {actuator!r}; pick from {ACTUATORS}")
+    if engine_kind not in BACKENDS:
+        raise ExperimentError(
+            f"unknown engine kind {engine_kind!r}; pick from "
+            f"{', '.join(sorted(BACKENDS))}"
+        )
+    if not 0.0 <= alpha_cap <= 1.0:
+        raise ExperimentError(f"alpha_cap {alpha_cap} outside [0, 1]")
+    if alpha_cap < 1.0 and actuator != "entry":
+        raise ExperimentError(
+            f"the {actuator!r} actuator has no cap; alpha_cap needs 'entry'")
+    if engine_kind == "fluid" and (actuator, scheduler) != ("entry", None):
+        raise ExperimentError(
+            "the fluid engine has no operator queues or scheduler; "
+            "use actuator='entry' and no scheduler")
 
 
 def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
@@ -120,24 +95,24 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
                  engine_kind: Optional[str] = None,
                  scheduler: Optional[str] = None,
                  bus=None,
-                 tracer=None,
                  tuple_tracer=None) -> RunRecord:
     """Run one strategy over one workload; returns the full run record.
 
-    ``estimator_factory`` overrides the config's cost estimator (used by
-    the estimator ablation benchmark). ``engine_kind`` names an engine
-    backend for :func:`repro.dsms.make_engine` — ``"full"`` (discrete
-    event) or ``"fluid"`` (scalar Eq. 2 FIFO); ``None`` takes
+    Engine and loop come from the runtimes' ``build_engine`` +
+    ``build_loop`` (:mod:`repro.service.shard`), the engine and the entry
+    coin both on ``Random(0)``. ``estimator_factory`` overrides the
+    config's cost estimator (used by the estimator ablation benchmark).
+    ``engine_kind`` names an engine backend — ``"full"`` (discrete event)
+    or ``"fluid"`` (scalar Eq. 2 FIFO); ``None`` takes
     ``config.engine_backend``. The fluid engine supports only the entry
-    actuator. ``scheduler`` is a spec
-    string for :func:`make_scheduler` (full engine only). ``bus``,
-    ``tracer`` and ``tuple_tracer`` thread straight into the
-    :class:`ControlLoop` for live observability (see :mod:`repro.obs`).
-    ``alpha_cap`` < 1 bounds the entry actuator's drop probability (a
-    per-run loss SLA); capping below the overload's required drop rate
-    saturates the actuator — the canonical way to force the
-    queue-divergence regime the sysid/health detectors and the flight
-    recorder's incident path are designed for.
+    actuator. ``scheduler`` is a spec string for
+    :func:`repro.dsms.scheduler.make_scheduler` (full engine only).
+    ``bus`` and ``tuple_tracer`` thread straight into the loop for live
+    observability (see :mod:`repro.obs`). ``alpha_cap`` < 1 bounds the
+    entry actuator's drop probability (a per-run loss SLA); capping below
+    the overload's required drop rate saturates the actuator — the
+    canonical way to force the queue-divergence regime the sysid/health
+    detectors and the flight recorder's incident path are designed for.
     """
     if isinstance(strategy, str):
         try:
@@ -148,49 +123,26 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
             ) from None
     else:
         factory = strategy
-    if actuator not in ACTUATORS:
-        raise ExperimentError(f"unknown actuator {actuator!r}; pick from {ACTUATORS}")
     if engine_kind is None:
         engine_kind = config.engine_backend
-    if engine_kind == "full":
-        engine = build_engine(config, cost_trace, scheduler=scheduler)
-    elif engine_kind == "fluid":
-        if actuator != "entry":
-            raise ExperimentError(
-                "the fluid engine has no operator queues; use actuator='entry'"
-            )
-        if scheduler is not None:
-            raise ExperimentError(
-                "the fluid engine has no operator scheduler to configure"
-            )
-        multiplier = (cost_trace.as_multiplier(config.base_cost)
-                      if cost_trace is not None else None)
-        engine = make_engine("fluid", cost=config.base_cost,
-                             headroom=config.headroom,
-                             cost_multiplier=multiplier)
-    else:
-        raise ExperimentError(f"unknown engine kind {engine_kind!r}")
-    model = DsmsModel(cost=config.base_cost, headroom=config.headroom,
-                      period=config.period)
-    estimator = (estimator_factory() if estimator_factory is not None
-                 else config.make_cost_estimator())
-    monitor = Monitor(engine, model, cost_estimator=estimator)
-    controller = factory(model, **(controller_kwargs or {}))
+    check_run_options(actuator, engine_kind, scheduler, alpha_cap)
+    engine = build_engine(config, engine_kind, headroom=config.headroom,
+                          seed=0, cost_trace=cost_trace, scheduler=scheduler)
     if actuator == "entry":
-        act = EntryActuator(alpha_cap=alpha_cap)
-    elif actuator == "queue":
-        act = InNetworkActuator(QueueShedder(engine, random.Random(config.seed)))
+        act = EntryActuator(random.Random(0), alpha_cap=alpha_cap)
     else:
-        act = InNetworkActuator(LsrmShedder(engine, random.Random(config.seed)))
-    loop = ControlLoop(
-        engine, controller, monitor, act,
+        shedder = QueueShedder if actuator == "queue" else LsrmShedder
+        act = InNetworkActuator(shedder(engine, random.Random(config.seed)))
+    loop = build_loop(
+        config, factory, engine=engine, actuator=act,
         target=config.target if target is None else target,
-        period=config.period,
-        cycle_cost=config.control_overhead,
-        bus=bus,
-        tracer=tracer,
-        tuple_tracer=tuple_tracer,
+        estimator=(estimator_factory() if estimator_factory is not None
+                   else config.make_cost_estimator()),
+        controller_kwargs=controller_kwargs,
     )
+    if bus is not None:
+        loop.bus = bus
+    loop.tuple_tracer = tuple_tracer
     # memoized on disk by workload hash so pool workers materialize each
     # distinct trace once (see repro.workloads.cache)
     arrivals = cached_arrivals_from_trace(

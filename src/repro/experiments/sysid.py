@@ -14,13 +14,12 @@ model the controller design rests on:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..dsms import identification_network, make_engine
 from ..errors import ExperimentError
 from ..metrics.qos import delays_by_arrival_period
+from ..service.shard import build_engine
 from ..workloads import RateTrace, arrivals_from_trace
 from .config import ExperimentConfig
 
@@ -38,10 +37,8 @@ class OpenLoopRun:
 def open_loop_run(trace: RateTrace, config: ExperimentConfig,
                   drain: float = 300.0) -> OpenLoopRun:
     """Feed a rate trace straight into the engine and observe."""
-    engine = make_engine(
-        "full",
-        network=identification_network(capacity=config.capacity),
-        headroom=config.headroom, rng=random.Random(config.seed))
+    engine = build_engine(config, "full", headroom=config.headroom,
+                          seed=config.seed)
     arrivals = arrivals_from_trace(trace, seed=config.seed)
     engine.submit_many(arrivals)
     q_series: List[int] = []

@@ -35,6 +35,7 @@ from .shard import (
     DrainReport,
     EngineShard,
     arm_shard,
+    build_loop,
     build_shard,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "StreamService",
     "arm_shard",
     "build_fleet",
+    "build_loop",
     "build_service",
     "build_shard",
     "build_topology",

@@ -18,26 +18,32 @@ global coordinator needs between control periods:
   a source can be migrated to another shard without leaving half-filled
   windows behind (docs/THEORY.md §13).
 
-:func:`build_shard` assembles one from picklable specs and
-:func:`arm_shard` wires it to a runtime's bus and tracers — the same two
-calls on every runtime, in every process.
+:func:`build_engine` + :func:`build_loop` are the one assembly of that
+loop, for shards and figure runs alike. :func:`build_shard` builds a shard
+from picklable specs and :func:`arm_shard` wires it to a runtime's bus
+and tracers — the same two calls on every runtime, in every process.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core import (
     STRATEGIES,
+    Actuator,
     ControlLoop,
+    Controller,
+    CostEstimator,
     DsmsModel,
     EntryActuator,
     Monitor,
 )
+from ..core.loop import TargetSchedule
 from ..dsms import EngineProtocol, identification_network, make_engine
-from ..errors import ServiceError
+from ..dsms.scheduler import make_scheduler
+from ..errors import BackendError, ServiceError
 from ..obs.attach import ObsConfig
 from ..obs.events import (
     AlphaCapped,
@@ -50,6 +56,7 @@ from ..obs.tuptrace import TupleTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
+    from ..workloads import CostTrace
 
 #: prime stride between per-shard seeds (engine RNG, tuple-trace sampler):
 #: every runtime derives shard ``i``'s as ``base + SEED_STRIDE * (i + 1)``,
@@ -75,44 +82,35 @@ class DrainReport:
 
 
 class EngineShard:
-    """A named engine + control loop, adjustable by the coordinator.
+    """A named control loop, adjustable by the coordinator.
 
+    The engine and the model are the loop's own (:func:`build_loop`).
     Logical stream names are a routing concept; inside the shard every
-    admitted tuple enters the query network at one physical source,
-    ``entry_source`` (resolved to the network's single source unless given
-    explicitly).
+    admitted tuple enters the query network at its one physical source,
+    ``entry_source``.
     """
 
-    def __init__(self, name: str, engine: EngineProtocol, loop: ControlLoop,
-                 model: DsmsModel, base_target: float,
-                 entry_source: Optional[str] = None):
+    def __init__(self, name: str, loop: ControlLoop, base_target: float):
         self.name = name
-        self.engine = engine
         self.loop = loop
-        self.model = model
         #: the shard's own QoS requirement, before any coordination
         self.base_target = float(base_target)
         self.target = float(base_target)
-        network = getattr(engine, "network", None)
-        if network is None:
-            # fluid backends have no query network: a single implicit
-            # source accepts everything, under whatever name the router
-            # uses (the engines ignore it)
-            entry_source = entry_source or "in"
-        elif entry_source is None:
-            sources = list(network.sources)
-            if len(sources) != 1:
-                raise ServiceError(
-                    f"shard {name!r} hosts a network with sources {sources}; "
-                    "pass entry_source explicitly"
-                )
-            entry_source = sources[0]
-        elif entry_source not in network.sources:
+        network = getattr(loop.engine, "network", None)
+        # fluid backends have no query network: a single implicit source
+        # accepts everything, under whatever name the router uses (the
+        # engines ignore it)
+        sources = ["in"] if network is None else list(network.sources)
+        if len(sources) != 1:
             raise ServiceError(
-                f"entry source {entry_source!r} not in shard {name!r}'s network"
-            )
+                f"shard {name!r} hosts a network with sources {sources}; "
+                "a shard needs exactly one entry source")
         #: where routed tuples physically enter this shard's network
-        self.entry_source = entry_source
+        self.entry_source = sources[0]
+
+    @property
+    def engine(self) -> EngineProtocol:
+        return self.loop.engine
 
     # ------------------------------------------------------------------ #
     # coordinator mutation points
@@ -129,9 +127,10 @@ class EngineShard:
             )
         old = self.engine.headroom
         self.engine.headroom = float(headroom)
-        self.model = replace(self.model, headroom=float(headroom))
-        self.loop.monitor.model = self.model
-        self.loop.controller.model = self.model
+        # the monitor and the controller share one model (build_loop)
+        model = replace(self.loop.monitor.model, headroom=float(headroom))
+        self.loop.monitor.model = model
+        self.loop.controller.model = model
         bus = self.loop.bus
         if bus and headroom != old:
             bus.emit(HeadroomChanged(old=old, new=float(headroom),
@@ -234,6 +233,60 @@ class EngineShard:
         return self.loop.actuator.requested_alpha
 
 
+def build_engine(config: "ExperimentConfig", backend: str, *,
+                 headroom: float, seed: int,
+                 cost_trace: Optional["CostTrace"] = None,
+                 scheduler: Optional[str] = None) -> EngineProtocol:
+    """The one engine recipe: ``config``'s plant at a ``headroom`` share.
+
+    ``"full"``: the identification network at ``config.capacity`` on
+    ``Random(seed)``, served by the ``scheduler`` spec; ``"fluid"``: the
+    Eq. 2 queue at ``config.base_cost`` (no RNG, no scheduler).
+    ``cost_trace`` adds the Fig. 14 cost variations.
+    """
+    multiplier = (cost_trace.as_multiplier(config.base_cost)
+                  if cost_trace is not None else None)
+    if backend == "full":
+        network = identification_network(capacity=config.capacity)
+        plant = dict(network=network,
+                     scheduler=make_scheduler(scheduler, network),
+                     rng=random.Random(seed))
+    elif scheduler is not None:
+        raise BackendError(
+            f"the {backend} engine has no operator scheduler to configure")
+    else:
+        plant = dict(cost=config.base_cost)
+    return make_engine(backend, headroom=headroom,
+                       cost_multiplier=multiplier, **plant)
+
+
+def build_loop(config: "ExperimentConfig",
+               controller_factory: Callable[..., Controller], *,
+               engine: EngineProtocol,
+               actuator: Actuator,
+               target: TargetSchedule,
+               estimator: CostEstimator,
+               controller_kwargs: Optional[dict] = None,
+               charge_cycle_within_period: bool = False) -> ControlLoop:
+    """The one Fig. 3 assembly: monitor -> controller -> actuator.
+
+    Monitor and controller share one :class:`DsmsModel` at ``config``'s
+    cost and period and the engine's headroom, so the designed gain
+    ``H/(cT)`` matches the plant it drives.
+    """
+    model = DsmsModel(cost=config.base_cost, headroom=engine.headroom,
+                      period=config.period)
+    monitor = Monitor(engine, model, cost_estimator=estimator)
+    controller = controller_factory(model, **(controller_kwargs or {}))
+    return ControlLoop(
+        engine, controller, monitor, actuator,
+        target=target,
+        period=config.period,
+        cycle_cost=config.control_overhead,
+        charge_cycle_within_period=charge_cycle_within_period,
+    )
+
+
 def build_shard(name: str,
                 config: "ExperimentConfig",
                 headroom: float,
@@ -243,10 +296,11 @@ def build_shard(name: str,
                 backend: str = "full") -> EngineShard:
     """A fresh identification-network shard at the given headroom share.
 
-    ``backend`` selects the shard's engine through
-    :func:`repro.dsms.make_engine`: ``"full"`` hosts a real
-    identification network, the fluid backends model it as the Eq. 2
-    virtual queue (cheaper fleets for policy studies).
+    ``backend`` selects the shard's engine (:func:`build_engine`):
+    ``"full"`` hosts a real identification network, ``"fluid"`` models
+    it as the Eq. 2 virtual queue (cheaper fleets for policy studies).
+    The engine draws from ``Random(engine_seed)``, the entry coin from
+    ``Random(engine_seed + 1)``.
     """
     try:
         factory = STRATEGIES[strategy]
@@ -255,26 +309,13 @@ def build_shard(name: str,
             f"unknown shard strategy {strategy!r}; "
             f"pick from {sorted(STRATEGIES)}"
         ) from None
-    if backend == "full":
-        network = identification_network(capacity=config.capacity)
-        engine = make_engine("full", network=network, headroom=headroom,
-                             rng=random.Random(engine_seed))
-    else:
-        engine = make_engine(backend, cost=config.base_cost,
-                             headroom=headroom)
-    model = DsmsModel(cost=config.base_cost, headroom=headroom,
-                      period=config.period)
-    monitor = Monitor(engine, model,
-                      cost_estimator=config.make_cost_estimator())
-    controller = factory(model)
-    actuator = EntryActuator(random.Random(engine_seed + 1))
-    loop = ControlLoop(
-        engine, controller, monitor, actuator,
-        target=target,
-        period=config.period,
-        cycle_cost=config.control_overhead,
-    )
-    return EngineShard(name, engine, loop, model, base_target=target)
+    engine = build_engine(config, backend, headroom=headroom,
+                          seed=engine_seed)
+    loop = build_loop(config, factory, engine=engine,
+                      actuator=EntryActuator(random.Random(engine_seed + 1)),
+                      target=target,
+                      estimator=config.make_cost_estimator())
+    return EngineShard(name, loop, base_target=target)
 
 
 def arm_shard(shard: EngineShard, bus, index: int,

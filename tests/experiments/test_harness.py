@@ -127,16 +127,16 @@ class TestScalarBackendReachesTheEngine:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.service import shard
 
         kinds = []
-        make_engine = runner.make_engine
+        make_engine = shard.make_engine
 
         def spy(backend="full", **kwargs):
             kinds.append(backend)
             return make_engine(backend, **kwargs)
 
-        monkeypatch.setattr(runner, "make_engine", spy)
+        monkeypatch.setattr(shard, "make_engine", spy)
         return kinds
 
     def test_aurora_retuned_threads_backend(self, built):

@@ -43,6 +43,20 @@ class TestJobSpec:
             Job(strategy="CTRL", config=CFG, workload_kind="web",
                 engine_kind="hologram")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"actuator": "nope"},
+        {"engine_kind": "fluid", "actuator": "queue"},
+        {"engine_kind": "fluid", "scheduler": "round_robin"},
+        # engine_kind=None follows the config's backend
+        {"config": ExperimentConfig(duration=30.0, engine_backend="fluid"),
+         "actuator": "lsrm"},
+    ])
+    def test_rejects_incompatible_options_at_construction(self, kwargs):
+        # not later, inside run_strategy in a pool worker
+        with pytest.raises(ExperimentError):
+            Job(**{"strategy": "CTRL", "config": CFG,
+                   "workload_kind": "web", **kwargs})
+
     def test_seed_override(self):
         job = Job(strategy="CTRL", config=CFG, workload_kind="web", seed=7)
         assert job.resolved_config().seed == 7
@@ -124,9 +138,10 @@ class TestFallbacks:
         assert all(len(r.periods) == CFG.n_periods for r in records)
 
     def test_deterministic_job_error_propagates(self):
+        # incompatible options fail at construction now; an unknown
+        # cost-trace spec still fails inside the worker
         bad = Job(strategy="CTRL", config=CFG, workload_kind="web",
-                  actuator="entry", engine_kind="fluid",
-                  scheduler="depth_first")  # fluid engine has no scheduler
+                  cost_trace="nope")
         with pytest.raises(ExperimentError):
             run_jobs([bad, bad], workers=2)
 

@@ -43,6 +43,22 @@ class TestFluidEngine:
             run_strategy("CTRL", wl, CFG, engine_kind="hologram")
 
 
+class TestAlphaCap:
+    @pytest.mark.parametrize("actuator", ["queue", "lsrm"])
+    def test_cap_on_an_uncappable_actuator_is_rejected(self, actuator):
+        # only the entry actuator has a drop-probability cap; the others
+        # used to run to completion with the cap silently ignored
+        wl = make_workload("web", CFG)
+        with pytest.raises(ExperimentError, match="no cap"):
+            run_strategy("CTRL", wl, CFG, actuator=actuator, alpha_cap=0.3)
+
+    @pytest.mark.parametrize("cap", [-0.1, 1.5])
+    def test_cap_outside_unit_interval_is_an_experiment_error(self, cap):
+        wl = make_workload("web", CFG)
+        with pytest.raises(ExperimentError, match="alpha_cap"):
+            run_strategy("CTRL", wl, CFG, alpha_cap=cap)
+
+
 class TestEstimatorOverride:
     def test_factory_used(self):
         wl = make_workload("web", CFG)

@@ -232,7 +232,7 @@ class TestBoundedEntryShedder:
         model = DsmsModel(cost=1 / 190, headroom=0.97, period=1.0)
         loop = ControlLoop(engine, PolePlacementController(model),
                            Monitor(engine, model), actuator)
-        return EngineShard("s0", engine, loop, model, base_target=2.0)
+        return EngineShard("s0", loop, base_target=2.0)
 
     def test_default_actuator_shard_honours_the_cap(self):
         """522a8d3 capped only ``EntryActuator(BoundedEntryShedder)``: a
