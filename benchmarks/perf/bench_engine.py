@@ -1,17 +1,13 @@
-"""Perf harness for the four things ``benchmarks/e2e`` cannot see.
+"""Perf harness for the three things ``benchmarks/e2e`` cannot see.
 
 Speed is measured in one place: ``benchmarks/e2e/run.py`` times the path a
 tuple really takes (socket -> buffer -> route -> shed -> engine -> sink) on
 four named workloads and, with ``--append-history``, adds its rows to the
-committed ``BENCH_e2e_history.jsonl``. What is left here are three
+committed ``BENCH_e2e_history.jsonl``. What is left here are two
 comparisons *between two ways of running the same work*, which no single
 e2e workload contains, and one step no workload times on its own. Each
 writes one section ("tier") of ``BENCH_engine.json``:
 
-* ``grid_sweep`` — the Fig. 19-style tuning grid (control periods x delay
-  targets, 400 s runs) on the vectorized grid kernel vs. the scalar
-  ``VirtualQueueEngine`` path, including a full QoS cross-check: violation
-  time and loss ratio must agree within 1% on every grid point;
 * ``figure_fanout`` — wall-clock for the multi-strategy Fig. 12 job matrix
   (strategies x workloads) run serially vs. via the process pool, whose
   records must be identical;
@@ -36,10 +32,8 @@ Every tier is a plain function whose returned dict carries its own
 
 Each tolerance is sized from the gate's own run-to-run spread (a speedup
 is a ratio of two wall times, so the noise of both compounds): identical
-runs on a shared 2-CPU box read the grid speedup 18.4-28.2 and the
-2-worker pool speedup 1.17-2.06. The gates exist to catch a pool that no
-longer parallelises or a batch path that lost its vectorization, not 5%
-jitter.
+runs on a shared 2-CPU box read the 2-worker pool speedup 1.17-2.06. The
+gates exist to catch a pool that no longer parallelises, not 5% jitter.
 
 Usage::
 
@@ -83,67 +77,6 @@ def too_few_cpus(degree: int, unit: str):
         return None
     return (f"cpu_count {cpus} < {unit} {degree}: the speedup is machine "
             "topology, not a regression")
-
-
-def bench_grid_sweep(duration: float) -> dict:
-    """Fig. 19-style tuning grid: grid kernel vs scalar engine path.
-
-    Both paths consume the same disk-cached arrival traces (pre-warmed off
-    the clock, the steady state the trace cache exists to provide), so the
-    comparison measures simulation cost, not workload generation.
-    """
-    from repro.experiments.batch_sweep import (
-        GridPoint,
-        _point_inputs,
-        run_batch_grid,
-        scalar_reference,
-    )
-
-    periods = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    targets = (1.0, 1.5, 2.0, 3.0, 4.0)
-    points = [
-        GridPoint(config=ExperimentConfig(period=t, duration=duration),
-                  strategy="CTRL", workload_kind="web", target=yd,
-                  key=f"T={t}/yd={yd}")
-        for t in periods for yd in targets
-    ]
-    for t in periods:  # warm the on-disk arrival cache for both paths
-        _point_inputs(points[len(targets) * periods.index(t)])
-
-    start = time.perf_counter()
-    results = run_batch_grid(points)
-    batch_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    scalar = [scalar_reference(p)[0] for p in points]
-    scalar_wall = time.perf_counter() - start
-
-    worst_violation_err = 0.0
-    worst_loss_err = 0.0
-    for res, ref in zip(results, scalar):
-        denom = max(abs(ref.accumulated_violation), 1.0)
-        worst_violation_err = max(
-            worst_violation_err,
-            abs(res.qos.accumulated_violation - ref.accumulated_violation)
-            / denom)
-        worst_loss_err = max(
-            worst_loss_err, abs(res.qos.loss_ratio - ref.loss_ratio))
-    return {
-        "grid_points": len(points),
-        "sim_duration_seconds": duration,
-        "batch_wall_seconds": round(batch_wall, 4),
-        "scalar_wall_seconds": round(scalar_wall, 4),
-        "speedup": round(scalar_wall / batch_wall, 2),
-        "worst_violation_err": round(worst_violation_err, 5),
-        "worst_loss_err": round(worst_loss_err, 5),
-        "cross_check_within_1pct": bool(worst_violation_err <= 0.01
-                                        and worst_loss_err <= 0.01),
-        "gates": [
-            {"metric": "cross_check_within_1pct", "kind": "true"},
-            {"metric": "speedup", "kind": "trend", "better": "higher",
-             "tolerance": 0.30},
-        ],
-    }
 
 
 def bench_figure_fanout(duration: float, workers: int) -> dict:
@@ -262,9 +195,6 @@ def main(argv=None) -> int:
     workers = args.workers or max(2, min(4, os.cpu_count() or 1))
 
     tiers = {}
-    print("grid sweep (9 periods x 5 targets, batch vs scalar)...",
-          flush=True)
-    tiers["grid_sweep"] = bench_grid_sweep(400.0)
     print(f"figure fan-out ({fanout_duration:.0f}s sim x "
           f"{len(STRATEGIES) * len(WORKLOADS)} jobs, "
           f"{workers} workers)...", flush=True)

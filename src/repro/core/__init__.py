@@ -54,7 +54,7 @@ from .pole_placement import (
 )
 
 #: strategy name -> controller factory: the one table the experiment
-#: runner, the grid sweep's scalar reference and every shard builder read
+#: runner and every shard builder read
 STRATEGIES = {
     "CTRL": PolePlacementController,
     "BASELINE": BaselineController,

@@ -64,7 +64,6 @@ class ControlLoop:
                  cycle_cost: float = 0.0,
                  predictor: Optional[ArrivalPredictor] = None,
                  drain_max_extra: float = 600.0,
-                 charge_cycle_within_period: bool = False,
                  bus=None,
                  tracer=None,
                  tuple_tracer=None):
@@ -89,13 +88,6 @@ class ControlLoop:
         #: extra virtual seconds the end-of-run drain may spend emptying the
         #: backlog before giving up (the run record notes a truncated drain)
         self.drain_max_extra = drain_max_extra
-        #: charge the cycle overhead *inside* the period (stop serving
-        #: cycle_cost/H early) instead of after the boundary. The default
-        #: (False, the historical behavior) lets the overhead creep the
-        #: engine clock past each boundary; the in-period mode keeps the
-        #: clock exactly on the period grid, which the batch sweep
-        #: cross-check relies on to compare trajectories point-for-point.
-        self.charge_cycle_within_period = charge_cycle_within_period
         #: observability event bus (the process default unless overridden;
         #: the service layer swaps in a shard-scoped emitter). Falsy while
         #: nobody subscribes, so emit sites guard with ``if self.bus:`` and
@@ -178,19 +170,11 @@ class ControlLoop:
             now = _time.perf_counter()
             tracer.add("ingest", now - mark)
             mark = now
-        if self.cycle_cost and self.charge_cycle_within_period:
-            # reserve the overhead inside the period so the clock lands
-            # exactly on the boundary instead of creeping past it
-            pre = boundary - self.cycle_cost / self.engine.headroom
-            self.engine.run_until(max(pre, self.engine.now))
+        # the engine may already sit past the boundary (it finishes the
+        # tuple in service, and the cycle overhead advances the clock)
+        self.engine.run_until(max(boundary, self.engine.now))
+        if self.cycle_cost:
             self.engine.consume_cpu(self.cycle_cost)
-            self.engine.run_until(max(boundary, self.engine.now))
-        else:
-            # the engine may already sit past the boundary (it finishes the
-            # tuple in service, and the cycle overhead advances the clock)
-            self.engine.run_until(max(boundary, self.engine.now))
-            if self.cycle_cost:
-                self.engine.consume_cpu(self.cycle_cost)
         if tracer is not None:
             now = _time.perf_counter()
             tracer.add("engine", now - mark)

@@ -3,15 +3,6 @@
 See DESIGN.md §4 for the experiment index (figure -> module -> benchmark).
 """
 
-from .batch_sweep import (
-    BATCH_STRATEGIES,
-    BatchPointResult,
-    CrossCheckReport,
-    GridPoint,
-    cross_check_grid,
-    run_batch_grid,
-    scalar_reference,
-)
 from .config import PAPER_CONFIG, QUICK_CONFIG, ExperimentConfig
 from .comparison import ComparisonResult, compare_both_workloads, compare_strategies
 from .overhead import OverheadResult, controller_overhead
@@ -62,12 +53,8 @@ from .sysid import (
 
 __all__ = [
     "ACTUATORS",
-    "BATCH_STRATEGIES",
-    "BatchPointResult",
     "BurstinessSweepResult",
     "ComparisonResult",
-    "CrossCheckReport",
-    "GridPoint",
     "DEFAULT_MODES",
     "ESTIMATOR_SPECS",
     "ExperimentConfig",
@@ -94,7 +81,6 @@ __all__ = [
     "compare_both_workloads",
     "compare_strategies",
     "controller_overhead",
-    "cross_check_grid",
     "default_workers",
     "execute_job",
     "make_cost_trace",
@@ -104,13 +90,11 @@ __all__ = [
     "parallel_enabled",
     "period_sweep",
     "run_all_strategies",
-    "run_batch_grid",
     "run_jobs",
     "run_jobs_keyed",
     "fleet_comparison",
     "run_service_experiment",
     "run_strategy",
-    "scalar_reference",
     "schedule_fn",
     "service_comparison",
     "setpoint_tracking",

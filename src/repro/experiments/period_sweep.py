@@ -59,29 +59,13 @@ def period_sweep(config: Optional[ExperimentConfig] = None,
                  backend: Optional[str] = None) -> PeriodSweepResult:
     """Fig. 19: the same run at different control periods.
 
-    With ``backend=None`` (or an engine name, ``"full"``/``"fluid"``)
-    each period is an independent seeded simulation fanned out over the
+    Each period is an independent seeded simulation fanned out over the
     experiment process pool (workload generation included — every period
     resamples its own trace, exactly as the serial version did).
-
-    ``backend="batch"`` instead runs the whole sweep as one vectorized
-    grid on the :mod:`repro.experiments.batch_sweep` fast path (the grid
-    kernel, not an engine); verify such a grid against the scalar fluid
-    engine with :func:`~repro.experiments.batch_sweep.cross_check_grid`.
+    ``backend`` names the engine (``"full"``/``"fluid"``); ``None`` takes
+    ``config.engine_backend``.
     """
     config = config or ExperimentConfig()
-    if backend == "batch":
-        from .batch_sweep import GridPoint, run_batch_grid
-
-        points = [
-            GridPoint(config=config.scaled(period=t), strategy=strategy,
-                      workload_kind=workload_kind, key=f"T={t}")
-            for t in periods
-        ]
-        results = run_batch_grid(points)
-        return PeriodSweepResult(
-            metrics={t: r.qos for t, r in zip(periods, results)}
-        )
     jobs = [
         Job(strategy=strategy, config=config.scaled(period=t),
             workload_kind=workload_kind, key=f"T={t}",

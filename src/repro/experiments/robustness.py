@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from ..errors import ExperimentError
 from ..metrics.qos import QosMetrics
 from ..metrics.recorder import RunRecord
 from ..workloads import pareto_rate_trace_with_mean
 from .config import ExperimentConfig
-from .runner import make_cost_trace, make_workload, run_strategy
+from .runner import (check_run_options, make_cost_trace, make_workload,
+                     run_strategy)
 
 #: the paper's Fig. 17 sweep
 PAPER_BIAS_FACTORS = (0.1, 0.25, 0.5, 1.0, 1.25, 1.5)
@@ -48,30 +50,12 @@ def aurora_retuned(workload_kind: str,
                    backend: Optional[str] = None) -> RetunedAuroraResult:
     """Fig. 16: AURORA with a deliberately pessimistic capacity estimate.
 
-    ``backend="batch"`` runs both comparators as one vectorized grid on
-    the :mod:`repro.experiments.batch_sweep` fast path; an engine name
-    (``"full"``/``"fluid"``) runs them on that engine, ``None`` on
-    ``config.engine_backend``.
+    ``backend`` names the engine both comparators run on
+    (``"full"``/``"fluid"``); ``None`` takes ``config.engine_backend``.
     """
     config = config or ExperimentConfig()
-    if backend == "batch":
-        from .batch_sweep import GridPoint, run_batch_grid
-
-        points = [
-            GridPoint(config=config, strategy="AURORA",
-                      workload_kind=workload_kind,
-                      headroom_override=headroom_override,
-                      keep_record=True, key="aurora"),
-            GridPoint(config=config, strategy="CTRL",
-                      workload_kind=workload_kind, key="ctrl"),
-        ]
-        aurora_res, ctrl_res = run_batch_grid(points)
-        return RetunedAuroraResult(
-            workload=workload_kind,
-            aurora_record=aurora_res.record,
-            aurora_metrics=aurora_res.qos,
-            ctrl_metrics=ctrl_res.qos,
-        )
+    backend = config.engine_backend if backend is None else backend
+    check_run_options("entry", backend, None, 1.0)
     workload = make_workload(workload_kind, config)
     cost_trace = make_cost_trace(config)
     aurora = run_strategy(
@@ -98,7 +82,13 @@ class BurstinessSweepResult:
 
     def normalized(self, reference_beta: float = 1.5) -> Dict[float, Dict[str, float]]:
         """Each metric relative to its value at ``reference_beta``."""
-        ref = self.metrics[reference_beta]
+        try:
+            ref = self.metrics[reference_beta]
+        except KeyError:
+            raise ExperimentError(
+                f"reference beta {reference_beta} was not swept; "
+                f"bias factors are {sorted(self.metrics)}"
+            ) from None
 
         def safe(a: float, b: float) -> float:
             return a / b if b > 1e-12 else (float("inf") if a > 1e-12 else 1.0)
@@ -130,26 +120,12 @@ def burstiness_sweep(strategy: str,
                      ) -> BurstinessSweepResult:
     """Fig. 17: one strategy across Pareto bias factors.
 
-    ``backend="batch"`` runs the whole sweep as one vectorized grid on
-    the :mod:`repro.experiments.batch_sweep` fast path; an engine name
-    (``"full"``/``"fluid"``) runs it on that engine, ``None`` on
-    ``config.engine_backend``.
+    ``backend`` names the engine the sweep runs on
+    (``"full"``/``"fluid"``); ``None`` takes ``config.engine_backend``.
     """
     config = config or ExperimentConfig()
-    if backend == "batch":
-        from .batch_sweep import GridPoint, run_batch_grid
-
-        points = [
-            GridPoint(config=config, strategy=strategy,
-                      workload_kind="pareto", beta=beta, key=f"beta={beta}")
-            for beta in bias_factors
-        ]
-        results = run_batch_grid(points)
-        return BurstinessSweepResult(
-            strategy=strategy,
-            metrics={beta: r.qos
-                     for beta, r in zip(bias_factors, results)},
-        )
+    backend = config.engine_backend if backend is None else backend
+    check_run_options("entry", backend, None, 1.0)
     cost_trace = make_cost_trace(config)
     metrics: Dict[float, QosMetrics] = {}
     for beta in bias_factors:

@@ -266,8 +266,7 @@ def build_loop(config: "ExperimentConfig",
                actuator: Actuator,
                target: TargetSchedule,
                estimator: CostEstimator,
-               controller_kwargs: Optional[dict] = None,
-               charge_cycle_within_period: bool = False) -> ControlLoop:
+               controller_kwargs: Optional[dict] = None) -> ControlLoop:
     """The one Fig. 3 assembly: monitor -> controller -> actuator.
 
     Monitor and controller share one :class:`DsmsModel` at ``config``'s
@@ -283,7 +282,6 @@ def build_loop(config: "ExperimentConfig",
         target=target,
         period=config.period,
         cycle_cost=config.control_overhead,
-        charge_cycle_within_period=charge_cycle_within_period,
     )
 
 

@@ -23,6 +23,9 @@ from repro.core import (
     SamplingActuator,
 )
 from repro.dsms import Engine, identification_network
+from repro.experiments import ExperimentConfig
+from repro.service import build_loop
+from repro.service.shard import build_engine
 from repro.workloads import RateTrace, arrivals_from_trace
 
 CONTROLLERS = [PolePlacementController, BaselineController,
@@ -110,3 +113,23 @@ def test_sampling_actuator_same_invariants(seed):
     admitted = sum(p.admitted for p in record.periods)
     assert admitted + record.entry_dropped_total == record.offered_total
     assert engine.outstanding == 0
+
+
+@pytest.mark.parametrize("c, n", [(0.003, 5), (0.25, 8)])
+def test_cycle_cost_is_charged_after_each_boundary(c, n):
+    """An idle loop still pays ``control_overhead`` every period.
+
+    The engine runs to each boundary and only then charges the cycle, so
+    after ``n`` periods the CPU meter reads ``n·c`` and the clock sits
+    ``c/H`` past the last boundary — the per-period cost that makes tiny
+    control periods expensive in Fig. 19.
+    """
+    config = ExperimentConfig(period=0.5, control_overhead=c)
+    engine = build_engine(config, "fluid", headroom=config.headroom, seed=0)
+    loop = build_loop(config, PolePlacementController, engine=engine,
+                      actuator=EntryActuator(), target=config.target,
+                      estimator=config.make_cost_estimator())
+    loop.run([], n * config.period)
+    assert engine.cpu_used == pytest.approx(n * c, rel=1e-12)
+    assert engine.now == pytest.approx(
+        n * config.period + c / config.headroom, rel=1e-12)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import (
+    BurstinessSweepResult,
     ExperimentConfig,
     aurora_retuned,
     burstiness_sweep,
@@ -19,6 +20,7 @@ from repro.experiments import (
     schedule_fn,
     setpoint_tracking,
 )
+from repro.metrics.qos import QosMetrics
 
 #: short config shared by the harness tests (shapes hold from ~120 s on)
 CFG = ExperimentConfig(duration=120.0)
@@ -119,9 +121,27 @@ class TestRobustness:
             assert (ctrl.metrics[beta].max_overshoot
                     < aurora.metrics[beta].max_overshoot)
 
+    def test_fig17_normalizing_without_the_reference_beta_names_it(self):
+        def qos(violation):
+            return QosMetrics(accumulated_violation=violation,
+                              delayed_tuples=10, max_overshoot=0.5,
+                              delivered=100, shed=5, offered=105,
+                              mean_delay=1.0)
+
+        sweep = BurstinessSweepResult(
+            strategy="CTRL", metrics={0.25: qos(4.0), 1.0: qos(2.0)})
+        with pytest.raises(ExperimentError,
+                           match=r"1\.5.*\[0\.25, 1\.0\]"):
+            sweep.normalized()
+        with pytest.raises(ExperimentError, match=r"1\.5"):
+            sweep.spread()
+        assert sweep.normalized(reference_beta=1.0)[0.25][
+            "accumulated_violation"] == 2.0
+
 
 class TestScalarBackendReachesTheEngine:
-    """``backend="fluid"`` on the robustness drivers builds a fluid engine."""
+    """``backend="fluid"`` on the robustness drivers builds a fluid engine;
+    a name that is not an engine builds and generates nothing."""
 
     SHORT = ExperimentConfig(duration=20.0)
 
@@ -151,6 +171,38 @@ class TestScalarBackendReachesTheEngine:
         burstiness_sweep("CTRL", self.SHORT, bias_factors=(1.0,),
                          backend=backend)
         assert built == [expected]
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Trace builders the robustness drivers reached, by name."""
+        from repro.experiments import robustness
+
+        calls = []
+
+        def spy(name):
+            real = getattr(robustness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("make_workload", "make_cost_trace"):
+            monkeypatch.setattr(robustness, name, spy(name))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["batch", "nope"])
+    def test_unknown_backend_rejected_before_any_work(self, built, generated,
+                                                      backend):
+        with pytest.raises(ExperimentError, match="unknown engine kind"):
+            aurora_retuned("web", self.SHORT, backend=backend)
+        with pytest.raises(ExperimentError, match="unknown engine kind"):
+            burstiness_sweep("CTRL", self.SHORT, bias_factors=(1.0,),
+                             backend=backend)
+        with pytest.raises(ExperimentError, match="unknown engine kind"):
+            period_sweep(self.SHORT, periods=(1.0,), backend=backend)
+        assert built == []
+        assert generated == []
 
 
 class TestSetpoint:
