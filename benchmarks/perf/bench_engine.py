@@ -12,7 +12,7 @@ writes one section ("tier") of ``BENCH_engine.json``:
   (strategies x workloads) run serially vs. via the process pool, whose
   records must be identical;
 * ``fleet`` — the 4-shard hotspot service run lockstep vs. as a per-shard
-  process fleet (sync mode): aggregates must match bit-for-bit, and the
+  process fleet: aggregates must match bit-for-bit, and the
   wall-clock speedup is recorded (no e2e workload runs ``ProcessFleet``);
 * ``migration`` — the drain half of the live source-migration transaction:
   a loaded shard flushes its whole engine queue, timed per drained tuple.
@@ -119,7 +119,7 @@ def bench_fleet(duration: float) -> dict:
     """Lockstep service vs true-parallel process fleet, 4 shards.
 
     Runs the hotspot workload through both runners off the same specs.
-    The hard bar is correctness — sync-mode fleet aggregates must match
+    The hard bar is correctness — the fleet aggregates must match
     the lockstep records bit-for-bit; the speedup is reported per
     machine and only gated with a CPU per shard (one worker per shard
     cannot beat one process on fewer cores).

@@ -30,6 +30,25 @@ The truth is between the two, and only reading the call sites closes the
 gap. This is a report, not a gate; the gate is
 ``tests/test_public_api.py::test_every_config_field_is_set_by_some_caller``.
 
+A second pass censuses **definitions**: every public top-level function
+or class under ``src/``. A definition is **reached** when a ``Name``
+load, an ``Attribute`` name, a ``from ... import`` name or an
+identifier-shaped string literal spells it in a Python file under
+``examples/`` or ``benchmarks/``, any word of any file under
+``.github/`` spells it, or ``src/`` spells it outside the definition's
+own body. Reach from ``src/`` is transitive: a
+reference inside a top-level function, class or assignment counts only
+once that definition is reached itself, so a helper only dead code calls
+is dead too, and a class a reached table names (``STRATEGIES``) is
+reached. Module-level imports (the ``__init__`` re-exports among them)
+are bindings, not uses, and count for nothing, as does a package's
+``__all__``; other module-level statements, a plain module's ``__all__``
+among them, are always reached. Matching is by name, so a
+same-named method or attribute anywhere in the reaching code hides a
+dead function. Whatever is unreached and not in
+``DEFINITION_EXEMPTIONS`` only tests reach; the gate is
+``tests/test_public_api.py::test_every_public_definition_is_reached_outside_tests``.
+
 Usage::
 
     python benchmarks/perf/knob_census.py [CHECKOUT]
@@ -39,12 +58,24 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DECLARING_ROOT = "src"
 CALLING_ROOTS = ("src", "examples", "benchmarks", ".github", "tests")
+REACHING_ROOTS = ("examples", "benchmarks", ".github")
+
+#: public definitions that only tests reach, each with the reason it stays
+DEFINITION_EXEMPTIONS = {
+    "repro.control.analysis.is_stable":
+        "the oracle tests/core/test_pole_placement.py checks design_gains "
+        "against",
+    "repro.workloads.web.load_ita_trace":
+        "parses the paper's LBL-PKT-4 trace, input from outside the "
+        "program; EXPERIMENTS.md names it as the route to the real workload",
+}
 
 
 class Knob(NamedTuple):
@@ -208,6 +239,84 @@ def is_passed(knob: Knob, uses: Uses) -> bool:
         and uses.depth.get(knob.owner, 0) > knob.position
 
 
+def _references(node: ast.AST) -> Set[str]:
+    """Every name the subtree spells as a use."""
+    names: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def _bound_names(node: ast.stmt) -> List[str]:
+    """The names a top-level definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) \
+        else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def unreached_definitions(root: Path) -> Dict[str, int]:
+    """Dotted name -> line count of each public definition under
+    ``root/src`` that nothing outside ``tests/`` reaches."""
+    public: Dict[str, List[tuple]] = {}
+    edges: Dict[str, Set[str]] = {}
+    reaching: Set[str] = set()
+    for path in sorted((root / DECLARING_ROOT).rglob("*.py")):
+        module = ".".join(path.relative_to(root / DECLARING_ROOT)
+                          .with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = _bound_names(node)
+            if names == ["__all__"] and path.name == "__init__.py":
+                continue
+            if names in ([], ["__all__"]):
+                reaching |= _references(node)
+                continue
+            for name in names:
+                edges.setdefault(name, set()).update(
+                    _references(node) - {name})
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                start = min([node.lineno] + [deco.lineno for deco
+                                             in node.decorator_list])
+                public.setdefault(node.name, []).append(
+                    (module.removesuffix(".__init__"),
+                     node.end_lineno - start + 1))
+    # the census names definitions only to report them
+    census = root / "benchmarks" / "perf" / Path(__file__).name
+    for reaching_root in REACHING_ROOTS:
+        for path in sorted((root / reaching_root).rglob("*")):
+            if path == census or not path.is_file():
+                continue
+            if path.suffix == ".py":
+                reaching |= _references(ast.parse(path.read_text()))
+            elif reaching_root == ".github":  # workflow steps run code too
+                reaching.update(re.findall(r"[A-Za-z_]\w*",
+                                           path.read_text()))
+    stack = list(reaching)
+    while stack:
+        for name in edges.get(stack.pop(), ()):
+            if name not in reaching:
+                reaching.add(name)
+                stack.append(name)
+    return {f"{module}.{name}": lines
+            for name, where in public.items() if name not in reaching
+            for module, lines in where}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=REPO_ROOT,
@@ -227,6 +336,14 @@ def main(argv=None) -> int:
         print(f"  {mark} {knob.path}: {knob.owner}({knob.name})")
     print("(~ = the name also occurs as a string literal, dict key or "
           "attribute store)")
+    unreached = unreached_definitions(root)
+    print(f"public definitions under {DECLARING_ROOT}/ only tests reach: "
+          f"{len(unreached)} ({sum(unreached.values())} lines)")
+    for name, lines in sorted(unreached.items()):
+        reason = DEFINITION_EXEMPTIONS.get(name)
+        print(f"  {'=' if reason else ' '} {name} ({lines} lines)"
+              + (f": {reason}" if reason else ""))
+    print("(= = exempt, with the reason it stays)")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Closed-loop analysis helpers: stability, damping, convergence, step metrics.
+"""Closed-loop analysis helpers: stability, convergence, step metrics.
 
 These implement the textbook facts the paper leans on in Section 4.4.1:
 
@@ -6,8 +6,8 @@ These implement the textbook facts the paper leans on in Section 4.4.1:
   circle;
 * a real pole in (0, 1) gives a non-oscillatory response; poles outside the
   unit circle give instability;
-* the *damping ratio* and *convergence rate* of a discrete pole follow from
-  mapping it back to the s-plane via ``z = exp(sT)``.
+* the *convergence rate* of a discrete pole follows from mapping it back
+  to the s-plane via ``z = exp(sT)``.
 
 The paper chooses both closed-loop poles at 0.7, i.e. damping 1 (critically
 damped) and a time constant of about three control periods (``e^{-1/3}`` is
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,34 +35,6 @@ def is_stable(tf: TransferFunction, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(poles) < 1.0 - tol))
 
 
-def spectral_radius(tf: TransferFunction) -> float:
-    """Magnitude of the largest pole (|pole| < 1 means stable)."""
-    poles = tf.poles()
-    if poles.size == 0:
-        return 0.0
-    return float(np.max(np.abs(poles)))
-
-
-def pole_damping(pole: complex) -> float:
-    """Damping ratio of a discrete pole via the ``z = exp(sT)`` map.
-
-    For a pole ``z = r e^{j theta}`` the equivalent continuous pole is
-    ``s = (ln r + j theta) / T``; the damping ratio is
-    ``zeta = -Re(s) / |s|``, independent of ``T``. Real poles in (0, 1]
-    have damping 1; poles on the unit circle have damping 0; unstable poles
-    return negative damping.
-    """
-    r = abs(pole)
-    if r == 0.0:
-        return 1.0  # deadbeat: fastest possible, no oscillation
-    theta = math.atan2(pole.imag, pole.real)
-    sigma = math.log(r)
-    if sigma == 0.0 and theta == 0.0:
-        return 0.0
-    mag = math.hypot(sigma, theta)
-    return -sigma / mag if mag else 0.0
-
-
 def pole_time_constant(pole: complex, period: float = 1.0) -> float:
     """Time constant (in seconds) of a discrete pole: ``-T / ln|z|``."""
     r = abs(pole)
@@ -76,14 +48,6 @@ def pole_time_constant(pole: complex, period: float = 1.0) -> float:
 def convergence_periods(pole: complex) -> float:
     """Number of periods to decay to ``1/e`` (paper: 3 periods for z=0.7)."""
     return pole_time_constant(pole, period=1.0)
-
-
-def dominant_pole(tf: TransferFunction) -> complex:
-    """The pole with the largest magnitude (slowest mode)."""
-    poles = tf.poles()
-    if poles.size == 0:
-        raise ControlError("transfer function has no poles")
-    return complex(poles[int(np.argmax(np.abs(poles)))])
 
 
 @dataclass(frozen=True)
@@ -139,34 +103,3 @@ def step_metrics(response: Sequence[float], reference: float = 1.0,
         steady_state_error=abs(reference - final),
         oscillatory=crossings > 1,
     )
-
-
-def sensitivity(plant: TransferFunction, controller: TransferFunction) -> TransferFunction:
-    """Sensitivity ``S = 1 / (1 + C G)``: output-disturbance rejection.
-
-    Section 4.3.1 of the paper shows disturbances are attenuated by roughly
-    ``1/K`` for a large controller gain ``K``; this returns the exact shaping
-    function.
-    """
-    open_loop = controller * plant
-    return TransferFunction(open_loop.den, open_loop.den + open_loop.num).simplified()
-
-
-def complementary_sensitivity(plant: TransferFunction,
-                              controller: TransferFunction) -> TransferFunction:
-    """``T = C G / (1 + C G)``: the reference-tracking closed loop (Eq. 12)."""
-    return (controller * plant).feedback()
-
-
-def disturbance_rejection_gain(plant: TransferFunction,
-                               controller: TransferFunction,
-                               omega: float = 0.0) -> float:
-    """|S(e^{jw})| — how much an output disturbance at ``omega`` survives."""
-    return abs(sensitivity(plant, controller).frequency_response(omega))
-
-
-def closed_loop_poles(plant: TransferFunction,
-                      controller: TransferFunction) -> List[complex]:
-    """Roots of ``D(z)A(z) + N(z)B(z)`` (Section 4.4.1)."""
-    char = controller.den * plant.den + controller.num * plant.num
-    return [complex(r) for r in char.roots()]

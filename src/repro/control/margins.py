@@ -108,17 +108,3 @@ def stability_margins(open_loop: TransferFunction,
         phase_crossover=phase_cross,
         modulus_margin=modulus,
     )
-
-
-def bode_points(open_loop: TransferFunction, n_points: int = 256
-                ) -> List[Tuple[float, float, float]]:
-    """(frequency rad/sample, magnitude dB, phase degrees) triples."""
-    out = []
-    for w, l in _sweep(open_loop, n_points):
-        mag = abs(l)
-        out.append((
-            w,
-            20.0 * math.log10(mag) if mag > 0 else -math.inf,
-            math.degrees(cmath.phase(l)),
-        ))
-    return out

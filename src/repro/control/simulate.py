@@ -11,7 +11,7 @@ returns the output sequence; it is the workhorse for step-response analysis.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from ..errors import ControlError
 from .transfer_function import TransferFunction
@@ -84,11 +84,3 @@ def step_response(tf: TransferFunction, n: int, amplitude: float = 1.0) -> List[
     if n < 0:
         raise ControlError("sample count must be non-negative")
     return simulate(tf, [amplitude] * n)
-
-
-def impulse_response(tf: TransferFunction, n: int, amplitude: float = 1.0) -> List[float]:
-    """Response to a single-sample impulse over ``n`` samples."""
-    if n < 0:
-        raise ControlError("sample count must be non-negative")
-    inputs: Sequence[float] = [amplitude] + [0.0] * (n - 1) if n else []
-    return simulate(tf, inputs)

@@ -11,7 +11,6 @@ from .actuator import (
     EntryActuator,
     InNetworkActuator,
     PriorityEntryActuator,
-    SamplingActuator,
     SemanticEntryActuator,
 )
 from .adaptive import AdaptiveController, RlsGainEstimator
@@ -38,7 +37,6 @@ from .prediction import (
     Ar1Predictor,
     ArrivalPredictor,
     HoltPredictor,
-    LastValuePredictor,
     MovingAveragePredictor,
 )
 from .window_adaptation import WindowAdaptationActuator
@@ -84,7 +82,6 @@ __all__ = [
     "KalmanCostEstimator",
     "LastValueEstimator",
     "HoltPredictor",
-    "LastValuePredictor",
     "ManualClock",
     "Measurement",
     "Monitor",
@@ -97,7 +94,6 @@ __all__ = [
     "PriorityEntryActuator",
     "RlsGainEstimator",
     "STRATEGIES",
-    "SamplingActuator",
     "SemanticEntryActuator",
     "WallClock",
     "WindowAdaptationActuator",

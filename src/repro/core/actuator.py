@@ -10,7 +10,6 @@ which tuples it picks:
   capped (a loss SLA; ``requested_alpha`` keeps the uncapped demand);
 * :class:`SemanticEntryActuator` — the least useful tuples first;
 * :class:`PriorityEntryActuator` — the lowest-priority sources first;
-* :class:`SamplingActuator` — deterministic decimation;
 * :class:`InNetworkActuator` — admits everything and continuously culls
   queued tuples (one victim per arriving tuple, with the Eq. 13
   probability); *which* queued tuple dies is the separate decision a
@@ -300,38 +299,3 @@ class PriorityEntryActuator(Actuator):
                        if offered else 0.0)
                 for name, offered in self.offered_by_source.items()}
 
-
-class SamplingActuator(Actuator):
-    """Deterministic decimation — the paper's adaptation (ii).
-
-    Instead of a coin flip, admit every n-th tuple where the stride is
-    recomputed each period from the allowance (reducing the effective
-    sampling rate of the sources). Deterministic spacing gives the same
-    expected loss as Eq. 13 with lower variance, at the cost of aliasing
-    risk on periodic data.
-    """
-
-    drops_outside_engine = True
-
-    def __init__(self):
-        super().__init__()
-        self._admit_ratio = 1.0
-        self._accumulator = 0.0
-
-    def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
-        if expected_inflow <= 0:
-            self._admit_ratio = 1.0
-        else:
-            self._admit_ratio = min(1.0, max(0.0,
-                                             allowed_tuples / expected_inflow))
-        self.requested_alpha = self.alpha = 1.0 - self._admit_ratio
-
-    def admit(self, values: tuple = (), source: str = "") -> bool:
-        """Error-diffusion decimation: admit when the ratio accumulates to 1."""
-        self.offered_total += 1
-        self._accumulator += self._admit_ratio
-        if self._accumulator >= 1.0:
-            self._accumulator -= 1.0
-            return True
-        self.dropped_total += 1
-        return False

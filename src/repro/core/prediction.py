@@ -2,12 +2,12 @@
 time series ... a promising direction").
 
 The Eq. 13 actuator needs ``fin(k+1)`` and the paper simply reuses
-``fin(k)``, which systematically under-sheds on monotone ramps (the
-Fig. 8A failure it pins on AURORA also contaminates the closed loop's
-actuation, though feedback corrects it a period later). These predictors
-plug into :class:`~repro.core.loop.ControlLoop` to sharpen the estimate:
+``fin(k)`` (random-walk optimal; ``ControlLoop(predictor=None)``), which
+systematically under-sheds on monotone ramps (the Fig. 8A failure it pins
+on AURORA also contaminates the closed loop's actuation, though feedback
+corrects it a period later). These predictors plug into
+:class:`~repro.core.loop.ControlLoop` to sharpen the estimate:
 
-* :class:`LastValuePredictor` — the paper's choice (random-walk optimal);
 * :class:`MovingAveragePredictor` — smooths heavy-tailed noise;
 * :class:`HoltPredictor` — double exponential smoothing with a trend term,
   the right tool for ramps;
@@ -37,22 +37,6 @@ class ArrivalPredictor(abc.ABC):
 
     def reset(self) -> None:
         """Clear state; default implementations are stateless enough."""
-
-
-class LastValuePredictor(ArrivalPredictor):
-    """fin(k+1) := fin(k) — the paper's estimator."""
-
-    def __init__(self):
-        self._last = 0.0
-
-    def update(self, observed: float) -> None:
-        self._last = max(0.0, float(observed))
-
-    def predict(self) -> float:
-        return self._last
-
-    def reset(self) -> None:
-        self._last = 0.0
 
 
 class MovingAveragePredictor(ArrivalPredictor):

@@ -11,7 +11,6 @@ headroom factor. :class:`VirtualQueueEngine` is the fast single-FIFO model
 from .builder import (
     DEFAULT_CAPACITY,
     chain_network,
-    expected_identification_cost,
     identification_network,
     monitoring_network,
 )
@@ -26,7 +25,6 @@ from .operators import (
     FilterOperator,
     MapOperator,
     Operator,
-    RandomDropOperator,
     Sink,
     UnionOperator,
     WindowJoinOperator,
@@ -56,7 +54,6 @@ __all__ = [
     "OperatorStats",
     "PeriodStats",
     "QueryNetwork",
-    "RandomDropOperator",
     "RoundRobinScheduler",
     "Scheduler",
     "Sink",
@@ -66,7 +63,6 @@ __all__ = [
     "VirtualQueueEngine",
     "WindowJoinOperator",
     "chain_network",
-    "expected_identification_cost",
     "identification_network",
     "make_engine",
     "make_source_tuple",

@@ -85,11 +85,6 @@ def identification_network(capacity: float = DEFAULT_CAPACITY) -> QueryNetwork:
     return net
 
 
-def expected_identification_cost(capacity: float = DEFAULT_CAPACITY) -> float:
-    """The analytic expected per-tuple cost of :func:`identification_network`."""
-    return 1.0 / capacity
-
-
 def chain_network(n_operators: int = 5, capacity: float = DEFAULT_CAPACITY,
                   selectivity: float = 1.0) -> QueryNetwork:
     """An unbranched chain of map/filter operators (paper Fig. 2 path II).

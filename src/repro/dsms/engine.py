@@ -306,6 +306,7 @@ class Engine:
         for op in self._timed_ops:
             outputs = op.on_time(self.now)
             if outputs:
+                op.emitted += len(outputs)  # outputs, not executions
                 self._route(op.name, outputs)
         self._deadline_dirty = True
 
@@ -324,6 +325,7 @@ class Engine:
         for op in self.network.operators.values():
             outputs = op.flush(self.now)
             if outputs:
+                op.emitted += len(outputs)  # outputs, not executions
                 self._route(op.name, outputs)
         # drain whatever the flush released into downstream queues
         while True:

@@ -1,12 +1,7 @@
 """Query-network operators."""
 
 from .base import Operator, Sink, StatelessOperator
-from .stateless import (
-    FilterOperator,
-    MapOperator,
-    RandomDropOperator,
-    UnionOperator,
-)
+from .stateless import FilterOperator, MapOperator, UnionOperator
 from .windowed import AggregateOperator, WindowJoinOperator
 
 __all__ = [
@@ -14,7 +9,6 @@ __all__ = [
     "FilterOperator",
     "MapOperator",
     "Operator",
-    "RandomDropOperator",
     "Sink",
     "StatelessOperator",
     "UnionOperator",

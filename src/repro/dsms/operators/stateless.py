@@ -1,4 +1,4 @@
-"""Stateless operators: filter, map, union, and the shedder's random drop.
+"""Stateless operators: filter, map and union.
 
 These are the building blocks of the identification network (paper
 Section 4.2: filters whose selectivity is pinned by uniformly distributed
@@ -7,7 +7,6 @@ input values, plus fixed-cost transformation boxes).
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional, Tuple
 
 from ...errors import NetworkError
@@ -62,41 +61,3 @@ class UnionOperator(StatelessOperator):
     def apply(self, tup: StreamTuple, port: int, now: float) -> List[StreamTuple]:
         return [tup]
 
-
-class RandomDropOperator(StatelessOperator):
-    """Drop each tuple with probability ``drop_probability``.
-
-    This is the primitive the Aurora load shedder inserts into the network;
-    plans adjust :attr:`drop_probability` at runtime. Dropped tuples are
-    counted so loss accounting can attribute data loss to shedding.
-    """
-
-    def __init__(self, name: str, cost: float = 0.0,
-                 drop_probability: float = 0.0,
-                 rng: Optional[random.Random] = None):
-        super().__init__(name, cost)
-        self._p = 0.0
-        self.drop_probability = drop_probability
-        self.dropped = 0
-        self.rng = rng or random.Random()
-
-    @property
-    def drop_probability(self) -> float:
-        return self._p
-
-    @drop_probability.setter
-    def drop_probability(self, p: float) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise NetworkError(f"drop probability {p} outside [0, 1]")
-        self._p = float(p)
-
-    def apply(self, tup: StreamTuple, port: int, now: float) -> List[StreamTuple]:
-        if self._p > 0.0 and self.rng.random() < self._p:
-            self.dropped += 1
-            tup.lineage.shed = True
-            return []
-        return [tup]
-
-    def reset(self) -> None:
-        super().reset()
-        self.dropped = 0

@@ -13,7 +13,6 @@ from .parallel import (
     execute_job,
     parallel_enabled,
     run_jobs,
-    run_jobs_keyed,
 )
 from .period_sweep import PAPER_PERIODS, PeriodSweepResult, period_sweep
 from .robustness import (
@@ -91,7 +90,6 @@ __all__ = [
     "period_sweep",
     "run_all_strategies",
     "run_jobs",
-    "run_jobs_keyed",
     "fleet_comparison",
     "run_service_experiment",
     "run_strategy",

@@ -278,16 +278,3 @@ def run_jobs(jobs: Sequence[Job],
         results[i] = execute_job(jobs[i])
     return results  # type: ignore[return-value]
 
-
-def run_jobs_keyed(jobs: Sequence[Job],
-                   workers: Optional[int] = None) -> Dict[str, RunRecord]:
-    """Like :func:`run_jobs` but returns ``{job.label: record}``.
-
-    Labels must be unique across ``jobs``.
-    """
-    jobs = list(jobs)
-    labels = [job.label for job in jobs]
-    if len(set(labels)) != len(labels):
-        raise ExperimentError("job labels must be unique for keyed execution")
-    records = run_jobs(jobs, workers=workers)
-    return dict(zip(labels, records))

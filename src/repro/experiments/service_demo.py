@@ -64,9 +64,9 @@ def run_service_experiment(config: ExperimentConfig,
     """One full service run (deterministic given the two configs).
 
     A :class:`~repro.service.FleetConfig` spec runs as a true-parallel
-    :class:`~repro.service.fleet.ProcessFleet` (deterministic too when
-    ``sync=True``); a plain :class:`~repro.service.ServiceConfig` runs
-    the lockstep :class:`~repro.service.StreamService`.
+    :class:`~repro.service.fleet.ProcessFleet` (deterministic too); a
+    plain :class:`~repro.service.ServiceConfig` runs the lockstep
+    :class:`~repro.service.StreamService`.
     """
     arrivals = build_service_workload(config, svc, workload_kind)
     runtime = (build_fleet(config, svc) if isinstance(svc, FleetConfig)
@@ -124,7 +124,7 @@ class FleetComparison:
     def aggregates_match(self) -> bool:
         """True when both runs produced identical per-shard aggregates.
 
-        Exact equality, not tolerance: a sync-mode fleet reproduces the
+        Exact equality, not tolerance: a process fleet reproduces the
         lockstep trajectory float-for-float, so ``periods``, arrivals,
         departures and drops must agree bit-for-bit per shard.
         """
@@ -144,11 +144,11 @@ def fleet_comparison(config: Optional[ExperimentConfig] = None,
                      workload_kind: str = "web") -> FleetComparison:
     """Run the hotspot scenario lockstep, then as a process fleet.
 
-    The two legs share the exact same configs and workload; with
-    ``svc.sync`` left on, :meth:`FleetComparison.aggregates_match` is the
-    deterministic-equivalence check and :attr:`FleetComparison.speedup`
-    the wall-clock win. Runs serially (the fleet wants the machine's
-    cores to itself for an honest timing).
+    The two legs share the exact same configs and workload, so
+    :meth:`FleetComparison.aggregates_match` is the deterministic-
+    equivalence check and :attr:`FleetComparison.speedup` the wall-clock
+    win. Runs serially (the fleet wants the machine's cores to itself for
+    an honest timing).
     """
     config = config or ExperimentConfig()
     svc = svc or FleetConfig()

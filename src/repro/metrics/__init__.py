@@ -1,15 +1,6 @@
 """QoS metrics, run recording, reporting, and export."""
 
-from .export import (
-    PeriodJsonlWriter,
-    departures_to_csv,
-    load_json,
-    load_jsonl,
-    periods_to_csv,
-    periods_to_jsonl,
-    record_to_json,
-    trace_to_json,
-)
+from .export import record_to_json
 from .qos import (
     QosMetrics,
     combine_qos,
@@ -21,7 +12,6 @@ from .qos import (
 from .recorder import PeriodRecord, RunRecord, merge_records
 
 __all__ = [
-    "PeriodJsonlWriter",
     "PeriodRecord",
     "QosMetrics",
     "RunRecord",
@@ -29,13 +19,7 @@ __all__ = [
     "compute_qos",
     "delay_percentiles",
     "delays_by_arrival_period",
-    "departures_to_csv",
-    "load_json",
-    "load_jsonl",
     "merge_records",
-    "periods_to_csv",
-    "periods_to_jsonl",
     "record_to_json",
     "relative_metrics",
-    "trace_to_json",
 ]

@@ -1,50 +1,26 @@
-"""Exporting run records for external analysis (CSV / JSON).
+"""Exporting run records for external analysis (JSON).
 
-``RunRecord`` objects hold everything a run produced; these helpers
-flatten them into formats a notebook or gnuplot can consume, so the
+``RunRecord`` objects hold everything a run produced; :func:`record_to_json`
+flattens one into a document a notebook or gnuplot can consume, so the
 figures can be replotted outside this library.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Union
 
-from ..errors import ExperimentError
 from .recorder import RunRecord
 
 PathLike = Union[str, Path]
 
-#: column order of the per-period CSV
+#: the fields of each per-period row, in order
 PERIOD_FIELDS = (
     "k", "time", "target", "delay_estimate", "queue_length", "cost",
     "inflow_rate", "outflow_rate", "offered", "admitted", "shed_retro",
     "v", "u", "error", "alpha",
 )
-
-
-def periods_to_csv(record: RunRecord, path: PathLike) -> Path:
-    """One row per control period (the online view of the run)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PERIOD_FIELDS)
-        for p in record.periods:
-            writer.writerow([getattr(p, f) for f in PERIOD_FIELDS])
-    return path
-
-
-def departures_to_csv(record: RunRecord, path: PathLike) -> Path:
-    """One row per resolved tuple: arrival, departure, delay, shed flag."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arrived", "departed", "delay", "shed"])
-        for d in record.departures:
-            writer.writerow([d.arrived, d.departed, d.delay, int(d.shed)])
-    return path
 
 
 def record_to_json(record: RunRecord, path: PathLike,
@@ -83,84 +59,3 @@ def record_to_json(record: RunRecord, path: PathLike,
     path.write_text(json.dumps(doc, indent=2))
     return path
 
-
-def load_json(path: PathLike) -> dict:
-    """Read back a document written by :func:`record_to_json`."""
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"no such export: {path}")
-    return json.loads(path.read_text())
-
-
-def periods_to_jsonl(record: RunRecord, path: PathLike) -> Path:
-    """One JSON object per period, one per line (streaming-friendly CSV twin)."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for p in record.periods:
-            fh.write(json.dumps({f: getattr(p, f) for f in PERIOD_FIELDS}))
-            fh.write("\n")
-    return path
-
-
-def load_jsonl(path: PathLike) -> list:
-    """Read back rows written by :func:`periods_to_jsonl` (or a live sink).
-
-    Ignores a trailing partial line, so it is safe to call on a file a
-    :class:`~repro.obs.sinks.PeriodJsonlSink` is still appending to.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"no such export: {path}")
-    rows = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # torn tail of an in-flight write
-    return rows
-
-
-class PeriodJsonlWriter:
-    """Append-as-you-go JSONL writer usable *mid-run*.
-
-    Unlike :func:`periods_to_jsonl`, which needs the finished record, this
-    accepts one :class:`~repro.metrics.recorder.PeriodRecord` at a time and
-    flushes each row, so an experiment driver can stream the online view of
-    a run to disk as it unfolds (hand :meth:`append` to a bus subscription,
-    or call it from a custom period loop).
-    """
-
-    def __init__(self, path: PathLike):
-        self.path = Path(path)
-        self.rows = 0
-        self._fh = self.path.open("a")
-
-    def append(self, period) -> None:
-        self._fh.write(json.dumps(
-            {f: getattr(period, f) for f in PERIOD_FIELDS}))
-        self._fh.write("\n")
-        self._fh.flush()
-        self.rows += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "PeriodJsonlWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def trace_to_json(flame: dict, path: PathLike) -> Path:
-    """Write a flame summary (:meth:`~repro.obs.tracing.PeriodTracer.flame`
-    or :func:`~repro.obs.tracing.merge_flames` output) next to the CSVs."""
-    path = Path(path)
-    path.write_text(json.dumps(flame, indent=2))
-    return path

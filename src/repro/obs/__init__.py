@@ -7,11 +7,11 @@ Four pieces, all opt-in and zero-dependency:
   rebalances — emitted live from the control loop, engines and service
   layer. Nothing is allocated when nobody subscribes.
 - **Metrics registry** (:mod:`repro.obs.metrics`): process-wide counters,
-  gauges and histograms with Prometheus text exposition and JSONL
+  gauges and histograms with Prometheus text exposition and JSON
   snapshots; :func:`install_metrics` bridges bus events into it.
 - **Tracing** (:mod:`repro.obs.tracing`): per-period wall-clock spans
   (ingest / engine / monitor / controller / actuator / coordinator)
-  aggregated into a flame summary exported next to the run CSVs.
+  aggregated into a flame summary.
 - **Tuple tracing** (:mod:`repro.obs.tuptrace`): deterministic sampled
   per-tuple lifecycle spans — ingest to sink, including the shed
   decision that killed a tuple — with drop audit, Chrome-trace/JSONL
@@ -111,18 +111,15 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    JsonlSnapshotSink,
     MetricsBridge,
     MetricsRegistry,
     PromFileDumper,
     get_registry,
     install_metrics,
-    parse_prometheus_text,
     start_prom_dump,
 )
 from .relay import CommandChannel, EventRelay, relay_forwarder, worker_relay
 from .serve import ObsServer
-from .sinks import PeriodJsonlSink
 from .sysid import RlsGainEstimator, SysIdMonitor, oscillation_score
 from .tracing import SEGMENTS, PeriodTracer, merge_flames
 from .tuptrace import (
@@ -149,8 +146,7 @@ __all__ = [
     "event_to_dict",
     # metrics
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
-    "JsonlSnapshotSink", "MetricsBridge", "get_registry", "install_metrics",
-    "SUMMARY_QUANTILES", "parse_prometheus_text",
+    "MetricsBridge", "get_registry", "install_metrics", "SUMMARY_QUANTILES",
     "PromFileDumper", "start_prom_dump",
     # serving & relay
     "ObsServer", "EventRelay", "worker_relay", "relay_forwarder",
@@ -173,6 +169,4 @@ __all__ = [
     "Observers",
     # logging
     "configure_logging", "get_logger", "JsonLogFormatter",
-    # sinks
-    "PeriodJsonlSink",
 ]

@@ -3,7 +3,7 @@
 Every instrumented layer announces what it just did by emitting one of
 these dataclasses on an :class:`~repro.obs.bus.EventBus`. Events are the
 *only* coupling between the instrumented code and the observability
-consumers (metrics bridge, health detectors, JSONL sinks, user callbacks):
+consumers (metrics bridge, health detectors, flight recorder, user callbacks):
 producers construct an event and hand it to the bus; everything else is a
 subscriber.
 

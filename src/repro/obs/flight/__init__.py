@@ -18,8 +18,8 @@ The bundle carries the config snapshots that *produced* the run, so a
 bundle from any deterministic runtime is its own reproduction recipe:
 ``python -m repro.obs.flight replay bundle.json`` rebuilds the engine
 from the embedded specs, re-runs it, and diffs the period stream against
-the ring float-for-float.  A sync-mode process fleet reproduces the
-lockstep trajectory exactly (the PR-4 determinism contract), so fleet
+the ring float-for-float.  A process fleet reproduces the lockstep
+trajectory exactly (the PR-4 determinism contract), so fleet
 bundles — whose rings were assembled in the parent over the event relay,
 shard keys carrying ``pid<pid>/<shard>`` provenance — replay through the
 single-process :class:`~repro.service.service.StreamService` and still

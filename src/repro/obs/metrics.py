@@ -18,7 +18,6 @@ costs nothing; installing it is one call:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -347,89 +346,6 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default metrics registry (always the same object)."""
     return _DEFAULT_REGISTRY
-
-
-class JsonlSnapshotSink:
-    """Appends registry snapshots to a JSONL file, one line per call.
-
-    Tail the file while a run is in flight to watch the counters move;
-    each line is ``{"seq": n, "label": ..., "metrics": {...}}``.
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 registry: Optional[MetricsRegistry] = None):
-        self.path = Path(path)
-        self.registry = registry if registry is not None else get_registry()
-        self._seq = 0
-
-    def write(self, label: Optional[str] = None) -> int:
-        """Append one snapshot line; returns its sequence number."""
-        doc = {"seq": self._seq, "label": label,
-               "metrics": self.registry.snapshot()}
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(doc) + "\n")
-        self._seq += 1
-        return self._seq - 1
-
-
-_SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
-_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def _unescape_label_value(value: str) -> str:
-    # \\ first via a placeholder so \\n stays a backslash + n
-    return (value.replace("\\\\", "\x00")
-                 .replace(r"\n", "\n")
-                 .replace(r"\"", '"')
-                 .replace("\x00", "\\"))
-
-
-def parse_prometheus_text(text: str) -> Dict[str, dict]:
-    """Parse 0.0.4 exposition text back into families.
-
-    Returns ``{family: {"type": ..., "help": ..., "samples": [(name,
-    labels_dict, value), ...]}}`` with samples attached to the family
-    whose ``# TYPE`` line most recently preceded them (``_bucket``/
-    ``_sum``/``_count``/quantile samples land under their family). The
-    round-trip tests in ``tests/obs/`` hold
-    :meth:`MetricsRegistry.prometheus_text` to this grammar.
-    """
-    families: Dict[str, dict] = {}
-    current: Optional[str] = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            families.setdefault(name, {"type": "untyped", "help": "",
-                                       "samples": []})["help"] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, type_name = rest.partition(" ")
-            families.setdefault(name, {"type": "untyped", "help": "",
-                                       "samples": []})["type"] = type_name
-            current = name
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            raise ObservabilityError(
-                f"unparseable exposition line {lineno}: {line!r}"
-            )
-        sample_name, label_blob, raw_value = match.groups()
-        labels = {k: _unescape_label_value(v)
-                  for k, v in _LABEL_PAIR_RE.findall(label_blob or "")}
-        family = current if (current is not None
-                             and sample_name.startswith(current)) else sample_name
-        families.setdefault(family, {"type": "untyped", "help": "",
-                                     "samples": []})
-        families[family]["samples"].append(
-            (sample_name, labels, float(raw_value)))
-    return families
 
 
 class PromFileDumper:

@@ -4,9 +4,8 @@ A :class:`PeriodTracer` splits each control period's *host* wall time into
 named segments — how long the engine step took, how long the monitor,
 controller and actuator took, how long the coordinator deliberated — and
 keeps both the per-period rows and the run totals. The aggregate is a
-"flame summary": one dict mapping segment to total seconds and fraction,
-exportable next to the run's CSVs (see
-:func:`repro.metrics.export.trace_to_json`).
+"flame summary": one JSON-able dict mapping segment to total seconds and
+fraction.
 
 The instrumented loop pays for tracing only when a tracer is installed
 (``loop.tracer is None`` is the disabled check); segment boundaries are

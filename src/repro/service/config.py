@@ -133,26 +133,20 @@ class FleetConfig(ServiceConfig):
     Same shards, router, coordinator and workload knobs — plus the
     execution-model knobs of :class:`~repro.service.fleet.ProcessFleet`:
     every shard becomes its own worker process, and the coordinator runs
-    in the parent over relayed per-period summaries.
-
-    ``sync=True`` is deterministic mode: workers advance in lockstep with
-    the coordinator (a command barrier per period), reproducing the
-    single-process :class:`~repro.service.service.StreamService`
-    trajectory float-for-float. ``sync=False`` is wall-clock mode:
-    workers free-run their control periods and apply coordinator
-    commands whenever they arrive (see docs/THEORY.md §11 for why the
-    asynchronous periods preserve the paper's stability argument).
+    in the parent over relayed per-period summaries. Workers advance in
+    lockstep with the coordinator (a command barrier per period), so the
+    fleet reproduces the single-process
+    :class:`~repro.service.service.StreamService` trajectory
+    float-for-float.
     """
 
-    #: command barrier per period (deterministic, lockstep-equivalent)
-    sync: bool = True
     #: how many times one shard's worker may die and be replayed before
     #: the whole run is declared failed
     max_restarts: int = 2
     #: forward worker events to the parent bus through an EventRelay
     #: (implied by ``serve``/``health``, which consume parent-side events)
     relay: bool = False
-    #: seconds a worker waits on its command queue (sync mode) and the
+    #: seconds a worker waits on its command queue and the
     #: parent waits without any fleet progress before declaring a stall
     worker_patience: float = 120.0
 

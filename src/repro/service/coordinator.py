@@ -78,7 +78,7 @@ class MigrationPolicy:
 
     All iteration is over sorted keys and ties break deterministically,
     so the lockstep service and the fleet parent produce identical plans
-    from identical inputs — a requirement for sync-mode equivalence.
+    from identical inputs — a requirement for fleet/lockstep equivalence.
     """
 
     def __init__(self, patience: int = 4, cooldown: int = 12,

@@ -26,18 +26,12 @@ autonomously while a supervisor rebalances load:
   :func:`~repro.obs.relay.worker_relay`, so every worker event lands on
   the parent bus labelled ``pid<pid>/<shard>``.
 
-Two execution modes (``FleetConfig.sync``):
-
-* **sync** — a command barrier per period: a worker blocks for the
-  coordinator's (possibly empty) op list for period ``k`` before opening
-  period ``k+1``. Because the coordinator then runs the identical
-  arithmetic on identical per-period records in the identical order, the
-  fleet's records match the lockstep service float-for-float — the
-  determinism contract that makes recovery-by-replay possible at all;
-* **async** — no barrier: workers free-run their control periods at
-  wall-clock speed and apply coordinator ops whenever they arrive (the
-  paper's supervisory layer was never synchronous either; docs/THEORY.md
-  §11 argues why the per-shard loops stay stable under late commands).
+**A command barrier per period.** A worker blocks for the coordinator's
+(possibly empty) op list for period ``k`` before opening period ``k+1``.
+Because the coordinator then runs the identical arithmetic on identical
+per-period records in the identical order, the fleet's records match the
+lockstep service float-for-float — the determinism contract that makes
+recovery-by-replay possible at all (docs/THEORY.md §11).
 
 **Failure/restart.** Engines hold closures and live event state, so a
 shard checkpoint is not a pickle — it is a *recipe*: the build spec, the
@@ -45,8 +39,8 @@ arrival slice, and the journal of coordinator ops per period (all three
 already live in the parent). When a worker dies, the parent drains its
 queues, emits :class:`~repro.obs.events.WorkerDown`, and spawns a
 replacement that silently replays periods ``0..last_acked`` applying the
-journalled ops at the exact period boundaries the original applied them
-(sync mode), then emits :class:`~repro.obs.events.WorkerRestarted` and
+journalled ops at the exact period boundaries the original applied them,
+then emits :class:`~repro.obs.events.WorkerRestarted` and
 rejoins live. Determinism makes the replayed incarnation bit-identical to
 the lost one, so fleet aggregates come out as if nothing had died.
 """
@@ -197,8 +191,8 @@ def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
     ``0..resume_k`` silently (no summaries, no relay — the parent already
     accounted for them; the replica replays through any journalled
     cutover to the correct epoch), then goes live: close a period, ship
-    its summary, and in sync mode block for the coordinator's op barrier
-    before opening the next. ``fail_k`` is the failure-injection test
+    its summary, and block for the coordinator's op barrier before opening
+    the next. ``fail_k`` is the failure-injection test
     hook: the first incarnation dies abruptly at the start of that
     period.
     """
@@ -259,21 +253,13 @@ def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
                 _apply_ops(shard, ops, table)
                 return
 
-        def drain_ops() -> None:
-            while True:
-                try:
-                    __, __k, ops = command_queue.get_nowait()
-                except _queue.Empty:
-                    return
-                _apply_ops(shard, ops, table)
-
         record = shard.loop.begin()
         # --- silent replay of the lost incarnation ---------------------- #
         for k in range(resume_k + 1):
             run_period(k)
             if k in journal:
                 _apply_ops(shard, journal[k], table)
-        if svc.sync and resume_k >= 0 and resume_k not in journal:
+        if resume_k >= 0 and resume_k not in journal:
             # the row we died on had not been rebalanced yet; the barrier
             # op for it arrives over the live channel once it closes
             await_ops(resume_k)
@@ -290,10 +276,7 @@ def _fleet_worker(config: "ExperimentConfig", svc: FleetConfig, index: int,
                 p = run_period(k)
                 summary_queue.put(("summary", name, k, p,
                                    shard.requested_alpha))
-                if svc.sync:
-                    await_ops(k)
-                else:
-                    drain_ops()
+                await_ops(k)
             shard.loop.finish(record, n_periods)
             if sysid is not None:
                 summary_queue.put(("sysid", name, sysid.state_for(name)))
@@ -368,12 +351,11 @@ class ProcessFleet(RecordedRun):
         self._attach(replace(svc, sysid=False))
         self.observers.set_recipe(config, svc, {
             "kind": "service", "service_kind": "fleet",
-            "sync": svc.sync, "workload_kind": "web"})
+            "workload_kind": "web"})
 
     def status(self) -> dict:
         """The shared ``/status`` view plus each worker's vital signs."""
         doc = super().status()
-        doc["sync"] = self.svc.sync
         for name, shard in doc["shards"].items():
             state = self._states.get(name)
             shard.update(
@@ -461,8 +443,7 @@ class ProcessFleet(RecordedRun):
             for proxy, name in zip(self.proxies, names):
                 ops = proxy.take_ops() + route_ops
                 states[name].journal[k] = ops
-                if svc.sync or ops:
-                    channel.send(name, ("ops", k, ops))
+                channel.send(name, ("ops", k, ops))
             self._k = k
 
         def handle(msg) -> int:
@@ -595,7 +576,7 @@ def build_fleet(config: "ExperimentConfig",
     """Assemble a process fleet from picklable specs.
 
     Mirror of :func:`~repro.service.service.build_service`: the same
-    ``(config, svc)`` pair builds either runner, and in sync mode both
-    produce identical records.
+    ``(config, svc)`` pair builds either runner, and both produce
+    identical records.
     """
     return ProcessFleet(config, svc, bus=bus, fail_at=fail_at)

@@ -461,6 +461,6 @@ def build_service(config: "ExperimentConfig",
     # bundle carries everything ``flight replay`` needs
     service.observers.set_recipe(config, svc, {
         "kind": "service", "service_kind": "lockstep",
-        "sync": True, "workload_kind": "web",
+        "workload_kind": "web",
     })
     return service

@@ -9,25 +9,22 @@ trace with its peak/jump/terrace circumstances.
 from .arrivals import (
     Arrival,
     arrivals_from_trace,
-    iter_arrivals,
     merge_arrivals,
     uniform_values,
 )
 from .cache import (
     CACHE_MIN_TUPLES,
     cached_arrivals_from_trace,
-    clear_trace_cache,
     trace_cache_dir,
     trace_cache_key,
 )
 from .costs import (
     Circumstance,
-    constant_cost_trace,
     cost_trace,
     fig14_circumstances,
     fig14_cost_trace,
 )
-from .pareto import pareto_median, pareto_rate_trace, pareto_rate_trace_with_mean
+from .pareto import pareto_rate_trace, pareto_rate_trace_with_mean
 from .patterns import (
     constant_rate,
     piecewise_rate,
@@ -67,19 +64,15 @@ __all__ = [
     "TraceReplayer",
     "arrivals_from_trace",
     "cached_arrivals_from_trace",
-    "clear_trace_cache",
-    "constant_cost_trace",
     "constant_rate",
     "cost_trace",
     "fig14_circumstances",
     "fig14_cost_trace",
     "hotspot_weights",
-    "iter_arrivals",
     "load_citibike_csv",
     "load_ita_trace",
     "merge_arrivals",
     "multi_source_arrivals",
-    "pareto_median",
     "pareto_rate_trace",
     "pareto_rate_trace_with_mean",
     "piecewise_rate",

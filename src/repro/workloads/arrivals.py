@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import WorkloadError
 from .trace import RateTrace
@@ -49,20 +49,6 @@ def arrivals_from_trace(trace: RateTrace,
         for off in offsets:
             out.append((start + off, uniform_values(rng, n_fields), source))
     return out
-
-
-def iter_arrivals(trace: RateTrace,
-                  source: str = "src",
-                  n_fields: int = 4,
-                  seed: Optional[int] = None) -> Iterator[Arrival]:
-    """Generator variant of :func:`arrivals_from_trace` (even spacing)."""
-    rng = random.Random(seed)
-    for k, rate in enumerate(trace):
-        start = k * trace.period
-        count = int(round(rate * trace.period))
-        for i in range(count):
-            yield (start + i * trace.period / count,
-                   uniform_values(rng, n_fields), source)
 
 
 def merge_arrivals(*streams: List[Arrival]) -> List[Arrival]:

@@ -16,10 +16,12 @@ Control knob (environment, read per call so tests can monkeypatch):
     — disable caching entirely; anything else — use that directory.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers can
-race on the same key safely; a corrupt or unreadable entry falls back to
-regeneration. Tiny traces (fewer than :data:`CACHE_MIN_TUPLES` expected
-tuples) skip the cache — the pickle round-trip would cost more than the
-generation it saves.
+race on the same key safely. Each entry is the sha256 digest of its pickle
+followed by the pickle itself; an entry that fails the digest or fails to
+unpickle is regenerated and rewritten, so a damaged file can neither crash
+a run nor swap its workload. Tiny traces (fewer than
+:data:`CACHE_MIN_TUPLES` expected tuples) skip the cache — the pickle
+round-trip would cost more than the generation it saves.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ _log = get_logger("workloads")
 CACHE_MIN_TUPLES = 5000
 
 #: bump when the arrival-generation algorithm or entry format changes
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: an entry starts with the sha256 digest of the pickle that follows it
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 _ENV_VAR = "REPRO_TRACE_CACHE"
 _OFF_VALUES = {"0", "off", "no", "false"}
@@ -81,7 +86,7 @@ def cached_arrivals_from_trace(trace: RateTrace,
     Returns the identical arrival list (cache hits are byte-equal pickles
     of what generation would produce); falls back to direct generation
     when the cache is disabled, the trace is small, or the entry is
-    unreadable.
+    missing or damaged.
     """
     cache_dir = trace_cache_dir()
     if cache_dir is None or trace.total_tuples() < CACHE_MIN_TUPLES:
@@ -90,12 +95,16 @@ def cached_arrivals_from_trace(trace: RateTrace,
     key = trace_cache_key(trace, source, n_fields, poisson, seed)
     path = cache_dir / f"{key}.pkl"
     try:
-        with open(path, "rb") as fh:
-            arrivals = pickle.load(fh)
-        _log.debug("trace cache hit %s (%d arrivals)", key[:12], len(arrivals))
-        return arrivals
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        pass  # miss or corrupt entry: regenerate (and try to repair)
+        entry = path.read_bytes()
+        payload = entry[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() == entry[:_DIGEST_BYTES]:
+            arrivals = pickle.loads(payload)
+            _log.debug("trace cache hit %s (%d arrivals)", key[:12],
+                       len(arrivals))
+            return arrivals
+    except Exception:
+        pass  # a miss, or an entry pickle cannot read
+    # regenerate, and repair a damaged entry
     arrivals = arrivals_from_trace(trace, source=source, n_fields=n_fields,
                                    poisson=poisson, seed=seed)
     _log.debug("trace cache miss %s: materialized %d arrivals",
@@ -104,29 +113,16 @@ def cached_arrivals_from_trace(trace: RateTrace,
     return arrivals
 
 
-def clear_trace_cache() -> int:
-    """Delete every cached entry; returns the number of files removed."""
-    cache_dir = trace_cache_dir()
-    if cache_dir is None or not cache_dir.is_dir():
-        return 0
-    removed = 0
-    for entry in cache_dir.glob("*.pkl"):
-        try:
-            entry.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed
-
-
 def _write_atomic(path: Path, arrivals: List[Arrival]) -> None:
     """Best-effort atomic publish; caching never fails the caller."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
+            payload = pickle.dumps(arrivals, protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(arrivals, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(hashlib.sha256(payload).digest())
+                fh.write(payload)
             os.replace(tmp, path)
         except BaseException:
             try:

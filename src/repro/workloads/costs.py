@@ -113,8 +113,3 @@ def fig14_cost_trace(n_periods: int = 400,
         seed=seed,
     )
 
-
-def constant_cost_trace(n_periods: int, cost: float,
-                        period: float = 1.0) -> CostTrace:
-    """A flat cost trace (system-identification setting)."""
-    return CostTrace([cost] * n_periods, period)

@@ -52,13 +52,6 @@ def pareto_rate_trace(n_periods: int,
     return RateTrace(values, period)
 
 
-def pareto_median(beta: float, scale: float) -> float:
-    """Closed-form median of the (unclipped) per-period rate."""
-    if beta <= 0 or scale <= 0:
-        raise WorkloadError("beta and scale must be positive")
-    return scale * 2.0 ** (1.0 / beta)
-
-
 def pareto_rate_trace_with_mean(n_periods: int,
                                 beta: float,
                                 target_mean: float,

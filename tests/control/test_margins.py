@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.control import TransferFunction
-from repro.control.margins import bode_points, stability_margins
+from repro.control.margins import stability_margins
 from .test_transfer_function import paper_controller, paper_plant
 
 
@@ -61,16 +61,3 @@ class TestMarginBehaviour:
         assert m.gain_margin < 1.2
         assert m.modulus_margin < 0.2
 
-
-class TestBode:
-    def test_points_shape(self):
-        pts = bode_points(paper_controller() * paper_plant(), n_points=64)
-        assert len(pts) == 64
-        for w, mag_db, phase in pts:
-            assert 0 < w <= math.pi
-            assert -360.0 <= phase <= 360.0
-
-    def test_integrator_rolls_off(self):
-        pts = bode_points(TransferFunction.integrator(1.0), n_points=32)
-        mags = [m for __, m, __ in pts]
-        assert mags[0] > mags[-1]

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.control import (
     DifferenceEquation,
     TransferFunction,
-    impulse_response,
     simulate,
     step_response,
 )
@@ -56,17 +55,6 @@ class TestResponses:
         with pytest.raises(ControlError):
             step_response(tf, -1)
 
-    def test_impulse_response_geometric(self):
-        tf = TransferFunction([1.0], [1.0, -0.5])  # h(k) = 0.5^{k-1}, k>=1
-        h = impulse_response(tf, 6)
-        assert h[0] == pytest.approx(0.0)
-        for k in range(1, 6):
-            assert h[k] == pytest.approx(0.5 ** (k - 1))
-
-    def test_impulse_zero_length(self):
-        tf = TransferFunction([1.0], [1.0, -0.5])
-        assert impulse_response(tf, 0) == []
-
     def test_simulate_linearity(self):
         tf = TransferFunction([1.0, 0.3], [1.0, -0.8, 0.1])
         u = [1.0, -2.0, 0.5, 3.0, 0.0, 1.0]
@@ -93,9 +81,3 @@ def test_first_order_step_matches_closed_form(pole, gain):
         expected = gain * (1 - pole ** k) / (1 - pole) if pole != 1 else gain * k
         assert math.isclose(y[k], expected, rel_tol=1e-9, abs_tol=1e-9)
 
-
-@given(st.floats(min_value=0.05, max_value=0.9))
-def test_stable_impulse_response_sums_to_dc_gain(pole):
-    tf = TransferFunction([1.0], [1.0, -pole])
-    h = impulse_response(tf, 400)
-    assert math.isclose(sum(h), tf.dc_gain(), rel_tol=1e-3)

@@ -13,7 +13,6 @@ from repro.core import (
     Monitor,
     PolePlacementController,
     PriorityEntryActuator,
-    SamplingActuator,
     SemanticEntryActuator,
 )
 from repro.dsms import Engine, QueryNetwork, MapOperator, identification_network
@@ -28,30 +27,6 @@ def make_loop(actuator, engine=None, predictor=None, period=1.0, target=2.0):
     return ControlLoop(engine, PolePlacementController(model), monitor,
                        actuator, target=target, period=period,
                        predictor=predictor), engine
-
-
-class TestSamplingActuator:
-    def test_decimation_matches_allowance(self):
-        act = SamplingActuator()
-        act.begin_period(75.0, 300.0)  # keep 1 in 4
-        admitted = sum(1 for _ in range(1200) if act.admit())
-        assert admitted == pytest.approx(300, abs=2)
-        assert act.alpha == pytest.approx(0.75)
-
-    def test_zero_inflow_admits(self):
-        act = SamplingActuator()
-        act.begin_period(10.0, 0.0)
-        assert act.admit()
-
-    def test_regulates_the_loop(self):
-        loop, __ = make_loop(SamplingActuator())
-        rec = loop.run(arrivals_from_trace(constant_rate(370.0, 50), seed=1),
-                       50.0)
-        est = [p.delay_estimate for p in rec.periods[20:45]]
-        assert sum(est) / len(est) == pytest.approx(2.0, abs=0.4)
-        # deterministic decimation: lower loss variance than a fair coin,
-        # same mean
-        assert rec.qos().loss_ratio == pytest.approx(1 - 184.3 / 370, abs=0.05)
 
 
 class TestSemanticActuator:

@@ -20,7 +20,6 @@ from repro.core import (
     EwmaEstimator,
     Monitor,
     PolePlacementController,
-    SamplingActuator,
 )
 from repro.dsms import Engine, identification_network
 from repro.experiments import ExperimentConfig
@@ -101,18 +100,6 @@ def test_queue_never_negative_and_alpha_in_range(seed):
         assert p.queue_length >= 0
         assert 0.0 <= p.alpha <= 1.0
         assert p.offered >= p.admitted >= 0
-
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=1000))
-def test_sampling_actuator_same_invariants(seed):
-    rng = random.Random(seed)
-    rates = [rng.uniform(100, 500) for __ in range(15)]
-    record, engine = run_loop(rates, PolePlacementController,
-                              actuator=SamplingActuator(), seed=seed)
-    admitted = sum(p.admitted for p in record.periods)
-    assert admitted + record.entry_dropped_total == record.offered_total
-    assert engine.outstanding == 0
 
 
 @pytest.mark.parametrize("c, n", [(0.003, 5), (0.25, 8)])

@@ -5,15 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import (
-    Ar1Predictor,
-    HoltPredictor,
-    LastValuePredictor,
-    MovingAveragePredictor,
-)
+from repro.core import Ar1Predictor, HoltPredictor, MovingAveragePredictor
 from repro.errors import ControlError
 
-ALL = (LastValuePredictor, MovingAveragePredictor, HoltPredictor, Ar1Predictor)
+ALL = (MovingAveragePredictor, HoltPredictor, Ar1Predictor)
 
 
 class TestCommon:
@@ -49,14 +44,6 @@ class TestCommon:
         assert p.predict() >= 0.0
 
 
-class TestLastValue:
-    def test_tracks_latest(self):
-        p = LastValuePredictor()
-        p.update(100.0)
-        p.update(250.0)
-        assert p.predict() == 250.0
-
-
 class TestMovingAverage:
     def test_window_validation(self):
         with pytest.raises(ControlError):
@@ -77,16 +64,15 @@ class TestHolt:
             HoltPredictor(trend_beta=1.5)
 
     def test_unbiased_on_a_ramp(self):
-        """The Fig. 8A scenario: last-value lags a ramp; Holt does not."""
+        """The Fig. 8A scenario: the paper's fin(k+1) := fin(k) lags a ramp;
+        Holt does not."""
         holt = HoltPredictor()
-        last = LastValuePredictor()
-        value = 0.0
+        last = 0.0
         for k in range(100):
-            value = 100.0 + 5.0 * k
-            holt.update(value)
-            last.update(value)
+            last = 100.0 + 5.0 * k
+            holt.update(last)
         next_true = 100.0 + 5.0 * 100
-        assert abs(holt.predict() - next_true) < abs(last.predict() - next_true)
+        assert abs(holt.predict() - next_true) < abs(last - next_true)
         assert holt.predict() == pytest.approx(next_true, rel=0.02)
 
 

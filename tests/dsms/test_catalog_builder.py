@@ -8,7 +8,6 @@ from repro.dsms import (
     Catalog,
     Engine,
     chain_network,
-    expected_identification_cost,
     identification_network,
     monitoring_network,
 )
@@ -77,9 +76,6 @@ class TestBuilders:
 
     def test_identification_has_14_operators(self):
         assert len(identification_network()) == 14
-
-    def test_expected_identification_cost(self):
-        assert expected_identification_cost(200.0) == pytest.approx(0.005)
 
     def test_chain_validation(self):
         with pytest.raises(NetworkError):

@@ -180,6 +180,8 @@ class TestStatefulPaths:
         eng.flush()
         assert eng.departed_total == eng.admitted_total == 10
         assert eng.outstanding == 0
+        # windows closed by a timer or the flush count as emitted too
+        assert net.operators["a"].emitted == net.operators["out"].consumed
 
     def test_topological_scheduler_also_conserves(self):
         net = identification_network()

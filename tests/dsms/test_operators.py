@@ -8,7 +8,6 @@ from repro.dsms import (
     AggregateOperator,
     FilterOperator,
     MapOperator,
-    RandomDropOperator,
     Sink,
     UnionOperator,
     WindowJoinOperator,
@@ -71,39 +70,6 @@ class TestMapUnion:
         t = tup([1])
         assert u.apply(t, 0, 0.0) == [t]
         assert u.apply(t, 7, 0.0) == [t]
-
-
-class TestRandomDrop:
-    def test_zero_probability_passes_all(self):
-        d = RandomDropOperator("d", rng=random.Random(0))
-        for i in range(100):
-            assert d.apply(tup([i]), 0, 0.0) != []
-        assert d.dropped == 0
-
-    def test_full_probability_drops_all(self):
-        d = RandomDropOperator("d", drop_probability=1.0, rng=random.Random(0))
-        t = tup([1])
-        assert d.apply(t, 0, 0.0) == []
-        assert d.dropped == 1
-        assert t.lineage.shed
-
-    def test_probability_validation(self):
-        d = RandomDropOperator("d")
-        with pytest.raises(NetworkError):
-            d.drop_probability = 1.2
-
-    def test_statistical_drop_rate(self):
-        d = RandomDropOperator("d", drop_probability=0.3, rng=random.Random(11))
-        n = 5000
-        for i in range(n):
-            d.apply(tup([i]), 0, 0.0)
-        assert d.dropped / n == pytest.approx(0.3, abs=0.03)
-
-    def test_reset_clears_dropped(self):
-        d = RandomDropOperator("d", drop_probability=1.0, rng=random.Random(0))
-        d.apply(tup([1]), 0, 0.0)
-        d.reset()
-        assert d.dropped == 0
 
 
 class TestWindowJoin:

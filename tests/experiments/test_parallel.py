@@ -12,7 +12,6 @@ from repro.experiments import (
     execute_job,
     parallel_enabled,
     run_jobs,
-    run_jobs_keyed,
 )
 
 #: short but non-trivial: the engine saturates and sheds within 30 s
@@ -151,15 +150,3 @@ class TestFallbacks:
         monkeypatch.setenv("REPRO_WORKERS", "zero")
         with pytest.raises(ExperimentError):
             default_workers()
-
-    def test_keyed_execution(self):
-        jobs = [Job(strategy=s, config=CFG, workload_kind="web", key=s)
-                for s in ("CTRL", "BASELINE")]
-        out = run_jobs_keyed(jobs, workers=1)
-        assert set(out) == {"CTRL", "BASELINE"}
-
-    def test_keyed_execution_rejects_duplicate_labels(self):
-        jobs = [Job(strategy="CTRL", config=CFG, workload_kind="web",
-                    key="same") for _ in range(2)]
-        with pytest.raises(ExperimentError):
-            run_jobs_keyed(jobs, workers=1)

@@ -1,23 +1,10 @@
 """Unit tests for run-record export."""
 
-import csv
-
-import pytest
+import json
 
 from repro.dsms import Departure
-from repro.errors import ExperimentError
 from repro.metrics import PeriodRecord, RunRecord
-from repro.metrics.export import (
-    PERIOD_FIELDS,
-    PeriodJsonlWriter,
-    departures_to_csv,
-    load_json,
-    load_jsonl,
-    periods_to_csv,
-    periods_to_jsonl,
-    record_to_json,
-    trace_to_json,
-)
+from repro.metrics.export import PERIOD_FIELDS, record_to_json
 
 
 def sample_record():
@@ -38,37 +25,18 @@ def sample_record():
     return rec
 
 
-class TestCsvExport:
-    def test_periods_roundtrip(self, tmp_path):
-        rec = sample_record()
-        path = periods_to_csv(rec, tmp_path / "periods.csv")
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(PERIOD_FIELDS)
-        assert len(rows) == 4
-        assert rows[1][0] == "0"
-        assert float(rows[3][3]) == pytest.approx(3.5)  # delay_estimate k=2
-
-    def test_departures_roundtrip(self, tmp_path):
-        rec = sample_record()
-        path = departures_to_csv(rec, tmp_path / "deps.csv")
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["arrived", "departed", "delay", "shed"]
-        assert len(rows) == 5
-        assert rows[-1][3] == "1"  # the shed tuple
-
-
 class TestJsonExport:
     def test_summary_fields(self, tmp_path):
         rec = sample_record()
         path = record_to_json(rec, tmp_path / "run.json")
-        doc = load_json(path)
+        doc = json.loads(path.read_text())
         assert doc["offered_total"] == 600
         # the departure at t = 3.2 falls outside the 3 s window
         assert doc["qos"]["delivered"] == 2
         assert doc["qos"]["shed"] == 1
-        assert len(doc["periods"]) == 3
+        # every per-period field survives with its value and type intact
+        assert doc["periods"] == [{f: getattr(p, f) for f in PERIOD_FIELDS}
+                                  for p in rec.periods]
         assert len(doc["true_delays"]) >= 3
         assert "departures" not in doc
 
@@ -76,75 +44,5 @@ class TestJsonExport:
         rec = sample_record()
         path = record_to_json(rec, tmp_path / "run.json",
                               include_departures=True)
-        doc = load_json(path)
+        doc = json.loads(path.read_text())
         assert len(doc["departures"]) == 4
-
-    def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            load_json(tmp_path / "nope.json")
-
-
-class TestJsonlExport:
-    def test_periods_roundtrip(self, tmp_path):
-        rec = sample_record()
-        path = periods_to_jsonl(rec, tmp_path / "periods.jsonl")
-        rows = load_jsonl(path)
-        assert len(rows) == 3
-        # every canonical column survives with its value and type intact
-        for row, p in zip(rows, rec.periods):
-            assert row == {f: getattr(p, f) for f in PERIOD_FIELDS}
-
-    def test_jsonl_matches_csv_columns(self, tmp_path):
-        rec = sample_record()
-        csv_path = periods_to_csv(rec, tmp_path / "periods.csv")
-        jsonl_path = periods_to_jsonl(rec, tmp_path / "periods.jsonl")
-        with csv_path.open() as fh:
-            csv_rows = list(csv.reader(fh))
-        jsonl_rows = load_jsonl(jsonl_path)
-        assert csv_rows[0] == list(jsonl_rows[0].keys())
-        for csv_row, json_row in zip(csv_rows[1:], jsonl_rows):
-            for field, text in zip(PERIOD_FIELDS, csv_row):
-                assert float(text) == pytest.approx(float(json_row[field]))
-
-    def test_streaming_writer_appends_mid_run(self, tmp_path):
-        rec = sample_record()
-        path = tmp_path / "live.jsonl"
-        with PeriodJsonlWriter(path) as writer:
-            writer.append(rec.periods[0])
-            # rows are flushed immediately: readable before close
-            assert len(load_jsonl(path)) == 1
-            for p in rec.periods[1:]:
-                writer.append(p)
-            assert writer.rows == 3
-        assert load_jsonl(path) == load_jsonl(
-            periods_to_jsonl(rec, tmp_path / "ref.jsonl"))
-
-    def test_load_tolerates_torn_tail(self, tmp_path):
-        rec = sample_record()
-        path = periods_to_jsonl(rec, tmp_path / "periods.jsonl")
-        with path.open("a") as fh:
-            fh.write('{"k": 3, "time":')  # in-flight partial row
-        rows = load_jsonl(path)
-        assert [r["k"] for r in rows] == [0, 1, 2]
-
-    def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            load_jsonl(tmp_path / "nope.jsonl")
-
-
-class TestTraceExport:
-    def test_flame_roundtrip(self, tmp_path):
-        from repro.obs import PeriodTracer
-
-        tracer = PeriodTracer()
-        tracer.begin_period(0)
-        tracer.add("engine", 0.3)
-        tracer.add("monitor", 0.1)
-        tracer.end_period()
-        tracer.wall_seconds = 0.5
-        path = trace_to_json(tracer.flame(), tmp_path / "trace.json")
-        doc = load_json(path)
-        assert doc["segments"]["engine"] == pytest.approx(0.3)
-        assert doc["total_seconds"] == pytest.approx(0.4)
-        assert doc["coverage"] == pytest.approx(0.8)
-        assert doc["periods"] == 1

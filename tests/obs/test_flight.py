@@ -150,6 +150,14 @@ class TestReplay:
         rec.close()
         assert main(["replay", str(path)]) == 2
 
+    def test_async_fleet_bundle_is_not_replayable(self):
+        """A bundle recorded while the fleet still had a free-running mode
+        carries ``"sync": false``: no lockstep trajectory to diff it with."""
+        doc = {"replay": {"kind": "service", "service_kind": "fleet",
+                          "sync": False, "workload_kind": "web"}}
+        with pytest.raises(ObservabilityError, match="async"):
+            replay_bundle(doc)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "not-a-flight-bundle"}))
@@ -175,8 +183,7 @@ class TestServiceBundles:
 
     def test_fleet_bundle_carries_provenance_and_replays(self, tmp_path):
         from repro.experiments.service_demo import run_service_experiment
-        svc = FleetConfig(n_shards=2, sync=True, flight=32,
-                          flight_dir=str(tmp_path))
+        svc = FleetConfig(n_shards=2, flight=32, flight_dir=str(tmp_path))
         result = run_service_experiment(self.CFG, svc, "web")
         assert result.incidents
         doc = load_bundle(result.incidents[0])
@@ -188,6 +195,6 @@ class TestServiceBundles:
         assert len(worker_keys) == 2
         assert all("/" in s and s.startswith("pid") for s in worker_keys)
         assert any("period" in doc["rings"][s] for s in worker_keys)
-        diff = replay_bundle(doc)  # sync fleet == lockstep trajectory
+        diff = replay_bundle(doc)  # fleet == lockstep trajectory
         assert diff.ok and diff.compared > 0
         assert main(["replay", str(result.incidents[0])]) == 0

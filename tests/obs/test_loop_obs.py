@@ -14,7 +14,6 @@ from repro.dsms import make_engine
 from repro.obs import (
     EventBus,
     HealthMonitor,
-    PeriodJsonlSink,
     PeriodTracer,
     install_metrics,
 )
@@ -87,19 +86,6 @@ class TestLoopEvents:
         text = bridge.registry.prometheus_text()
         assert "repro_periods_total" in text
         assert "repro_period_delay_seconds_bucket" in text
-
-    def test_period_jsonl_sink_streams_rows(self, tmp_path):
-        from repro.metrics.export import PERIOD_FIELDS, load_jsonl
-
-        bus = EventBus()
-        path = tmp_path / "live.jsonl"
-        with PeriodJsonlSink(path, bus) as sink:
-            rec = run_loop(make_loop(bus=bus), constant_rate(200.0, 10))
-            assert sink.rows == 10
-        rows = load_jsonl(path)
-        assert len(rows) == 10
-        assert rows[3]["k"] == rec.periods[3].k
-        assert set(PERIOD_FIELDS) <= set(rows[0])
 
 
 class TestLoopTracing:

@@ -1,7 +1,6 @@
 """Unit tests for the metrics registry, exposition and the event bridge."""
 
 import json
-import re
 import time
 
 import pytest
@@ -10,11 +9,9 @@ from repro.errors import ObservabilityError
 from repro.metrics import PeriodRecord
 from repro.obs import (
     EventBus,
-    JsonlSnapshotSink,
     MetricsRegistry,
     PromFileDumper,
     install_metrics,
-    parse_prometheus_text,
     start_prom_dump,
 )
 from repro.obs.events import (
@@ -30,13 +27,7 @@ from repro.obs.events import (
     ShedAction,
 )
 
-# one exposition line: name{labels} value  (labels optional)
-_SAMPLE_RE = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
-    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
-    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
-    r' (-?\d+(\.\d+)?([eE][+-]?\d+)?|\+Inf|-Inf|NaN)$'
-)
+from .prometheus import LINE_RE, parse_prometheus_text
 
 
 def period(k=0, delay=1.0, target=2.0, offered=100, admitted=90, alpha=0.1,
@@ -111,7 +102,7 @@ class TestExposition:
         for line in text.splitlines():
             if line.startswith("# HELP") or line.startswith("# TYPE"):
                 continue
-            assert _SAMPLE_RE.match(line), f"bad exposition line: {line!r}"
+            assert LINE_RE.match(line), f"bad exposition line: {line!r}"
         assert "# TYPE repro_tuples_total counter" in text
         assert "# TYPE repro_delay_seconds histogram" in text
         assert 'repro_tuples_total{shard="s0"} 7' in text
@@ -129,21 +120,6 @@ class TestExposition:
         doc = json.loads(json.dumps(reg.snapshot()))
         assert doc["c_total"]["type"] == "counter"
         assert doc["h"]["values"][""]["count"] == 1
-
-
-class TestJsonlSnapshotSink:
-    def test_appends_labeled_lines(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc()
-        sink = JsonlSnapshotSink(tmp_path / "snaps.jsonl", reg)
-        assert sink.write("after-warmup") == 0
-        reg.counter("c_total").inc()
-        assert sink.write() == 1
-        lines = [json.loads(l) for l in
-                 (tmp_path / "snaps.jsonl").read_text().splitlines()]
-        assert lines[0]["label"] == "after-warmup"
-        assert lines[0]["metrics"]["c_total"]["values"][""] == 1.0
-        assert lines[1]["metrics"]["c_total"]["values"][""] == 2.0
 
 
 class TestMetricsBridge:
@@ -336,7 +312,7 @@ class TestPrometheusRoundTrip:
         for line in reg.prometheus_text().splitlines():
             if line.startswith("#"):
                 continue
-            assert _SAMPLE_RE.match(line), line
+            assert LINE_RE.match(line), line
 
     def test_unparseable_line_raises(self):
         with pytest.raises(ObservabilityError):

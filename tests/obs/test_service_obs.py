@@ -8,15 +8,10 @@ from repro.experiments import ExperimentConfig, run_service_experiment
 from repro.obs import HealthMonitor, MetricsRegistry, get_bus, install_metrics
 from repro.service import ServiceConfig
 
+from .prometheus import LINE_RE
+
 CFG = ExperimentConfig(duration=60.0, seed=7)
 SVC = ServiceConfig(n_shards=2, n_sources=2, health=True, trace=True)
-
-_SAMPLE_RE = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
-    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
-    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
-    r' (-?\d+(\.\d+)?([eE][+-]?\d+)?|\+Inf|-Inf|NaN)$'
-)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +60,7 @@ class TestLiveObservation:
         for line in text.splitlines():
             if line.startswith("#"):
                 continue
-            assert _SAMPLE_RE.match(line), f"bad exposition line: {line!r}"
+            assert LINE_RE.match(line), f"bad exposition line: {line!r}"
         n = int(CFG.duration)
         for name in SVC.shard_names:
             assert f'repro_periods_total{{shard="{name}"}} {n}' in text

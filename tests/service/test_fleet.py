@@ -1,9 +1,9 @@
-"""The process fleet: lockstep equivalence, failure recovery, async mode.
+"""The process fleet: lockstep equivalence and failure recovery.
 
 The fleet's whole contract is that promoting shards to worker processes
-changes the execution substrate, not the trajectory: in sync mode the
-coordinator sees identical per-period records in identical order, so
-every signal must come out float-for-float equal to the single-process
+changes the execution substrate, not the trajectory: the coordinator
+sees identical per-period records in identical order, so every signal
+must come out float-for-float equal to the single-process
 :class:`~repro.service.StreamService` — including after a worker is
 killed mid-run and its replacement rejoins by deterministic replay.
 """
@@ -53,7 +53,7 @@ def assert_records_equal(lock, fleet):
 
 
 # --------------------------------------------------------------------- #
-# sync mode: deterministic lockstep equivalence
+# deterministic lockstep equivalence
 # --------------------------------------------------------------------- #
 class TestSyncEquivalence:
     def test_fleet_matches_lockstep_bit_for_bit(self, workload, lockstep):
@@ -126,20 +126,6 @@ class TestFailureRecovery:
         fleet = build_fleet(CFG, svc, fail_at={"shard0": 10})
         with pytest.raises(ServiceError, match="max_restarts"):
             fleet.run(workload, CFG.duration)
-
-
-# --------------------------------------------------------------------- #
-# async mode: free-running workers, conservation still holds
-# --------------------------------------------------------------------- #
-class TestAsyncMode:
-    def test_async_fleet_completes_and_conserves_tuples(self, workload):
-        svc = FleetConfig(n_shards=2, n_sources=2, sync=False)
-        result = build_fleet(CFG, svc).run(workload, CFG.duration)
-        offered = sum(r.offered_total for r in result.shard_records.values())
-        assert offered == len(workload)
-        for record in result.shard_records.values():
-            assert len(record.periods) == CFG.n_periods
-        assert len(result.coordinator_history) == CFG.n_periods
 
 
 # --------------------------------------------------------------------- #

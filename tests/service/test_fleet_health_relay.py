@@ -23,7 +23,7 @@ class TestRelayedDetectors:
         # hard overload on both shards: QoS cannot hold, every worker's
         # relayed period stream must open its own qos episode upstream
         cfg = ExperimentConfig(duration=40.0, seed=3, headroom=0.2)
-        svc = FleetConfig(n_shards=2, n_sources=2, sync=True, health=True,
+        svc = FleetConfig(n_shards=2, n_sources=2, health=True,
                           loss_bound=0.1)
         result = run_service_experiment(cfg, svc, "web")
         assert result.health is not None
@@ -39,7 +39,7 @@ class TestRelayedDetectors:
         # no coordination + a hotspot: shard0 drowns while shard1 idles;
         # the imbalance detector correlates the two relayed streams
         cfg = ExperimentConfig(duration=60.0, seed=7)
-        svc = FleetConfig(n_shards=2, n_sources=2, sync=True, health=True,
+        svc = FleetConfig(n_shards=2, n_sources=2, health=True,
                           mode="independent", hotspot_factor=6.0)
         result = run_service_experiment(cfg, svc, "web")
         reports = [r for r in result.health["reports"]
@@ -52,7 +52,7 @@ class TestRelayedDetectors:
 
     def test_healthy_fleet_run_stays_clean(self):
         cfg = ExperimentConfig(duration=30.0, seed=5)
-        svc = FleetConfig(n_shards=2, n_sources=2, sync=True, health=True,
+        svc = FleetConfig(n_shards=2, n_sources=2, health=True,
                           per_source_rate=25.0)
         result = run_service_experiment(cfg, svc, "web")
         assert result.health is not None

@@ -5,7 +5,7 @@ The migration transaction's contract is threefold (docs/THEORY.md §13):
 * **safety** — the old shard drains its in-flight work before the
   routing table commits the cutover, so no admitted tuple is discarded
   or split across shards;
-* **determinism** — the sync-mode process fleet reproduces the lockstep
+* **determinism** — the process fleet reproduces the lockstep
   service float-for-float *through* a coordinator-triggered migration,
   including after a worker dies and replays a journalled cutover epoch;
 * **efficacy** — for a persistent hotspot that CPU-share rebalancing

@@ -6,6 +6,7 @@ coordinator's headroom rebalancing achieves a lower worst-shard delay
 violation than running the same four loops independently.
 """
 
+import json
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core import (
     EntryActuator,
     Monitor,
     PolePlacementController,
-    SamplingActuator,
+    PriorityEntryActuator,
 )
 from repro.dsms import make_engine
 from repro.errors import ServiceError
@@ -27,7 +28,6 @@ from repro.experiments import (
     run_service_experiment,
     service_comparison,
 )
-from repro.metrics.export import load_json
 from repro.service import (
     EngineShard,
     ServiceConfig,
@@ -91,7 +91,7 @@ class TestAcceptance:
         names = {p.name for p in paths}
         assert names == {f"{n}.json" for n in SVC.shard_names} | {
             "aggregate.json"}
-        doc = load_json(tmp_path / "svc" / "aggregate.json")
+        doc = json.loads((tmp_path / "svc" / "aggregate.json").read_text())
         assert doc["offered_total"] == comparison[
             "headroom"].aggregate.offered_total
         assert "drain_truncated" in doc
@@ -244,8 +244,8 @@ class TestBoundedEntryShedder:
         assert shard.requested_alpha == pytest.approx(0.9)
 
     def test_uncappable_actuator_refuses_the_cap(self):
-        shard = self._hand_built_shard(SamplingActuator())
-        with pytest.raises(ServiceError, match="SamplingActuator"):
+        shard = self._hand_built_shard(PriorityEntryActuator({"s0": 1.0}))
+        with pytest.raises(ServiceError, match="PriorityEntryActuator"):
             shard.cap_alpha(0.1)
 
     def test_loss_bound_respected_end_to_end(self):

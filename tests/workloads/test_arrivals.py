@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.workloads import (
     RateTrace,
     arrivals_from_trace,
-    iter_arrivals,
     load_ita_trace,
     merge_arrivals,
     uniform_values,
@@ -47,12 +46,6 @@ class TestArrivalsFromTrace:
         tr = RateTrace([200.0] * 50)
         arr = arrivals_from_trace(tr, poisson=True, seed=3)
         assert len(arr) == pytest.approx(200 * 50, rel=0.05)
-
-    def test_iterator_matches_list(self):
-        tr = RateTrace([30.0, 60.0])
-        a = arrivals_from_trace(tr, seed=4)
-        b = list(iter_arrivals(tr, seed=4))
-        assert [x[0] for x in a] == [x[0] for x in b]
 
     def test_zero_rate_period(self):
         tr = RateTrace([0.0, 10.0])

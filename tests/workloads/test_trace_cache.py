@@ -1,15 +1,11 @@
 """On-disk arrival-trace cache: hits, key sensitivity, and fallbacks."""
 
-import os
-import pickle
-
 import pytest
 
 from repro.workloads import (
     RateTrace,
     arrivals_from_trace,
     cached_arrivals_from_trace,
-    clear_trace_cache,
     trace_cache_dir,
     trace_cache_key,
 )
@@ -83,13 +79,34 @@ def test_small_traces_skip_the_cache(cache_dir):
     assert not entries(cache_dir)
 
 
-def test_corrupt_entry_falls_back_and_repairs(cache_dir):
+#: what a torn write, a bad disk or a stray file leaves in an entry
+DAMAGE = {
+    "not-a-pickle": b"not a pickle",
+    "value-error": b"I1x\n.",
+    "type-error": b"K\x01K\x02\x86K\x03R.",
+    "unicode-error": b"\x80\x03X\x02\x00\x00\x00\xff\xfe.",
+    "overflow-error": b"\x80\x04\x8e" + b"\xff" * 8 + b".",
+    "another-object": b"\x80\x05K\x01K\x02\x86\x94.",  # unpickles to (1, 2)
+    "one-byte-flip": None,  # the real entry, one bit flipped mid-file
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_corrupt_entry_falls_back_and_repairs(cache_dir, monkeypatch, damage):
     good = cached_arrivals_from_trace(BIG, seed=5)
     path = entries(cache_dir)[0]
-    path.write_bytes(b"not a pickle")
+    entry = path.read_bytes()
+    mid = len(entry) // 2
+    path.write_bytes(DAMAGE[damage] or
+                     entry[:mid] + bytes([entry[mid] ^ 1]) + entry[mid + 1:])
     assert cached_arrivals_from_trace(BIG, seed=5) == good
-    with open(path, "rb") as fh:  # the bad entry was repaired in place
-        assert pickle.load(fh) == good
+
+    def exploding(*args, **kwargs):  # the repaired entry is a hit
+        raise AssertionError("regenerated from a repaired entry")
+
+    monkeypatch.setattr("repro.workloads.cache.arrivals_from_trace",
+                        exploding)
+    assert cached_arrivals_from_trace(BIG, seed=5) == good
 
 
 def test_cache_disabled_by_env(tmp_path, monkeypatch):
@@ -98,10 +115,3 @@ def test_cache_disabled_by_env(tmp_path, monkeypatch):
     result = cached_arrivals_from_trace(BIG, seed=9)
     assert result == arrivals_from_trace(BIG, seed=9)
 
-
-def test_clear_trace_cache_removes_entries(cache_dir):
-    cached_arrivals_from_trace(BIG, seed=1)
-    cached_arrivals_from_trace(BIG, seed=2)
-    assert clear_trace_cache() == 2
-    assert not entries(cache_dir)
-    assert clear_trace_cache() == 0
