@@ -15,7 +15,7 @@ arguments to cover it; a dataclass field also counts as passed when a
 ``replace(...)`` call anywhere names it. ``**splat`` arguments are
 opaque and count for nothing.
 
-Two readings are printed:
+Three readings are printed:
 
 * **never passed** -- the strict reading above. It over-counts: a knob
   reached only through a forwarding layer (``make_engine(**kwargs)``,
@@ -25,6 +25,10 @@ Two readings are printed:
   attribute store on something other than ``self`` with the knob's name,
   anywhere in the scanned roots. It under-counts: an unrelated string that
   happens to spell a knob's name hides it.
+* **never passed outside tests/** -- the strict reading with ``tests/``
+  dropped from the calling roots: a knob only a test sets is a parameter
+  no program uses. Its list names only the knobs the strict list does
+  not, i.e. those that tests alone pass.
 
 The truth is between the two, and only reading the call sites closes the
 gap. This is a report, not a gate; the gate is
@@ -65,6 +69,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DECLARING_ROOT = "src"
 CALLING_ROOTS = ("src", "examples", "benchmarks", ".github", "tests")
+TEST_ROOT = "tests"
 REACHING_ROOTS = ("examples", "benchmarks", ".github")
 
 #: public definitions that only tests reach, each with the reason it stays
@@ -219,11 +224,12 @@ class _CallCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def collected_uses(root: Path, bases: Dict[str, List[str]]) -> Uses:
-    """Walk every ``*.py`` under the calling roots of ``root``."""
+def collected_uses(root: Path, bases: Dict[str, List[str]],
+                   roots=CALLING_ROOTS) -> Uses:
+    """Walk every ``*.py`` under the given calling roots of ``root``."""
     uses = Uses({}, {}, set(), set())
     collector = _CallCollector(uses, bases)
-    for calling_root in CALLING_ROOTS:
+    for calling_root in roots:
         for path in sorted((root / calling_root).rglob("*.py")):
             collector.visit(ast.parse(path.read_text()))
     return uses
@@ -323,9 +329,12 @@ def main(argv=None) -> int:
                         help="tree to census (default: this repository)")
     root = parser.parse_args(argv).checkout.resolve()
     knobs, bases = declared_knobs(root)
-    uses = collected_uses(root, bases)
+    uses = collected_uses(root, dict(bases))
     never = [knob for knob in knobs if not is_passed(knob, uses)]
     conservative = [knob for knob in never if knob.name not in uses.loose]
+    program = collected_uses(root, dict(bases), tuple(
+        r for r in CALLING_ROOTS if r != TEST_ROOT))
+    untested = [knob for knob in knobs if not is_passed(knob, program)]
     print(f"defaulted parameters and fields under {DECLARING_ROOT}/: "
           f"{len(knobs)}")
     print(f"never passed: {len(never)}")
@@ -336,6 +345,11 @@ def main(argv=None) -> int:
         print(f"  {mark} {knob.path}: {knob.owner}({knob.name})")
     print("(~ = the name also occurs as a string literal, dict key or "
           "attribute store)")
+    print(f"never passed outside {TEST_ROOT}/: {len(untested)}")
+    for knob in untested:
+        if knob not in never:
+            print(f"    {knob.path}: {knob.owner}({knob.name})")
+    print(f"(the {len(never)} never passed at all are listed above)")
     unreached = unreached_definitions(root)
     print(f"public definitions under {DECLARING_ROOT}/ only tests reach: "
           f"{len(unreached)} ({sum(unreached.values())} lines)")

@@ -61,8 +61,7 @@ def main() -> None:
     bus = EventBus()
     events = []
     bus.subscribe(events.append,
-                  kinds=("route_changed", "migration_started",
-                         "migration_completed"))
+                  kinds=("route_changed", "migration_completed"))
 
     print("=== stuck hotspot: s0 (4x) and s4 share shard0, "
           "ceiling H <= 0.32 ===\n")
@@ -78,7 +77,7 @@ def main() -> None:
               f"shard{plan['from']} -> shard{plan['to']} "
               f"(deficit {plan['deficit']:.3f}, epoch {plan['epoch']})")
     done = next(e for e in events if e.kind == "migration_completed")
-    print(f"  drained {done.drained} in-flight tuples in "
+    print(f"  drained {done.drained} of {done.backlog} in-flight tuples in "
           f"{done.virtual_seconds:.2f}s of virtual time before cutover\n")
 
     for label, result in (("rebalancing only", baseline),

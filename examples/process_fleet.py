@@ -66,7 +66,7 @@ def main() -> None:
     print(f"status:     {server.url}/status")
 
     arrivals = build_service_workload(config, svc)
-    log.info("launching %d shard workers (duration %.0fs, sync mode%s)",
+    log.info("launching %d shard workers (duration %.0fs%s)",
              SHARDS, DURATION,
              f", shard0 dies at period {FAIL_AT}" if fail_at else "")
     result = fleet.run(arrivals, config.duration)

@@ -7,7 +7,7 @@ the drop probability ``alpha`` for the coming period — and differs only in
 which tuples it picks:
 
 * :class:`EntryActuator` — a fair coin at the stream entry, optionally
-  capped (a loss SLA; ``requested_alpha`` keeps the uncapped demand);
+  capped (``requested_alpha`` keeps the uncapped demand);
 * :class:`SemanticEntryActuator` — the least useful tuples first;
 * :class:`PriorityEntryActuator` — the lowest-priority sources first;
 * :class:`InNetworkActuator` — admits everything and continuously culls
@@ -81,11 +81,9 @@ class Actuator(abc.ABC):
 class EntryActuator(Actuator):
     """Eq. 13 coin-flip shedding at the stream entry, optionally capped.
 
-    The sharded service layer runs one per shard: each shard's controller
-    requests a drop probability as usual and the global coordinator may
-    then :meth:`cap` it so the fleet's aggregate expected loss stays within
-    a configured bound; ``requested_alpha`` keeps the uncapped demand so
-    the drop budget can be allocated proportionally to it.
+    The sharded service layer runs one per shard. ``alpha_cap`` bounds the
+    drop probability the controller may request; ``requested_alpha``
+    keeps the uncapped demand.
     """
 
     drops_outside_engine = True
@@ -94,18 +92,13 @@ class EntryActuator(Actuator):
                  alpha_cap: float = 1.0):
         super().__init__()
         self.rng = rng or random.Random(0)
-        self.cap(alpha_cap)
+        if not 0.0 <= alpha_cap <= 1.0:
+            raise SheddingError(f"alpha cap {alpha_cap} outside [0, 1]")
+        self.alpha_cap = alpha_cap
 
     def begin_period(self, allowed_tuples: float, expected_inflow: float) -> None:
         super().begin_period(allowed_tuples, expected_inflow)
         self.alpha = min(self.requested_alpha, self.alpha_cap)
-
-    def cap(self, alpha_cap: float) -> None:
-        """Tighten (or relax) the cap; applies to the armed period too."""
-        if not 0.0 <= alpha_cap <= 1.0:
-            raise SheddingError(f"alpha cap {alpha_cap} outside [0, 1]")
-        self.alpha_cap = alpha_cap
-        self.alpha = min(self.requested_alpha, alpha_cap)
 
     def admit(self, values: tuple = (), source: str = "") -> bool:
         """Flip the unfair coin for one arriving tuple."""

@@ -23,8 +23,8 @@ Two driving styles share the same per-period body:
   arrival stream, one fixed duration;
 * the stepped API (:meth:`begin` / :meth:`run_period` / :meth:`finish`) —
   used by the sharded service layer (:mod:`repro.service`), which clocks
-  many loops in lockstep and lets a global coordinator adjust each loop's
-  target (:meth:`set_target`) between periods.
+  many loops in lockstep and lets a global coordinator re-share their
+  CPU headroom between periods.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 from ..errors import ExperimentError
 from ..metrics.recorder import PeriodRecord, RunRecord
 from ..obs.bus import get_bus
-from ..obs.events import (
-    CompletionStats,
-    DrainTruncated,
-    PeriodDecision,
-    RunFinished,
-    RunStarted,
-    ShedAction,
-    TargetChanged,
-)
+from ..obs.events import CompletionStats, DrainTruncated, PeriodDecision
 from .actuator import Actuator, EntryActuator
 from .controller import Controller
 from .monitor import Monitor
@@ -100,21 +92,11 @@ class ControlLoop:
         #: per-tuple lifecycle spans; None (the default) skips everything
         self.tuple_tracer = tuple_tracer
         self._target = target
-        self._target_in_force: Optional[float] = None
 
     def target_at(self, k: int) -> float:
         if callable(self._target):
             return float(self._target(k))
         return float(self._target)
-
-    def set_target(self, target: TargetSchedule) -> None:
-        """Replace the target schedule from outside the loop.
-
-        Takes effect at the next control decision; the service layer's
-        coordinator uses this to shift delay budget between shards while
-        their loops are running.
-        """
-        self._target = target
 
     # ------------------------------------------------------------------ #
     # stepped API (one call per control period)
@@ -124,9 +106,6 @@ class ControlLoop:
         record = RunRecord(period=self.period)
         # first period: nothing measured yet -> admit everything
         self.actuator.begin_period(float("inf"), 0.0)
-        self._target_in_force = None
-        if self.bus:
-            self.bus.emit(RunStarted(period=self.period))
         return record
 
     def run_period(self, record: RunRecord, k: int,
@@ -227,16 +206,6 @@ class ControlLoop:
         record.offered_total += offered
         bus = self.bus
         if bus:
-            if self._target_in_force is not None \
-                    and target != self._target_in_force:
-                bus.emit(TargetChanged(old=self._target_in_force, new=target))
-            entry_dropped = offered - admitted
-            if entry_dropped > 0:
-                bus.emit(ShedAction(k=k, action="entry", count=entry_dropped,
-                                    alpha=period_record.alpha))
-            if shed_retro > 0:
-                bus.emit(ShedAction(k=k, action="retro", count=shed_retro,
-                                    alpha=period_record.alpha))
             if m.departures:
                 # per-period delay samples: feeds the tuple-latency
                 # histogram and the dashboard percentile pane regardless
@@ -246,7 +215,6 @@ class ControlLoop:
                     shed=sum(1 for d in m.departures if d.shed),
                     delays=[d.delay for d in m.departures if not d.shed]))
             bus.emit(PeriodDecision(record=period_record))
-        self._target_in_force = target
         if tracer is not None:
             tracer.add("bookkeeping", _time.perf_counter() - mark)
             tracer.end_period()
@@ -278,9 +246,6 @@ class ControlLoop:
             if record.drain_truncated:
                 self.bus.emit(DrainTruncated(leftover=record.drain_leftover,
                                              time=self.engine.now))
-            self.bus.emit(RunFinished(periods=len(record.periods),
-                                      duration=record.duration,
-                                      drain_truncated=record.drain_truncated))
 
     # ------------------------------------------------------------------ #
     # classic single-call driver

@@ -2,7 +2,7 @@
 time series ... a promising direction").
 
 The Eq. 13 actuator needs ``fin(k+1)`` and the paper simply reuses
-``fin(k)`` (random-walk optimal; ``ControlLoop(predictor=None)``), which
+``fin(k)`` (random-walk optimal; the loop's ``predictor=None``), which
 systematically under-sheds on monotone ramps (the Fig. 8A failure it pins
 on AURORA also contaminates the closed loop's actuation, though feedback
 corrects it a period later). These predictors plug into

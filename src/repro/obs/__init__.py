@@ -3,8 +3,8 @@
 Four pieces, all opt-in and zero-dependency:
 
 - **Event bus** (:mod:`repro.obs.bus`): typed events — per-period control
-  decisions, shed actions, late arrivals, drain truncations, shard
-  rebalances — emitted live from the control loop, engines and service
+  decisions (with their shed counts), late arrivals, drain truncations,
+  shard rebalances — emitted live from the control loop, engines and service
   layer. Nothing is allocated when nobody subscribes.
 - **Metrics registry** (:mod:`repro.obs.metrics`): process-wide counters,
   gauges and histograms with Prometheus text exposition and JSON
@@ -50,7 +50,7 @@ Typical live-observation session::
     bus = obs.get_bus()
     bridge = obs.install_metrics(bus)          # bus -> Prometheus metrics
     health = obs.HealthMonitor(bus)            # bus -> health reports
-    bus.subscribe(print, kinds=("shed",))      # raw event feed
+    bus.subscribe(print, kinds=("period",))    # raw event feed
 
     ...  # run any ControlLoop / StreamService in this process
 
@@ -59,16 +59,9 @@ Typical live-observation session::
 """
 
 from .attach import ObsConfig, Observers
-from .bus import (
-    DROP_POLICIES,
-    BoundedSubscription,
-    EventBus,
-    ScopedEmitter,
-    get_bus,
-)
+from .bus import BoundedSubscription, EventBus, ScopedEmitter, get_bus
 from .events import (
     EVENT_KINDS,
-    AlphaCapped,
     CompletionStats,
     DrainTruncated,
     HeadroomChanged,
@@ -76,15 +69,11 @@ from .events import (
     LateArrival,
     ObsEvent,
     PeriodDecision,
-    RunFinished,
-    RunStarted,
     IncidentDumped,
     MarginEroded,
     ModelMismatch,
     ShardRebalanced,
-    ShedAction,
     SysIdUpdate,
-    TargetChanged,
     TupleTraceCompleted,
     WorkerDown,
     WorkerRestarted,
@@ -135,12 +124,12 @@ from .tuptrace import (
 __all__ = [
     # bus
     "EventBus", "ScopedEmitter", "get_bus",
-    "BoundedSubscription", "DROP_POLICIES",
+    "BoundedSubscription",
     # events
-    "ObsEvent", "EVENT_KINDS", "RunStarted", "PeriodDecision", "ShedAction",
-    "LateArrival", "DrainTruncated", "TargetChanged", "HeadroomChanged",
-    "AlphaCapped", "ShardRebalanced", "IngestStats",
-    "RunFinished", "CompletionStats", "TupleTraceCompleted",
+    "ObsEvent", "EVENT_KINDS", "PeriodDecision",
+    "LateArrival", "DrainTruncated", "HeadroomChanged",
+    "ShardRebalanced", "IngestStats",
+    "CompletionStats", "TupleTraceCompleted",
     "WorkerDown", "WorkerRestarted",
     "SysIdUpdate", "ModelMismatch", "MarginEroded", "IncidentDumped",
     "event_to_dict",

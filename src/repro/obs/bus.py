@@ -9,7 +9,8 @@ never even constructed.
 
 Subscribers are plain callables ``fn(event)``; an optional ``kinds``
 filter restricts delivery to the named event kinds (see
-:mod:`repro.obs.events`). Subscriber exceptions propagate to the emitter —
+:mod:`repro.obs.events`; a kind the library never emits is refused, not
+silently never delivered). Subscriber exceptions propagate to the emitter —
 observability code that raises should fail loudly, not corrupt a run
 silently.
 
@@ -19,8 +20,8 @@ order is what makes them deterministic. It is wrong for consumers that
 do I/O — a JSONL sink on a slow disk, an SSE client on a congested
 socket — because the emitter *is* :meth:`ControlLoop.run_period`.
 :class:`BoundedSubscription` is the backpressure boundary for those: a
-per-subscriber ring buffer with an explicit drop policy, so one stalled
-sink can never stall the control loop (see docs/THEORY.md §10).
+per-subscriber ring buffer that evicts its oldest event when full, so one
+stalled sink can never stall the control loop (see docs/THEORY.md §10).
 
 :class:`ScopedEmitter` wraps a bus and stamps a ``shard`` label on every
 event passing through; the service layer hands one to each shard's loop so
@@ -31,21 +32,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from .events import ObsEvent
-from .logconf import get_logger
+from .events import EVENT_KINDS, ObsEvent
 
 Subscriber = Callable[[ObsEvent], None]
-
-_log = get_logger("obs.bus")
-
-#: valid :class:`BoundedSubscription` overflow policies
-DROP_POLICIES = ("drop_oldest", "drop_newest", "block")
 
 _sub_ids = itertools.count()
 
@@ -64,7 +57,9 @@ class EventBus:
         """Register ``callback`` for every event (or just the given kinds).
 
         Returns the callback so it can be used as a decorator and as the
-        token for :meth:`unsubscribe`.
+        token for :meth:`unsubscribe`. Naming a kind outside
+        :data:`~repro.obs.events.EVENT_KINDS` raises: such a subscriber
+        would never fire.
         """
         if not callable(callback):
             raise ObservabilityError(
@@ -73,6 +68,11 @@ class EventBus:
         kindset = None if kinds is None else frozenset(kinds)
         if kindset is not None and not kindset:
             raise ObservabilityError("empty kinds filter would never match")
+        unknown = sorted(kindset - frozenset(EVENT_KINDS)) if kindset else []
+        if unknown:
+            raise ObservabilityError(
+                f"unknown event kinds {unknown}; pick from {EVENT_KINDS}"
+            )
         self._subs.append((callback, kindset))
         return callback
 
@@ -87,16 +87,6 @@ class EventBus:
                       if cb != callback]
         return len(self._subs) < before
 
-    @contextmanager
-    def subscribed(self, callback: Subscriber,
-                   kinds: Optional[Iterable[str]] = None):
-        """Scoped subscription: unsubscribes on exit even on error."""
-        self.subscribe(callback, kinds)
-        try:
-            yield callback
-        finally:
-            self.unsubscribe(callback)
-
     # ------------------------------------------------------------------ #
     # emission
     # ------------------------------------------------------------------ #
@@ -105,22 +95,6 @@ class EventBus:
         for callback, kinds in tuple(self._subs):
             if kinds is None or event.kind in kinds:
                 callback(event)
-
-    def subscribe_bounded(self, callback: Optional[Subscriber] = None,
-                          kinds: Optional[Iterable[str]] = None,
-                          maxlen: int = 1024,
-                          policy: str = "drop_oldest",
-                          name: Optional[str] = None
-                          ) -> "BoundedSubscription":
-        """Subscribe through a bounded ring buffer instead of synchronously.
-
-        With ``callback`` a daemon drain thread delivers buffered events;
-        without one the caller pulls them via
-        :meth:`BoundedSubscription.get`. Either way the emitter only ever
-        pays an O(1) buffer append — see :class:`BoundedSubscription`.
-        """
-        return BoundedSubscription(self, callback, kinds=kinds,
-                                   maxlen=maxlen, policy=policy, name=name)
 
     def scoped(self, shard: str) -> "ScopedEmitter":
         """An emitter that stamps ``shard`` on every event it forwards."""
@@ -140,64 +114,35 @@ class EventBus:
 
 
 class BoundedSubscription:
-    """A bus subscription with a bounded buffer between emitter and sink.
+    """A pull-mode bus subscription with a bounded drop-oldest buffer.
 
     The emit path only ever executes :meth:`_offer` — an O(1) deque
     append under a lock — so a consumer that stalls (slow disk, stuck
     socket, wedged thread) backs up *its own* ring buffer, never the
-    control loop that is emitting. When the buffer is full, ``policy``
-    decides:
-
-    ``drop_oldest``
-        evict the oldest buffered event to make room (live dashboards:
-        always see the freshest signal);
-    ``drop_newest``
-        discard the incoming event (archival sinks: never rewrite what
-        is already queued);
-    ``block``
-        make the emitter wait for space (lossless pipelines that accept
-        coupling their pace to the consumer's — never put one of these
-        on a latency-critical loop).
+    control loop that is emitting. When the buffer is full the oldest
+    buffered event is evicted to make room: a live view always sees the
+    freshest signal.
 
     Every dropped event increments :attr:`dropped` and the process-wide
-    ``repro_obs_dropped_total{subscriber=...,policy=...}`` counter, so
-    loss on the observation path is itself observable.
-
-    Two consumption modes share the buffer: pass a ``callback`` and a
-    daemon thread drains events into it (exceptions are logged, not
-    propagated — there is no emitter stack to propagate to); pass none
-    and pull events yourself with :meth:`get` (how the SSE endpoint
-    streams to each client).
+    ``repro_obs_dropped_total{subscriber=...,policy="drop_oldest"}``
+    counter, so loss on the observation path is itself observable. The
+    consumer pulls events with :meth:`get` (how the SSE endpoint streams
+    to each client).
     """
 
-    def __init__(self, bus: "EventBus", callback: Optional[Subscriber] = None,
-                 *, kinds: Optional[Iterable[str]] = None, maxlen: int = 1024,
-                 policy: str = "drop_oldest", name: Optional[str] = None,
-                 registry=None):
-        if policy not in DROP_POLICIES:
-            raise ObservabilityError(
-                f"unknown drop policy {policy!r}; pick from {DROP_POLICIES}"
-            )
+    def __init__(self, bus: "EventBus", *,
+                 kinds: Optional[Iterable[str]] = None, maxlen: int = 1024,
+                 name: Optional[str] = None, registry=None):
         if maxlen < 1:
             raise ObservabilityError(f"buffer needs maxlen >= 1, got {maxlen}")
-        if callback is not None and not callable(callback):
-            raise ObservabilityError(
-                f"bounded subscriber must be callable, got {callback!r}"
-            )
         self.bus = bus
-        self.callback = callback
         self.maxlen = int(maxlen)
-        self.policy = policy
         self.name = name if name is not None else f"bounded{next(_sub_ids)}"
         self.dropped = 0
-        self.delivered = 0
-        self.errors = 0
         self._buf: Deque[ObsEvent] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
-        self._inflight = False
         if registry is None:
             from .metrics import get_registry  # runtime: avoids import cycle
             registry = get_registry()
@@ -205,12 +150,6 @@ class BoundedSubscription:
             "repro_obs_dropped_total",
             "events dropped by bounded bus subscriptions")
         bus.subscribe(self._offer, kinds=kinds)
-        self._thread: Optional[threading.Thread] = None
-        if callback is not None:
-            self._thread = threading.Thread(
-                target=self._drain, daemon=True,
-                name=f"repro-obs-{self.name}")
-            self._thread.start()
 
     # ------------------------------------------------------------------ #
     # emit side (called synchronously from EventBus.emit)
@@ -220,23 +159,12 @@ class BoundedSubscription:
             if self._closed:
                 return
             if len(self._buf) >= self.maxlen:
-                if self.policy == "drop_oldest":
-                    self._buf.popleft()
-                    self._count_drop()
-                elif self.policy == "drop_newest":
-                    self._count_drop()
-                    return
-                else:  # block
-                    while len(self._buf) >= self.maxlen and not self._closed:
-                        self._not_full.wait()
-                    if self._closed:
-                        return
+                self._buf.popleft()
+                self.dropped += 1
+                self._drop_counter.inc(subscriber=self.name,
+                                       policy="drop_oldest")
             self._buf.append(event)
             self._not_empty.notify()
-
-    def _count_drop(self) -> None:
-        self.dropped += 1
-        self._drop_counter.inc(subscriber=self.name, policy=self.policy)
 
     # ------------------------------------------------------------------ #
     # consume side
@@ -248,58 +176,17 @@ class BoundedSubscription:
                 self._not_empty.wait(timeout)
             if not self._buf:
                 return None
-            event = self._buf.popleft()
-            self.delivered += 1
-            self._not_full.notify()
-            return event
-
-    def _drain(self) -> None:
-        while True:
-            with self._not_empty:
-                while not self._buf and not self._closed:
-                    self._not_empty.wait()
-                if not self._buf:
-                    return  # closed and drained
-                event = self._buf.popleft()
-                self._inflight = True
-                self._not_full.notify()
-            try:
-                self.callback(event)
-            except Exception:
-                self.errors += 1
-                _log.exception("bounded subscriber %s raised", self.name)
-            finally:
-                with self._lock:
-                    self.delivered += 1
-                    self._inflight = False
-                    self._not_empty.notify_all()
-
-    def flush(self, timeout: float = 5.0) -> bool:
-        """Wait until the buffer is drained; False if ``timeout`` hit."""
-        deadline = time.monotonic() + timeout
-        with self._not_empty:
-            while self._buf or self._inflight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._not_empty.wait(remaining)
-        return True
+            return self._buf.popleft()
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Unsubscribe and release the drain thread (buffered events are
-        still handed to a callback before its thread exits)."""
+        """Unsubscribe and wake any consumer blocked in :meth:`get`."""
         self.bus.unsubscribe(self._offer)
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
 
     def __enter__(self) -> "BoundedSubscription":
         return self

@@ -34,15 +34,6 @@ class ObsEvent:
 
 
 @dataclass
-class RunStarted(ObsEvent):
-    """A control loop began a run (the actuator was armed wide open)."""
-
-    kind: ClassVar[str] = "run_started"
-    period: float = 0.0
-    shard: Optional[str] = None
-
-
-@dataclass
 class PeriodDecision(ObsEvent):
     """One control period closed: measurement + decision, per Fig. 3.
 
@@ -53,20 +44,6 @@ class PeriodDecision(ObsEvent):
 
     kind: ClassVar[str] = "period"
     record: "PeriodRecord" = None
-    shard: Optional[str] = None
-
-
-@dataclass
-class ShedAction(ObsEvent):
-    """Tuples were discarded during/at the close of a control period."""
-
-    kind: ClassVar[str] = "shed"
-    k: int = 0
-    #: "entry" — dropped by the admission filter before the engine;
-    #: "retro" — culled from operator queues at the period boundary
-    action: str = "entry"
-    count: int = 0
-    alpha: float = 0.0
     shard: Optional[str] = None
 
 
@@ -99,31 +76,12 @@ class DrainTruncated(ObsEvent):
 
 
 @dataclass
-class TargetChanged(ObsEvent):
-    """A shard's delay target was changed from outside its loop."""
-
-    kind: ClassVar[str] = "target_changed"
-    old: float = 0.0
-    new: float = 0.0
-    shard: Optional[str] = None
-
-
-@dataclass
 class HeadroomChanged(ObsEvent):
     """A shard's CPU share was changed by the coordinator."""
 
     kind: ClassVar[str] = "headroom_changed"
     old: float = 0.0
     new: float = 0.0
-    shard: Optional[str] = None
-
-
-@dataclass
-class AlphaCapped(ObsEvent):
-    """A shard's entry-drop probability was capped by the coordinator."""
-
-    kind: ClassVar[str] = "alpha_capped"
-    cap: float = 1.0
     shard: Optional[str] = None
 
 
@@ -139,17 +97,6 @@ class ShardRebalanced(ObsEvent):
     k: int = 0
     mode: str = "independent"
     detail: dict = field(default_factory=dict)
-    shard: Optional[str] = None
-
-
-@dataclass
-class RunFinished(ObsEvent):
-    """A control loop finished (drain complete, record closed)."""
-
-    kind: ClassVar[str] = "run_finished"
-    periods: int = 0
-    duration: float = 0.0
-    drain_truncated: bool = False
     shard: Optional[str] = None
 
 
@@ -265,27 +212,12 @@ class RouteChanged(ObsEvent):
 
 
 @dataclass
-class MigrationStarted(ObsEvent):
-    """A source migration began: the old shard is draining the source.
+class MigrationCompleted(ObsEvent):
+    """A source migration's drain finished (cutover commits right after).
 
     ``backlog`` is the shard's outstanding tuple count when the drain
     started (all sources — the engine drains its whole queue so the
     source's in-flight window contribution is fully flushed).
-    """
-
-    kind: ClassVar[str] = "migration_started"
-    k: int = 0
-    source: str = ""
-    from_shard: int = -1
-    to_shard: int = -1
-    backlog: int = 0
-    shard: Optional[str] = None
-
-
-@dataclass
-class MigrationCompleted(ObsEvent):
-    """A source migration's drain finished (cutover commits right after).
-
     ``virtual_seconds`` is how much engine (virtual) time the drain
     consumed; ``truncated`` means the drain budget expired with tuples
     still queued (they stay on the old shard and complete there).
@@ -296,6 +228,7 @@ class MigrationCompleted(ObsEvent):
     source: str = ""
     from_shard: int = -1
     to_shard: int = -1
+    backlog: int = 0
     drained: int = 0
     leftover: int = 0
     virtual_seconds: float = 0.0
@@ -400,11 +333,10 @@ def event_to_dict(event: ObsEvent) -> dict:
 #: every event kind the library emits, for subscriber validation
 EVENT_KINDS = tuple(
     cls.kind for cls in (
-        RunStarted, PeriodDecision, ShedAction, LateArrival, DrainTruncated,
-        TargetChanged, HeadroomChanged, AlphaCapped, ShardRebalanced,
-        IngestStats, RunFinished, CompletionStats,
+        PeriodDecision, LateArrival, DrainTruncated, HeadroomChanged,
+        ShardRebalanced, IngestStats, CompletionStats,
         TupleTraceCompleted, WorkerDown, WorkerRestarted, RouteChanged,
-        MigrationStarted, MigrationCompleted,
+        MigrationCompleted,
         SysIdUpdate, ModelMismatch, MarginEroded, IncidentDumped,
     )
 )

@@ -58,9 +58,9 @@ FLIGHT_FORMAT = "repro-flight-1"
 #: tuple_trace firehose stays out on purpose — sampled spans are a
 #: different subsystem with its own sinks)
 RING_KINDS = (
-    "period", "shed", "ingest", "sysid",
-    "route_changed", "migration_started", "migration_completed",
-    "headroom_changed", "target_changed", "alpha_capped", "rebalanced",
+    "period", "ingest", "sysid",
+    "route_changed", "migration_completed",
+    "headroom_changed", "rebalanced",
     "worker_down", "worker_restarted", "drain_truncated",
     "model_mismatch", "margin_eroded",
 )
@@ -343,10 +343,20 @@ def _not_replayable(bundle: dict) -> Optional[str]:
     kind = spec.get("kind")
     if kind not in ("service", "strategy"):
         return f"unknown replay recipe kind {kind!r}"
-    if kind == "service" and not spec.get("sync", True):
+    if kind != "service":
+        return None
+    if not spec.get("sync", True):
         return ("async (free-running) fleet runs do not reproduce the "
                 "lockstep trajectory; only sync-mode bundles replay "
                 "exactly")
+    svc = bundle.get("service") or {}
+    if svc.get("mode") == "target":
+        return ("the coordinator's 'target' mode no longer exists; this "
+                "bundle's delay-budget shifts cannot be re-executed")
+    if svc.get("loss_bound") is not None:
+        return ("the fleet-wide loss_bound drop SLA no longer exists; "
+                "replaying without it would not reproduce the recorded "
+                "drop caps")
     return None
 
 

@@ -440,10 +440,11 @@ class MetricsBridge:
     """Folds the event stream into the standard metric set.
 
     Subscribe-and-forget: construct it (or call
-    :func:`install_metrics`) and every period decision, shed action,
-    late arrival, drain truncation and rebalance on the bus updates the
-    registry. Per-shard series are labelled ``shard="..."``; single-loop
-    runs fall under ``shard="main"``.
+    :func:`install_metrics`) and every period decision (with its entry
+    and retroactive shed counts), late arrival, drain truncation and
+    rebalance on the bus updates the registry. Per-shard series are
+    labelled ``shard="..."``; single-loop runs fall under
+    ``shard="main"``.
     """
 
     def __init__(self, bus: Optional[EventBus] = None,
@@ -540,7 +541,6 @@ class MetricsBridge:
             "flight-recorder incident bundles written, by trigger")
         self._handlers = {
             "period": self._on_period,
-            "shed": self._on_shed,
             "late_arrival": self._on_late,
             "drain_truncated": self._on_truncated,
             "rebalanced": self._on_rebalanced,
@@ -579,6 +579,10 @@ class MetricsBridge:
         self.periods.inc(shard=shard)
         self.offered.inc(p.offered, shard=shard)
         self.admitted.inc(p.admitted, shard=shard)
+        if p.offered > p.admitted:
+            self.shed.inc(p.offered - p.admitted, shard=shard, action="entry")
+        if p.shed_retro > 0:
+            self.shed.inc(p.shed_retro, shard=shard, action="retro")
         if p.delay_estimate > p.target:
             self.violations.inc(shard=shard)
         self.delay.set(p.delay_estimate, shard=shard)
@@ -586,10 +590,6 @@ class MetricsBridge:
         self.alpha.set(p.alpha, shard=shard)
         self.queue.set(p.queue_length, shard=shard)
         self.delay_hist.observe(p.delay_estimate, shard=shard)
-
-    def _on_shed(self, event, shard: str) -> None:
-        if event.count:
-            self.shed.inc(event.count, shard=shard, action=event.action)
 
     def _on_late(self, event, shard: str) -> None:
         self.late.inc(shard=shard, engine=event.engine)

@@ -22,8 +22,8 @@ counts relayed events per worker on the default registry. The
 per-shard-process fleet (:mod:`repro.service.fleet`) reuses exactly this
 uplink — a shard process is just a long-lived worker — and adds the
 matching downlink, :class:`CommandChannel`: one plain per-worker queue
-the parent pushes coordinator commands (headroom / target / drop-cap
-ops) down through.
+the parent pushes coordinator commands (headroom and migration ops)
+down through.
 
 The pump re-emits on the parent bus, so a forwarder must never be
 attached to that same bus (the event would loop forever). Forwarders

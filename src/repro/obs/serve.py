@@ -17,15 +17,17 @@ path       serves
               event counts, plus the service's own ``status_fn`` view
 ``/events``   Server-Sent Events live stream of bus events; defaults to
               every kind except the firehose ``tuple_trace`` spans
-              (``?kinds=a,b`` narrows or opts in)
+              (``?kinds=a,b`` narrows or opts in; an unknown kind is
+              a 400 listing the valid ones)
 ``/incident`` ``POST``: ask the attached flight recorder to dump an
               incident bundle now (404 without a recorder)
 ========== ==========================================================
 
-Every SSE client gets its own :class:`~repro.obs.bus.BoundedSubscription`
-(``drop_oldest``), so a stalled browser tab backs up — and then loses —
-only its own buffer, visibly (``repro_obs_dropped_total``), while the
-control loop's emit path stays an O(1) append. docs/THEORY.md §10 makes
+Every SSE client gets its own drop-oldest
+:class:`~repro.obs.bus.BoundedSubscription`, so a stalled browser tab
+backs up — and then loses — only its own buffer, visibly
+(``repro_obs_dropped_total``), while the control loop's emit path stays
+an O(1) append. docs/THEORY.md §10 makes
 the argument precise.
 
 The listen port comes from the constructor, else ``REPRO_OBS_PORT``,
@@ -287,10 +289,15 @@ class _Handler(BaseHTTPRequestHandler):
         obs = self.obs
         raw = parse_qs(urlparse(self.path).query).get("kinds", [""])[0]
         wanted = frozenset(k.strip() for k in raw.split(",") if k.strip())
-        sub = BoundedSubscription(
-            obs.bus, kinds=wanted or self.SSE_DEFAULT_KINDS,
-            maxlen=obs.sse_maxlen, policy="drop_oldest",
-            name=f"sse:{self.client_address[0]}:{self.client_address[1]}")
+        try:
+            sub = BoundedSubscription(
+                obs.bus, kinds=wanted or self.SSE_DEFAULT_KINDS,
+                maxlen=obs.sse_maxlen,
+                name=f"sse:{self.client_address[0]}:{self.client_address[1]}")
+        except ObservabilityError as err:  # ?kinds= named an unknown kind
+            self._send(json.dumps({"error": str(err),
+                                   "kinds": list(EVENT_KINDS)}), code=400)
+            return
         obs.sse_clients += 1
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")

@@ -4,8 +4,8 @@ The paper's feedback loop controls one query network; this subpackage
 scales it out: N engine shards each run their own Monitor -> Controller ->
 Actuator loop, a stream router partitions sources across them, and a
 global headroom coordinator aggregates per-shard delay estimates every
-control period and rebalances the fleet (CPU shares, delay budgets, and a
-global drop bound). Two runners share the configs:
+control period and rebalances the fleet (CPU shares and source
+placement). Two runners share the configs:
 :class:`~repro.service.service.StreamService` steps every shard in
 lockstep inside one process;
 :class:`~repro.service.fleet.ProcessFleet` promotes each shard to its

@@ -35,10 +35,9 @@ class ServiceConfig(ObsConfig):
     error: ClassVar[type] = ServiceError
 
     n_shards: int = 4
-    mode: str = "headroom"              # 'independent' | 'target' | 'headroom'
+    mode: str = "headroom"              # 'independent' | 'headroom'
     total_headroom: float = DEFAULT_TOTAL_HEADROOM
     headroom_ceiling: float = 0.97
-    loss_bound: Optional[float] = None  # global drop SLA (fraction), None = off
     strategy: str = "CTRL"              # per-shard controller
     #: engine backend per shard, resolved through repro.dsms.make_engine
     #: ('full' | 'fluid')

@@ -3,31 +3,17 @@
 Once per control period — after every shard has closed its period and
 armed its actuator — the coordinator aggregates the per-shard state
 (delay estimates, queue lengths, offered load, cost estimates) and
-rebalances the fleet. Three modes:
+rebalances the fleet. Two modes:
 
 * ``"independent"`` — no rebalancing: N paper loops running side by side
-  (the baseline the coordinated modes are judged against);
+  (the baseline the coordinated mode is judged against);
 * ``"headroom"`` — sum-preserving reallocation of the machine's CPU
   share: each shard's demand is its offered CPU load plus a backlog
   catch-up term, the total headroom is split proportionally to demand
   (bounded per shard), and each shard moves a ``gain`` fraction of the
   way to its allocation per period. Because both the old and the new
   allocation vectors sum to the same total, the machine is never
-  oversubscribed;
-* ``"target"`` — sum-preserving delay-budget shift: shards whose delay
-  estimate runs above their base target get a *tighter* operating target
-  (their loop sheds earlier and harder, keeping actual delay under the
-  base SLA instead of riding it), and the freed budget is parked on the
-  shards running below their targets, where slack is free. The total
-  budget ``sum(base_target)`` is invariant, so no shard's loop dynamics
-  change — only the reference each loop tracks. The trade is explicit:
-  lower worst-shard delay violation, bought with extra loss on the
-  stressed shards.
-
-Orthogonally to the mode, an optional ``loss_bound`` reconciles the
-per-shard entry shedders against a global drop SLA: when the fleet's
-expected drop fraction for the coming period exceeds the bound, every
-shard's drop probability is scaled down proportionally to its demand.
+  oversubscribed.
 
 CPU-share rebalancing redistributes *capacity*; it cannot help when one
 shard's demand exceeds the per-shard ``headroom_ceiling`` (the model of a
@@ -53,7 +39,7 @@ from .config import HEADROOM_FLOOR
 from .router import RoutingTable
 from .shard import EngineShard
 
-MODES = ("independent", "target", "headroom")
+MODES = ("independent", "headroom")
 
 #: headroom deficit (demand - allocation) that counts as "still hot"
 HOT_DEFICIT = 0.10
@@ -193,8 +179,6 @@ class HeadroomCoordinator:
                  gain: float = 0.5,
                  headroom_floor: float = HEADROOM_FLOOR,
                  headroom_ceiling: float = 0.97,
-                 target_floor_fraction: float = 0.25,
-                 loss_bound: Optional[float] = None,
                  migration_policy: Optional[MigrationPolicy] = None):
         if mode not in MODES:
             raise ServiceError(f"unknown coordinator mode {mode!r}; "
@@ -206,18 +190,10 @@ class HeadroomCoordinator:
                 f"need 0 < floor < ceiling <= 1, got "
                 f"[{headroom_floor}, {headroom_ceiling}]"
             )
-        if not 0.0 < target_floor_fraction <= 1.0:
-            raise ServiceError(
-                f"target floor fraction {target_floor_fraction} outside (0, 1]"
-            )
-        if loss_bound is not None and not 0.0 <= loss_bound <= 1.0:
-            raise ServiceError(f"loss bound {loss_bound} outside [0, 1]")
         self.mode = mode
         self.gain = gain
         self.headroom_floor = headroom_floor
         self.headroom_ceiling = headroom_ceiling
-        self.target_floor_fraction = target_floor_fraction
-        self.loss_bound = loss_bound
         if migration_policy is not None and mode != "headroom":
             raise ServiceError(
                 "migration policy needs mode='headroom' (it triggers on "
@@ -248,10 +224,6 @@ class HeadroomCoordinator:
         entry: dict = {"k": k, "mode": self.mode}
         if self.mode == "headroom":
             self._rebalance_headroom(shards, periods, entry)
-        elif self.mode == "target":
-            self._rebalance_targets(shards, periods, entry)
-        if self.loss_bound is not None:
-            self._reconcile_drop_caps(shards, periods, entry)
         if (self.migration_policy is not None
                 and source_counts is not None and table is not None):
             plan = self.migration_policy.consider(
@@ -262,7 +234,7 @@ class HeadroomCoordinator:
         bus = self.bus
         if bus is not None and bus and len(entry) > 2:
             # only decisions with substance (beyond k/mode) are events;
-            # independent mode without a loss bound stays silent
+            # independent mode stays silent
             bus.emit(ShardRebalanced(k=k, mode=self.mode, detail=dict(entry)))
         return entry
 
@@ -291,71 +263,6 @@ class HeadroomCoordinator:
             new.append(h)
         entry["demand"] = demands
         entry["headroom"] = new
-
-    # ------------------------------------------------------------------ #
-    # delay-budget rebalancing
-    # ------------------------------------------------------------------ #
-    def _rebalance_targets(self, shards: Sequence[EngineShard],
-                           periods: Sequence[PeriodRecord],
-                           entry: dict) -> None:
-        n = len(shards)
-        budget = sum(s.base_target for s in shards)
-        # pressure: how far each shard's estimated delay runs above its own
-        # base target; positive = stressed -> tighten its operating target
-        # (shed earlier, keep actual delay under the base SLA) and park the
-        # freed budget on the shards with slack
-        errors = [p.delay_estimate - s.base_target
-                  for s, p in zip(shards, periods)]
-        mean_error = sum(errors) / n
-        floors = [s.base_target * self.target_floor_fraction for s in shards]
-        raw = [
-            max(s.base_target - self.gain * (e - mean_error), floor)
-            for s, e, floor in zip(shards, errors, floors)
-        ]
-        # re-center so the fleet's total delay budget is preserved exactly;
-        # the correction is spread over the shards still above their floor
-        new = list(raw)
-        for __ in range(n):
-            residual = budget - sum(new)
-            if abs(residual) < 1e-12:
-                break
-            if residual > 0:
-                adjustable = list(range(n))
-            else:
-                adjustable = [i for i in range(n) if new[i] > floors[i] + 1e-12]
-                if not adjustable:
-                    break
-            step = residual / len(adjustable)
-            for i in adjustable:
-                new[i] = max(new[i] + step, floors[i])
-        for shard, t in zip(shards, new):
-            shard.set_target(t)
-        entry["targets"] = new
-
-    # ------------------------------------------------------------------ #
-    # global drop-bound reconciliation
-    # ------------------------------------------------------------------ #
-    def _reconcile_drop_caps(self, shards: Sequence[EngineShard],
-                             periods: Sequence[PeriodRecord],
-                             entry: dict) -> None:
-        # inflow weights: the same estimate the loops armed their actuators
-        # with (this period's offered count as the forecast for the next)
-        weights = [float(p.offered) for p in periods]
-        requested = [s.requested_alpha for s in shards]
-        total_inflow = sum(weights)
-        if total_inflow <= 0:
-            return
-        demanded = sum(a * w for a, w in zip(requested, weights))
-        allowed = self.loss_bound * total_inflow
-        if demanded <= allowed:
-            # inside the SLA: lift any caps from previous periods
-            caps = [1.0] * len(shards)
-        else:
-            scale = allowed / demanded
-            caps = [min(1.0, a * scale) for a in requested]
-        for shard, cap in zip(shards, caps):
-            shard.cap_alpha(cap)
-        entry["alpha_caps"] = caps
 
 
 def _bounded_shares(shares: Sequence[float], floor: float, ceiling: float,

@@ -19,7 +19,7 @@ autonomously while a supervisor rebalances load:
   :class:`~repro.service.coordinator.HeadroomCoordinator` over
   :class:`ShardProxy` stand-ins — once a period's row of summaries is
   complete it rebalances exactly as the lockstep service would, and the
-  resulting headroom / target / drop-cap ops go back down a per-shard
+  resulting headroom and migration ops go back down a per-shard
   :class:`~repro.obs.relay.CommandChannel` queue;
 * **observability** reuses the PR-5 relay uplink unchanged: with
   ``relay=True`` (implied by ``serve``/``health``) each worker attaches
@@ -88,10 +88,10 @@ class ShardProxy:
 
     Duck-types exactly the surface
     :class:`~repro.service.coordinator.HeadroomCoordinator` touches —
-    ``headroom`` / ``base_target`` / ``requested_alpha`` / ``loop.period``
-    to observe, ``set_headroom`` / ``set_target`` / ``cap_alpha`` to
-    mutate — and the ``drain_source`` half of
-    :func:`~repro.service.service.execute_migration`. Mutations update
+    ``headroom`` / ``base_target`` / ``loop.period`` to observe,
+    ``set_headroom`` to mutate — the ``drain_source`` half of
+    :func:`~repro.service.service.execute_migration`, and the ``target``
+    / ``requested_alpha`` that ``/status`` reports. Mutations update
     the proxy's view (so the next rebalance
     observes what the lockstep service would) and append a pickled op for
     the worker, which applies it through the real shard's method — same
@@ -118,15 +118,6 @@ class ShardProxy:
         self.headroom = float(headroom)
         self._ops.append(("headroom", float(headroom)))
 
-    def set_target(self, target: float) -> None:
-        if target < 0:
-            raise ServiceError(f"negative delay target {target}")
-        self.target = float(target)
-        self._ops.append(("target", float(target)))
-
-    def cap_alpha(self, alpha_cap: float) -> None:
-        self._ops.append(("alpha_cap", float(alpha_cap)))
-
     def drain_source(self, source: str, budget: float, k: int = -1,
                      to_shard: int = -1, from_shard: int = -1) -> None:
         self._ops.append(("drain_source",
@@ -142,7 +133,7 @@ def _apply_ops(shard, ops: Sequence[Tuple[str, object]],
                table: Optional[RoutingTable] = None) -> None:
     """Apply journalled/downlinked coordinator ops to the real shard.
 
-    Besides the scalar knob ops, the channel carries the migration
+    Besides the ``("headroom", h)`` knob op, the channel carries the migration
     transaction: ``("drain_source", (source, budget, k, from, to))``
     quiesces the worker's engine and
     ``("route", (source, shard_index, epoch))`` commits the cutover on
@@ -154,10 +145,6 @@ def _apply_ops(shard, ops: Sequence[Tuple[str, object]],
     for op, value in ops:
         if op == "headroom":
             shard.set_headroom(value)
-        elif op == "target":
-            shard.set_target(value)
-        elif op == "alpha_cap":
-            shard.cap_alpha(value)
         elif op == "drain_source":
             source, budget, k, src, dst = value
             shard.drain_source(source, budget, k=k,

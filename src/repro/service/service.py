@@ -4,9 +4,9 @@
 on a shared clock grid: each period the due arrivals are routed through
 the (possibly live-mutating) routing table to their shards, every shard
 closes its period (measure -> decide -> arm), and then the coordinator
-observes all shards at once and rebalances headroom/targets/drop caps for
-the next period. With the coordinator in ``"independent"`` mode this
-degenerates to N disjoint paper loops.
+observes all shards at once and re-shares CPU headroom (and plans source
+migrations) for the next period. With the coordinator in
+``"independent"`` mode this degenerates to N disjoint paper loops.
 
 Routing happens *per period*, not up front, so a coordinator-planned
 migration takes effect at exactly one period boundary: the service drains
@@ -430,7 +430,6 @@ def build_control_plane(svc: ServiceConfig,
     coordinator = HeadroomCoordinator(
         mode=svc.mode,
         headroom_ceiling=svc.headroom_ceiling,
-        loss_bound=svc.loss_bound,
         migration_policy=policy,
     )
     return make_router("explicit", svc.n_shards, assignments), coordinator

@@ -5,15 +5,12 @@ discrete-event engine over its own query network, its own monitor, cost
 estimator, controller and entry actuator — plus the mutation points the
 global coordinator needs between control periods:
 
-* :meth:`EngineShard.set_target` — shift the shard's delay budget;
 * :meth:`EngineShard.set_headroom` — shift the shard's share of the
   machine's CPU. The engine, the model the monitor estimates with, and
   the controller's gain all follow the new ``H`` at the next period, so
   the pole placement stays where it was designed (the controller gain
   ``H/(cT)`` cancels the plant gain ``cT/H`` at whatever ``H`` is in
   force — see docs/THEORY.md §7);
-* :meth:`EngineShard.cap_alpha` — bound the shard's entry-drop
-  probability (the coordinator-reconciled global loss SLA);
 * :meth:`EngineShard.drain_source` — flush the shard's in-flight work so
   a source can be migrated to another shard without leaving half-filled
   windows behind (docs/THEORY.md §13).
@@ -45,12 +42,7 @@ from ..dsms import EngineProtocol, identification_network, make_engine
 from ..dsms.scheduler import make_scheduler
 from ..errors import BackendError, ServiceError
 from ..obs.attach import ObsConfig
-from ..obs.events import (
-    AlphaCapped,
-    HeadroomChanged,
-    MigrationCompleted,
-    MigrationStarted,
-)
+from ..obs.events import HeadroomChanged, MigrationCompleted
 from ..obs.tracing import PeriodTracer
 from ..obs.tuptrace import TupleTracer
 
@@ -136,27 +128,6 @@ class EngineShard:
             bus.emit(HeadroomChanged(old=old, new=float(headroom),
                                      shard=self.name))
 
-    def set_target(self, target: float) -> None:
-        """Adjust the delay target the loop regulates toward."""
-        if target < 0:
-            raise ServiceError(f"negative delay target {target}")
-        self.target = float(target)
-        self.loop.set_target(float(target))
-
-    def cap_alpha(self, alpha_cap: float) -> None:
-        """Bound the entry actuator's drop probability."""
-        actuator = self.loop.actuator
-        if not isinstance(actuator, EntryActuator):
-            raise ServiceError(
-                f"shard {self.name!r}: {type(actuator).__name__} has no "
-                "drop-probability cap; a loss bound needs an EntryActuator"
-            )
-        actuator.cap(alpha_cap)
-        bus = self.loop.bus
-        if bus and alpha_cap < 1.0:
-            # only a binding cap is news; cap=1.0 just lifts a prior one
-            bus.emit(AlphaCapped(cap=float(alpha_cap), shard=self.name))
-
     # ------------------------------------------------------------------ #
     # migration support
     # ------------------------------------------------------------------ #
@@ -187,12 +158,6 @@ class EngineShard:
             raise ServiceError(f"negative drain budget {budget}")
         engine = self.engine
         backlog = engine.outstanding
-        bus = self.loop.bus
-        if bus:
-            bus.emit(MigrationStarted(k=k, source=source,
-                                      from_shard=from_shard,
-                                      to_shard=to_shard,
-                                      backlog=backlog, shard=self.name))
         start_now = engine.now
         departed0 = engine.departed_total
         deadline = start_now + float(budget)
@@ -216,16 +181,18 @@ class EngineShard:
             virtual_seconds=engine.now - start_now,
             truncated=leftover > 0,
         )
+        bus = self.loop.bus
         if bus:
             bus.emit(MigrationCompleted(
                 k=k, source=source, from_shard=from_shard, to_shard=to_shard,
-                drained=report.drained, leftover=report.leftover,
+                backlog=backlog, drained=report.drained,
+                leftover=report.leftover,
                 virtual_seconds=report.virtual_seconds,
                 truncated=report.truncated, shard=self.name))
         return report
 
     # ------------------------------------------------------------------ #
-    # coordinator observation points
+    # observation points (``/status``)
     # ------------------------------------------------------------------ #
     @property
     def requested_alpha(self) -> float:

@@ -27,20 +27,19 @@ def bits(actuator, n, draw=lambda: ((), "")):
 
 
 def test_entry_coin_and_cap_sequence():
-    act = EntryActuator(rng=random.Random(7))
-    schedule = [(INF, 0.0, None), (70.0, 100.0, None), (10.0, 100.0, 0.5),
-                (100.0, 100.0, None), (0.0, 50.0, None)]
+    # the cap binds from the third period on (the second arms 0.3 < 0.5)
+    act = EntryActuator(rng=random.Random(7), alpha_cap=0.5)
+    schedule = [(INF, 0.0), (70.0, 100.0), (10.0, 100.0),
+                (100.0, 100.0), (0.0, 50.0)]
     rows, alphas = [], []
-    for allowed, inflow, cap in schedule:
+    for allowed, inflow in schedule:
         act.begin_period(allowed, inflow)
-        if cap is not None:
-            act.cap(cap)
         alphas.append((act.alpha, act.requested_alpha))
         rows.append(bits(act, 16))
     assert rows == ["1111111111111111", "1010110101001100",
                     "1110101000010110", "1111111111111111",
                     "1000100100110111"]
-    # the cap persists into later periods; requested_alpha stays uncapped
+    # the cap bounds every binding period; requested_alpha stays uncapped
     assert alphas == [(0.0, 0.0), (0.30000000000000004, 0.30000000000000004),
                       (0.5, 0.9), (0.0, 0.0), (0.5, 1.0)]
     assert (act.offered_total, act.dropped_total) == (80, 24)

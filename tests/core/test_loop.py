@@ -161,23 +161,6 @@ class TestSteppedApi:
         assert rec_a.offered_total == rec_b.offered_total
         assert rec_a.entry_dropped_total == rec_b.entry_dropped_total
 
-    def test_set_target_takes_effect_next_decision(self):
-        loop, __ = make_loop()
-        rec = loop.begin()
-        arrivals = list(self._arrivals(rate=300.0, seconds=40))
-        for k in range(40):
-            boundary = (k + 1) * loop.period
-            due = [a for a in arrivals if k * loop.period <= a[0] < boundary]
-            p = loop.run_period(rec, k, due)
-            if k == 19:
-                loop.set_target(4.0)
-        loop.finish(rec, 40)
-        assert rec.periods[10].target == 2.0
-        assert rec.periods[25].target == 4.0
-        # and the loop actually regulates toward the new budget
-        est_tail = [p.delay_estimate for p in rec.periods[32:]]
-        assert sum(est_tail) / len(est_tail) == pytest.approx(4.0, abs=0.8)
-
 
 class TestActuatorVariants:
     def _run(self, actuator_factory):

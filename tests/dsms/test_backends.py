@@ -98,8 +98,12 @@ def test_engines_report_late_arrivals_alike(backend):
     engine.submit(1.0, (0.5, 0.5, 0.5, 0.5), "src")
     engine.run_until(5.0)
     seen = []
-    with get_bus().subscribed(seen.append, kinds=("late_arrival",)):
+    bus = get_bus()
+    bus.subscribe(seen.append, kinds=("late_arrival",))
+    try:
         engine.submit(2.0, (0.5, 0.5, 0.5, 0.5), "src")  # behind the clock
+    finally:
+        bus.unsubscribe(seen.append)
     assert engine.late_arrivals == 1
     assert len(seen) == 1
     assert seen[0].engine == type(engine).__name__

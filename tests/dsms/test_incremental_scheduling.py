@@ -183,10 +183,14 @@ class TestLateArrivals:
         engine.submit(1.0, (0.5, 0.5, 0.5, 0.5), "src")
         engine.run_until(2.0)
         seen = []
-        with caplog.at_level(logging.WARNING, logger="repro.dsms"), \
-                get_bus().subscribed(seen.append, kinds=("late_arrival",)):
-            engine.submit(0.5, (0.5, 0.5, 0.5, 0.5), "src")
-            engine.submit(1.0, (0.5, 0.5, 0.5, 0.5), "src")
+        bus = get_bus()
+        bus.subscribe(seen.append, kinds=("late_arrival",))
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.dsms"):
+                engine.submit(0.5, (0.5, 0.5, 0.5, 0.5), "src")
+                engine.submit(1.0, (0.5, 0.5, 0.5, 0.5), "src")
+        finally:
+            bus.unsubscribe(seen.append)
         # with a subscriber every occurrence is an event and nothing is logged
         assert [e.total for e in seen] == [1, 2]
         assert seen[0].clock == 2.0 and seen[0].submitted == 0.5

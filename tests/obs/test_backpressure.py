@@ -1,4 +1,4 @@
-"""Bounded-bus backpressure: drop policies, stalled subscribers, lifecycle."""
+"""Bounded-bus backpressure: drop-oldest ring, stalled consumer, lifecycle."""
 
 import threading
 import time
@@ -7,136 +7,83 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import BoundedSubscription, EventBus, MetricsRegistry
-from repro.obs.events import RunStarted
+from repro.obs.events import DrainTruncated
 
 
 def emit_n(bus, n, start=0):
     for i in range(start, start + n):
-        bus.emit(RunStarted(period=float(i)))
+        bus.emit(DrainTruncated(time=float(i)))
 
 
 class TestDropPolicies:
     def test_drop_oldest_keeps_the_freshest(self):
         bus = EventBus()
         registry = MetricsRegistry()
-        sub = BoundedSubscription(bus, maxlen=3, policy="drop_oldest",
-                                  name="t", registry=registry)
+        sub = BoundedSubscription(bus, maxlen=3, name="t", registry=registry)
         emit_n(bus, 5)
-        got = [sub.get(timeout=0.1).period for _ in range(3)]
+        got = [sub.get(timeout=0.1).time for _ in range(3)]
         assert got == [2.0, 3.0, 4.0]
         assert sub.get(timeout=0.05) is None
         assert sub.dropped == 2
         counter = registry.get("repro_obs_dropped_total")
         assert counter.value(subscriber="t", policy="drop_oldest") == 2
 
-    def test_drop_newest_keeps_the_earliest(self):
-        bus = EventBus()
-        sub = BoundedSubscription(bus, maxlen=3, policy="drop_newest",
-                                  registry=MetricsRegistry())
-        emit_n(bus, 5)
-        got = [sub.get(timeout=0.1).period for _ in range(3)]
-        assert got == [0.0, 1.0, 2.0]
-        assert sub.dropped == 2
-
-    def test_block_policy_couples_emitter_to_consumer(self):
-        bus = EventBus()
-        sub = BoundedSubscription(bus, maxlen=1, policy="block",
-                                  registry=MetricsRegistry())
-        bus.emit(RunStarted(period=0.0))  # fills the buffer
-        emitted = threading.Event()
-
-        def emit_second():
-            bus.emit(RunStarted(period=1.0))
-            emitted.set()
-
-        t = threading.Thread(target=emit_second, daemon=True)
-        t.start()
-        assert not emitted.wait(0.15), "emitter should block on a full buffer"
-        assert sub.get(timeout=1.0).period == 0.0
-        assert emitted.wait(2.0), "emitter should resume once space opens"
-        assert sub.get(timeout=1.0).period == 1.0
-        assert sub.dropped == 0
-        t.join(timeout=2.0)
-
     def test_invalid_arguments_rejected(self):
         bus = EventBus()
-        registry = MetricsRegistry()
         with pytest.raises(ObservabilityError):
-            BoundedSubscription(bus, policy="teleport", registry=registry)
-        with pytest.raises(ObservabilityError):
-            BoundedSubscription(bus, maxlen=0, registry=registry)
-        with pytest.raises(ObservabilityError):
-            BoundedSubscription(bus, callback=42, registry=registry)
+            BoundedSubscription(bus, maxlen=0, registry=MetricsRegistry())
 
 
 class TestStalledSubscriber:
-    def test_stalled_callback_never_stalls_the_emitter(self):
-        """The tentpole invariant: a wedged sink costs the emitting loop
-        only an O(1) append — events beyond the buffer are dropped and
-        counted, and emission latency stays flat."""
+    def test_stalled_consumer_never_stalls_the_emitter(self):
+        """The tentpole invariant: a consumer that stops pulling costs the
+        emitting loop only an O(1) append — events beyond the buffer are
+        dropped and counted, and emission latency stays flat."""
         bus = EventBus()
-        release = threading.Event()
-        delivered = []
-
-        def stalled(event):
-            release.wait(10.0)  # wedged until the test lets go
-            delivered.append(event)
-
-        sub = BoundedSubscription(bus, stalled, maxlen=8,
-                                  policy="drop_oldest",
-                                  registry=MetricsRegistry())
+        sub = BoundedSubscription(bus, maxlen=8, registry=MetricsRegistry())
         start = time.perf_counter()
         emit_n(bus, 500)
         emit_wall = time.perf_counter() - start
-        # 500 synchronous callbacks into a stalled sink would take >10s;
-        # through the ring buffer the whole burst is a few hundred appends
         assert emit_wall < 1.0
-        assert sub.dropped >= 500 - 8 - 1  # buffer + at most one in flight
-        release.set()
-        assert sub.flush(timeout=5.0)
+        assert sub.dropped == 500 - 8
+        # the consumer wakes up to the freshest window, in order
+        got = [sub.get(timeout=0.1).time for _ in range(8)]
+        assert got == [float(i) for i in range(492, 500)]
+        assert sub.get(timeout=0.05) is None
         sub.close()
-        assert delivered, "buffered events still reach the sink"
-        assert sub.dropped + sub.delivered == 500
-
-    def test_callback_exceptions_are_counted_not_raised(self):
-        bus = EventBus()
-
-        def bad(event):
-            raise ValueError("sink bug")
-
-        sub = BoundedSubscription(bus, bad, registry=MetricsRegistry())
-        emit_n(bus, 3)  # must not raise into the emitter
-        assert sub.flush(timeout=5.0)
-        sub.close()
-        assert sub.errors == 3
 
 
 class TestLifecycle:
     def test_close_unsubscribes_and_joins(self):
+        """close() wakes a consumer blocked in get(); its thread joins."""
         bus = EventBus()
-        seen = []
-        sub = BoundedSubscription(bus, seen.append,
-                                  registry=MetricsRegistry())
+        sub = BoundedSubscription(bus, registry=MetricsRegistry())
         assert len(bus) == 1
-        emit_n(bus, 4)
+        woke = []
+        consumer = threading.Thread(
+            target=lambda: woke.append(sub.get(timeout=10.0)), daemon=True)
+        consumer.start()
+        time.sleep(0.05)
         sub.close()
+        consumer.join(timeout=5.0)
+        assert woke == [None]
         assert len(bus) == 0
-        assert len(seen) == 4
-        emit_n(bus, 1, start=99)  # after close: nothing delivered
-        assert len(seen) == 4
+        emit_n(bus, 1, start=99)  # after close: nothing buffered
+        assert len(sub) == 0
 
-    def test_context_manager_and_subscribe_bounded(self):
+    def test_context_manager_closes(self):
         bus = EventBus()
-        with bus.subscribe_bounded(maxlen=4) as sub:
+        with BoundedSubscription(bus, maxlen=4,
+                                 registry=MetricsRegistry()) as sub:
             emit_n(bus, 2)
             assert len(sub) == 2
-            assert sub.get(timeout=0.1).period == 0.0
+            assert sub.get(timeout=0.1).time == 0.0
         assert len(bus) == 0
 
     def test_kinds_filter_applies(self):
         bus = EventBus()
-        sub = BoundedSubscription(bus, kinds=("shed",),
+        sub = BoundedSubscription(bus, kinds=("period",),
                                   registry=MetricsRegistry())
-        emit_n(bus, 3)  # run_started events: filtered out
+        emit_n(bus, 3)  # drain_truncated events: filtered out
         assert sub.get(timeout=0.05) is None
         sub.close()

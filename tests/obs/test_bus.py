@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import EventBus, get_bus
-from repro.obs.events import PeriodDecision, ShedAction
+from repro.obs.events import DrainTruncated, PeriodDecision
 
 
 class TestSubscription:
@@ -13,19 +13,19 @@ class TestSubscription:
         seen = []
         bus.subscribe(lambda e: seen.append(("a", e.kind)))
         bus.subscribe(lambda e: seen.append(("b", e.kind)))
-        bus.emit(ShedAction(k=1, count=5))
-        assert seen == [("a", "shed"), ("b", "shed")]
+        bus.emit(DrainTruncated(leftover=5))
+        assert seen == [("a", "drain_truncated"), ("b", "drain_truncated")]
 
     def test_kind_filter(self):
         bus = EventBus()
-        shed_only = []
+        drains_only = []
         everything = []
-        bus.subscribe(shed_only.append, kinds=("shed",))
+        bus.subscribe(drains_only.append, kinds=("drain_truncated",))
         bus.subscribe(everything.append)
-        bus.emit(ShedAction(k=1, count=5))
+        bus.emit(DrainTruncated(leftover=5))
         bus.emit(PeriodDecision(record=None))
-        assert [e.kind for e in shed_only] == ["shed"]
-        assert [e.kind for e in everything] == ["shed", "period"]
+        assert [e.kind for e in drains_only] == ["drain_truncated"]
+        assert [e.kind for e in everything] == ["drain_truncated", "period"]
 
     def test_unsubscribe(self):
         bus = EventBus()
@@ -33,17 +33,8 @@ class TestSubscription:
         cb = bus.subscribe(seen.append)
         assert bus.unsubscribe(cb) is True
         assert bus.unsubscribe(cb) is False  # already gone
-        bus.emit(ShedAction())
+        bus.emit(DrainTruncated())
         assert seen == []
-
-    def test_scoped_subscription_context(self):
-        bus = EventBus()
-        seen = []
-        with bus.subscribed(seen.append):
-            bus.emit(ShedAction())
-        bus.emit(ShedAction())
-        assert len(seen) == 1
-        assert not bus
 
     def test_rejects_non_callable_and_empty_kinds(self):
         bus = EventBus()
@@ -51,6 +42,12 @@ class TestSubscription:
             bus.subscribe("not callable")
         with pytest.raises(ObservabilityError):
             bus.subscribe(lambda e: None, kinds=())
+
+    def test_unknown_kind_is_refused_not_silently_dead(self):
+        bus = EventBus()
+        with pytest.raises(ObservabilityError, match="targte_changed"):
+            bus.subscribe(print, kinds=("period", "targte_changed"))
+        assert not bus
 
 
 class TestDisabledPath:
@@ -74,14 +71,14 @@ class TestScopedEmitter:
         seen = []
         bus.subscribe(seen.append)
         scoped = bus.scoped("shard3")
-        scoped.emit(ShedAction(k=2, count=1))
+        scoped.emit(DrainTruncated(leftover=1))
         assert seen[0].shard == "shard3"
 
     def test_does_not_overwrite_explicit_shard(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.scoped("outer").emit(ShedAction(shard="inner"))
+        bus.scoped("outer").emit(DrainTruncated(shard="inner"))
         assert seen[0].shard == "inner"
 
     def test_truthiness_tracks_live_bus(self):
@@ -96,5 +93,5 @@ class TestScopedEmitter:
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.scoped("a").scoped("b").emit(ShedAction())
+        bus.scoped("a").scoped("b").emit(DrainTruncated())
         assert seen[0].shard == "b"

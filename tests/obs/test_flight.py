@@ -158,6 +158,25 @@ class TestReplay:
         with pytest.raises(ObservabilityError, match="async"):
             replay_bundle(doc)
 
+    @pytest.mark.parametrize("service, reason", [
+        ({"mode": "target", "loss_bound": None}, "'target' mode"),
+        ({"mode": "headroom", "loss_bound": 0.1}, "loss_bound"),
+    ])
+    def test_bundle_with_a_deleted_coordinator_option_is_refused(
+            self, tmp_path, service, reason):
+        """Bundles recorded while the coordinator still had a delay-budget
+        mode and a fleet drop SLA cannot replay without them: refused with
+        a reason (CLI exit 2), never replayed without the option."""
+        doc = {"format": FLIGHT_FORMAT,
+               "replay": {"kind": "service", "service_kind": "lockstep",
+                          "workload_kind": "web"},
+               "experiment": {}, "service": {"n_shards": 2, **service}}
+        with pytest.raises(ObservabilityError, match=reason):
+            replay_bundle(doc)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["replay", str(path)]) == 2
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "not-a-flight-bundle"}))

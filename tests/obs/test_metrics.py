@@ -24,7 +24,6 @@ from repro.obs.events import (
     PeriodDecision,
     RouteChanged,
     ShardRebalanced,
-    ShedAction,
 )
 
 from .prometheus import LINE_RE, parse_prometheus_text
@@ -169,8 +168,8 @@ class TestMetricsBridge:
     def test_other_events(self):
         bus = EventBus()
         bridge = install_metrics(bus, MetricsRegistry())
-        bus.emit(ShedAction(k=0, action="entry", count=10, alpha=0.5))
-        bus.emit(ShedAction(k=0, action="retro", count=3, alpha=0.5))
+        bus.emit(PeriodDecision(record=period(offered=100, admitted=90,
+                                              shed_retro=3)))
         bus.emit(LateArrival(engine="Engine", total=1))
         bus.emit(DrainTruncated(leftover=42))
         bus.emit(ShardRebalanced(k=5, mode="headroom"))
@@ -181,6 +180,23 @@ class TestMetricsBridge:
         assert bridge.truncations.value(shard="main") == 1
         assert bridge.rebalances.value(mode="headroom") == 1
         assert bridge.headroom.value(shard="s0") == 0.6
+
+    @pytest.mark.parametrize("actuator", ["entry", "queue"])
+    def test_shed_series_equal_the_run_record(self, actuator):
+        """The shed counters derive from the period records alone: entry
+        drops are ``offered - admitted``, retroactive culls ``shed_retro``."""
+        from repro.experiments import ExperimentConfig, make_workload, run_strategy
+
+        bus = EventBus()
+        bridge = install_metrics(bus, MetricsRegistry())
+        cfg = ExperimentConfig(duration=30.0)
+        record = run_strategy("CTRL", make_workload("web", cfg), cfg,
+                              actuator=actuator, bus=bus)
+        entry = sum(p.offered - p.admitted for p in record.periods)
+        retro = sum(p.shed_retro for p in record.periods)
+        assert entry + retro > 0, "the run must shed to test anything"
+        assert bridge.shed.value(shard="main", action="entry") == entry
+        assert bridge.shed.value(shard="main", action="retro") == retro
 
     def test_migration_events(self):
         bus = EventBus()

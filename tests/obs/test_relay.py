@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import ExperimentConfig
 from repro.experiments.parallel import Job, run_jobs
 from repro.obs import EventBus, EventRelay, MetricsRegistry
-from repro.obs.events import PeriodDecision, RunStarted
+from repro.obs.events import DrainTruncated, PeriodDecision
 from repro.obs.relay import relay_forwarder, worker_relay
 from repro.service import ServiceConfig
 
@@ -17,7 +17,7 @@ def _emit_from_worker(relay_queue, worker, n):
     bus = EventBus()
     with worker_relay(relay_queue, worker=worker, bus=bus):
         for i in range(n):
-            bus.emit(RunStarted(period=float(i), shard="shard0"))
+            bus.emit(DrainTruncated(time=float(i), shard="shard0"))
 
 
 class TestRelayRoundTrip:
@@ -58,7 +58,7 @@ class TestRelayRoundTrip:
         parent_bus.subscribe(seen.append)
         relay = EventRelay(bus=parent_bus, registry=MetricsRegistry()).start()
         try:
-            relay.queue.put(("w9", RunStarted(period=1.0)))
+            relay.queue.put(("w9", DrainTruncated(time=1.0)))
             assert relay.flush(timeout=10.0)
         finally:
             relay.stop()
@@ -74,12 +74,12 @@ class TestRelayRoundTrip:
                 shipped.append(item)
 
         forward = relay_forwarder(FakeQueue(), "w0")
-        fresh = RunStarted(period=0.0)
+        fresh = DrainTruncated(time=0.0)
         forward(fresh)
-        stamped = RunStarted(period=1.0)
+        stamped = DrainTruncated(time=1.0)
         stamped.worker = "w1"  # came through a relay once already
         forward(stamped)
-        assert [event.period for _w, event in shipped] == [0.0]
+        assert [event.time for _w, event in shipped] == [0.0]
 
     def test_start_is_idempotent_and_stop_twice_is_safe(self):
         relay = EventRelay(bus=EventBus(), registry=MetricsRegistry())

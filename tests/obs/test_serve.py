@@ -9,7 +9,7 @@ import pytest
 from repro.experiments import ExperimentConfig
 from repro.experiments.service_demo import run_service_experiment
 from repro.obs import EventBus, MetricsRegistry, ObsServer, get_bus
-from repro.obs.events import HeadroomChanged
+from repro.obs.events import EVENT_KINDS, HeadroomChanged
 from repro.service import ServiceConfig, build_service
 from repro.service.service import StreamService
 
@@ -100,6 +100,16 @@ class TestSse:
             resp.close()
         finally:
             server.stop()
+
+    def test_unknown_kind_is_a_400_listing_the_valid_ones(self, server):
+        url = server.url + "/events?kinds=period,targte_changed"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(url, timeout=10).close()
+        assert err.value.code == 400
+        doc = json.loads(err.value.read().decode())
+        assert "targte_changed" in doc["error"]
+        assert doc["kinds"] == list(EVENT_KINDS)
+        assert server.sse_clients == 0
 
     def test_sse_client_counts(self, server):
         resp = urllib.request.urlopen(server.url + "/events", timeout=10)

@@ -35,7 +35,7 @@ class TestDefaultKinds:
 class TestBoundedSubscriptionBurst:
     def test_drop_oldest_burst_drops_backlog_not_subscription(self):
         bus = EventBus()
-        sub = BoundedSubscription(bus, maxlen=64, policy="drop_oldest")
+        sub = BoundedSubscription(bus, maxlen=64)
         try:
             for i in range(5000):
                 bus.emit(trace_event(i))
@@ -49,7 +49,7 @@ class TestBoundedSubscriptionBurst:
     def test_filtered_subscription_never_buffers_trace_bursts(self):
         bus = EventBus()
         sub = BoundedSubscription(bus, kinds=_Handler.SSE_DEFAULT_KINDS,
-                                  maxlen=8, policy="drop_oldest")
+                                  maxlen=8)
         try:
             completions = CompletionStats(k=0, count=2, shed=0,
                                           delays=[0.1, 0.2], shard="shard0")

@@ -1,4 +1,4 @@
-"""Coordinator rebalancing: sum preservation, clamping, drop-bound SLA."""
+"""Coordinator rebalancing: sum preservation and clamping."""
 
 import pytest
 
@@ -8,17 +8,6 @@ from repro.service import HeadroomCoordinator
 from repro.service.coordinator import _bounded_shares
 
 
-class FakeShedder:
-    """Records the caps the coordinator applies."""
-
-    def __init__(self, requested_alpha):
-        self.requested_alpha = requested_alpha
-        self.alpha_cap = 1.0
-
-    def cap(self, alpha_cap):
-        self.alpha_cap = alpha_cap
-
-
 class FakeLoop:
     period = 1.0
 
@@ -26,29 +15,14 @@ class FakeLoop:
 class FakeShard:
     """Duck-typed stand-in for EngineShard (observation + mutation points)."""
 
-    def __init__(self, headroom, base_target=2.0, requested_alpha=0.0):
+    def __init__(self, headroom, base_target=2.0):
         self.headroom = headroom
         self.base_target = base_target
         self.target = base_target
         self.loop = FakeLoop()
-        self._shedder = FakeShedder(requested_alpha)
-
-    @property
-    def requested_alpha(self):
-        return self._shedder.requested_alpha
-
-    @property
-    def alpha_cap(self):
-        return self._shedder.alpha_cap
 
     def set_headroom(self, h):
         self.headroom = h
-
-    def set_target(self, t):
-        self.target = t
-
-    def cap_alpha(self, cap):
-        self._shedder.cap(cap)
 
 
 def mk_period(delay_estimate=1.0, queue_length=50, offered=100, cost=1 / 190):
@@ -73,10 +47,6 @@ class TestValidation:
     def test_bounds_ordering(self):
         with pytest.raises(ServiceError):
             HeadroomCoordinator(headroom_floor=0.5, headroom_ceiling=0.4)
-
-    def test_loss_bound_range(self):
-        with pytest.raises(ServiceError):
-            HeadroomCoordinator(loss_bound=1.5)
 
     def test_shard_period_mismatch(self):
         coord = HeadroomCoordinator()
@@ -129,69 +99,6 @@ class TestHeadroomMode:
         for s in shards[1:]:
             assert s.headroom >= 0.05 - 1e-9
         assert shards[0].headroom <= coord.headroom_ceiling + 1e-9
-
-
-class TestTargetMode:
-    def test_budget_preserved_and_stressed_shard_tightened(self):
-        shards = [FakeShard(0.2425) for __ in range(4)]
-        budget = sum(s.base_target for s in shards)
-        periods = [mk_period(delay_estimate=4.0)] + [
-            mk_period(delay_estimate=0.2) for __ in range(3)
-        ]
-        HeadroomCoordinator(mode="target", gain=0.5).rebalance(
-            0, shards, periods)
-        assert sum(s.target for s in shards) == pytest.approx(budget)
-        # the shard running hot sheds earlier (tighter target); the slack
-        # shards park the freed budget
-        assert shards[0].target < 2.0
-        assert all(s.target > 2.0 for s in shards[1:])
-
-    def test_floor_respected(self):
-        shards = [FakeShard(0.2425) for __ in range(4)]
-        periods = [mk_period(delay_estimate=1000.0)] + [
-            mk_period(delay_estimate=0.0) for __ in range(3)
-        ]
-        coord = HeadroomCoordinator(mode="target", gain=1.0,
-                                    target_floor_fraction=0.25)
-        coord.rebalance(0, shards, periods)
-        assert shards[0].target >= 0.25 * 2.0 - 1e-9
-
-    def test_balanced_fleet_unchanged(self):
-        shards = [FakeShard(0.2425) for __ in range(4)]
-        periods = [mk_period(delay_estimate=1.5) for __ in range(4)]
-        HeadroomCoordinator(mode="target", gain=1.0).rebalance(
-            0, shards, periods)
-        assert all(s.target == pytest.approx(2.0) for s in shards)
-
-
-class TestDropBoundReconciliation:
-    def test_caps_scaled_when_fleet_exceeds_sla(self):
-        # both shards want to drop 40% of their inflow; the SLA allows 20%
-        shards = [FakeShard(0.2425, requested_alpha=0.4) for __ in range(2)]
-        periods = [mk_period(offered=100) for __ in range(2)]
-        coord = HeadroomCoordinator(mode="independent", loss_bound=0.2)
-        coord.rebalance(0, shards, periods)
-        for s in shards:
-            assert s.alpha_cap == pytest.approx(0.2)
-        # expected fleet drop now meets the bound exactly
-        expected = sum(s.alpha_cap * 100 for s in shards)
-        assert expected == pytest.approx(0.2 * 200)
-
-    def test_caps_lifted_inside_sla(self):
-        shards = [FakeShard(0.2425, requested_alpha=0.05) for __ in range(2)]
-        for s in shards:
-            s.cap_alpha(0.1)  # stale cap from an earlier period
-        periods = [mk_period(offered=100) for __ in range(2)]
-        HeadroomCoordinator(mode="independent", loss_bound=0.2).rebalance(
-            0, shards, periods)
-        assert all(s.alpha_cap == 1.0 for s in shards)
-
-    def test_zero_inflow_is_noop(self):
-        shards = [FakeShard(0.2425, requested_alpha=0.9)]
-        periods = [mk_period(offered=0)]
-        HeadroomCoordinator(mode="independent", loss_bound=0.0).rebalance(
-            0, shards, periods)
-        assert shards[0].alpha_cap == 1.0
 
 
 class TestBoundedShares:

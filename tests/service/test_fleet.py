@@ -162,11 +162,6 @@ class TestConfigAndProxy:
         proxy = ShardProxy("s", headroom=0.5, base_target=2.0, period=1.0)
         with pytest.raises(ServiceError):
             proxy.set_headroom(0.0)
-        with pytest.raises(ServiceError):
-            proxy.set_target(-1.0)
         proxy.set_headroom(0.25)
-        proxy.set_target(3.0)
-        proxy.cap_alpha(0.4)
-        assert proxy.take_ops() == [("headroom", 0.25), ("target", 3.0),
-                                    ("alpha_cap", 0.4)]
+        assert proxy.take_ops() == [("headroom", 0.25)]
         assert proxy.take_ops() == []      # drained

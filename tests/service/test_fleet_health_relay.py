@@ -20,11 +20,13 @@ pytestmark = pytest.mark.skipif(
 
 class TestRelayedDetectors:
     def test_qos_violation_opens_from_relayed_worker_events(self):
-        # hard overload on both shards: QoS cannot hold, every worker's
-        # relayed period stream must open its own qos episode upstream
+        # hard overload on both shards under a controller that regulates
+        # the queue length, not the delay (BACKPRESSURE): QoS cannot hold,
+        # every worker's relayed period stream must open its own qos
+        # episode upstream
         cfg = ExperimentConfig(duration=40.0, seed=3, headroom=0.2)
         svc = FleetConfig(n_shards=2, n_sources=2, health=True,
-                          loss_bound=0.1)
+                          strategy="BACKPRESSURE")
         result = run_service_experiment(cfg, svc, "web")
         assert result.health is not None
         qos = [r for r in result.health["reports"]

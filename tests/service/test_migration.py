@@ -48,8 +48,7 @@ def lockstep(workload):
     bus = EventBus()
     events = []
     bus.subscribe(events.append,
-                  kinds=("route_changed", "migration_started",
-                         "migration_completed"))
+                  kinds=("route_changed", "migration_completed"))
     service = build_service(CFG, MIG.as_lockstep())
     # rewire the service (and its shards) onto the test-local bus
     service.bus = bus
@@ -107,10 +106,8 @@ class TestDrainSource:
         assert report.drained == backlog
         assert 0 < report.virtual_seconds <= 30.0
         assert shard.engine.outstanding == 0
-        kinds = [e.kind for e in events]
-        assert "migration_started" in kinds
-        assert "migration_completed" in kinds
-        done = next(e for e in events if e.kind == "migration_completed")
+        done, = [e for e in events if e.kind == "migration_completed"]
+        assert done.backlog == backlog
         assert done.drained == backlog and done.to_shard == 3
 
     def test_exhausted_budget_truncates(self):
@@ -153,14 +150,14 @@ class TestLockstepMigration:
         (k, plan), = migration_entries(result.coordinator_history)
         kinds = [e.kind for e in events]
         assert kinds.count("route_changed") == 1
-        assert kinds.count("migration_started") == 1
         assert kinds.count("migration_completed") == 1
         route = next(e for e in events if e.kind == "route_changed")
         assert (route.k, route.source) == (k, plan["source"])
         assert (route.from_shard, route.to_shard) == (plan["from"], plan["to"])
         assert route.epoch == plan["epoch"]
-        started = next(e for e in events if e.kind == "migration_started")
-        assert started.shard == f"shard{plan['from']}"
+        done = next(e for e in events if e.kind == "migration_completed")
+        assert done.shard == f"shard{plan['from']}"
+        assert done.backlog >= done.drained + done.leftover
 
     def test_status_reports_epoch_and_migrations(self, lockstep):
         __, __, service = lockstep

@@ -11,15 +11,7 @@ import random
 
 import pytest
 
-from repro.core import (
-    ControlLoop,
-    DsmsModel,
-    EntryActuator,
-    Monitor,
-    PolePlacementController,
-    PriorityEntryActuator,
-)
-from repro.dsms import make_engine
+from repro.core import EntryActuator
 from repro.errors import ServiceError
 from repro.experiments import (
     ExperimentConfig,
@@ -29,7 +21,6 @@ from repro.experiments import (
     service_comparison,
 )
 from repro.service import (
-    EngineShard,
     ServiceConfig,
     StreamService,
     build_service,
@@ -45,7 +36,7 @@ def comparison():
     """One skewed run per mode, shared by the assertions below."""
     return {
         mode: run_service_experiment(CFG, SVC.with_mode(mode))
-        for mode in ("independent", "headroom", "target")
+        for mode in ("independent", "headroom")
     }
 
 
@@ -58,7 +49,6 @@ class TestAcceptance:
             "the hotspot must overload its shard under independent loops"
         )
         assert worst["headroom"] < worst["independent"]
-        assert worst["target"] < worst["independent"]
 
     def test_hotspot_shard_is_the_one_overloaded(self, comparison):
         name, __ = comparison["independent"].worst_shard()
@@ -211,48 +201,7 @@ class TestBoundedEntryShedder:
         assert act.requested_alpha == pytest.approx(0.9)
         assert act.alpha == pytest.approx(0.25)
 
-    def test_cap_recalculates_current_alpha(self):
-        act = EntryActuator(random.Random(0))
-        act.begin_period(10.0, 100.0)
-        assert act.alpha == pytest.approx(0.9)
-        act.cap(0.5)
-        assert act.alpha == pytest.approx(0.5)
-        act.cap(1.0)  # lifting the cap restores the controller's wish
-        assert act.alpha == pytest.approx(0.9)
-
     def test_invalid_cap_rejected(self):
         from repro.errors import SheddingError
         with pytest.raises(SheddingError):
             EntryActuator(alpha_cap=1.5)
-        with pytest.raises(SheddingError):
-            EntryActuator().cap(-0.1)
-
-    def _hand_built_shard(self, actuator=None):
-        engine = make_engine("fluid", cost=1 / 190, headroom=0.97)
-        model = DsmsModel(cost=1 / 190, headroom=0.97, period=1.0)
-        loop = ControlLoop(engine, PolePlacementController(model),
-                           Monitor(engine, model), actuator)
-        return EngineShard("s0", loop, base_target=2.0)
-
-    def test_default_actuator_shard_honours_the_cap(self):
-        """522a8d3 capped only ``EntryActuator(BoundedEntryShedder)``: a
-        shard around the loop's default actuator ignored the coordinator."""
-        shard = self._hand_built_shard()
-        shard.loop.actuator.begin_period(10.0, 100.0)
-        shard.cap_alpha(0.1)
-        assert shard.loop.actuator.alpha == 0.1
-        assert shard.requested_alpha == pytest.approx(0.9)
-
-    def test_uncappable_actuator_refuses_the_cap(self):
-        shard = self._hand_built_shard(PriorityEntryActuator({"s0": 1.0}))
-        with pytest.raises(ServiceError, match="PriorityEntryActuator"):
-            shard.cap_alpha(0.1)
-
-    def test_loss_bound_respected_end_to_end(self):
-        """With a global drop SLA the fleet's realized loss stays near it."""
-        cfg = ExperimentConfig(duration=80.0, seed=7)
-        svc = ServiceConfig(mode="independent", loss_bound=0.05,
-                            per_source_rate=60.0)
-        res = run_service_experiment(cfg, svc)
-        qos = res.aggregate_qos()
-        assert qos.loss_ratio <= 0.05 + 0.03  # SLA plus sampling noise
