@@ -53,6 +53,20 @@ dead function. Whatever is unreached and not in
 ``DEFINITION_EXEMPTIONS`` only tests reach; the gate is
 ``tests/test_public_api.py::test_every_public_definition_is_reached_outside_tests``.
 
+A third pass censuses **methods**: every public method (properties
+included) of a public top-level class under ``src/``. Each public method
+of any class is its own node in the same reach graph, keyed by its name:
+it is reached when the roots above spell that name, and the names its
+body spells count only once it is reached, so a helper only a test-only
+method calls is dead too. A class's own node keeps the rest of its body
+(class attributes, private and dunder methods). A method of a class
+with a base from outside ``src/`` (``BaseHTTPRequestHandler``,
+``logging.Formatter``) is reached, because that base calls it by name;
+the interface markers in ``MARKER_BASES`` call nothing and do not count.
+Whatever is unreached and not in ``METHOD_EXEMPTIONS`` only tests call;
+the gate is
+``tests/test_public_api.py::test_every_public_method_is_reached_outside_tests``.
+
 Usage::
 
     python benchmarks/perf/knob_census.py [CHECKOUT]
@@ -81,6 +95,24 @@ DEFINITION_EXEMPTIONS = {
         "parses the paper's LBL-PKT-4 trace, input from outside the "
         "program; EXPERIMENTS.md names it as the route to the real workload",
 }
+
+#: public methods that only tests call, each with the reason it stays
+METHOD_EXEMPTIONS = {
+    "repro.control.transfer_function.TransferFunction.dc_gain":
+        "the oracle tests/control checks the closed loop's unity gain "
+        "(Eq. 19) against",
+    "repro.core.pole_placement.ControllerGains.closed_loop_poles":
+        "the oracle tests/core/test_pole_placement.py checks the poles at "
+        "0.7 against",
+    "repro.dsms.network.QueryNetwork.expected_cost":
+        "the oracle tests/dsms/test_network.py checks PAPER.md's "
+        "c = 1/190 s against",
+    "repro.dsms.network.QueryNetwork.expected_visits":
+        "the selectivity-weighted visit counts expected_cost sums",
+}
+
+#: bases that declare an interface but call none of its methods
+MARKER_BASES = {"ABC", "Protocol"}
 
 
 class Knob(NamedTuple):
@@ -272,35 +304,75 @@ def _bound_names(node: ast.stmt) -> List[str]:
             if isinstance(sub, ast.Name)]
 
 
-def unreached_definitions(root: Path) -> Dict[str, int]:
-    """Dotted name -> line count of each public definition under
-    ``root/src`` that nothing outside ``tests/`` reaches."""
+def _class_graph(node: ast.ClassDef, module: str, edges: Dict[str, Set[str]],
+                 methods: Dict[str, list], reaching: Set[str],
+                 src_classes: Set[str]) -> None:
+    """Split a top-level class into the class's own edges and one node per
+    public method, keyed by the method's name."""
+    public_class = not node.name.startswith("_")
+    # a framework base (http.server, logging) calls its subclass's public
+    # methods by name; abc and typing bases call nothing
+    framework = any(base not in src_classes and base not in MARKER_BASES
+                    for base in _base_names(node))
+    own = edges.setdefault(node.name, set())
+    for item in node.decorator_list + node.bases + node.keywords:
+        own |= _references(item)
+    for item in node.body:
+        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or item.name.startswith("_"):
+            own |= _references(item) - {node.name}
+            continue
+        edges.setdefault(item.name, set()).update(
+            _references(item) - {item.name})
+        if framework:
+            reaching.add(item.name)
+        elif public_class:
+            start = min([item.lineno] + [deco.lineno for deco
+                                         in item.decorator_list])
+            where = methods.setdefault(f"{module}.{node.name}.{item.name}",
+                                       [item.name, 0])
+            where[1] += item.end_lineno - start + 1  # a setter adds lines
+
+
+def _reach(root: Path) -> tuple:
+    """The public definitions and methods under ``root/src`` and the set of
+    names reached from outside ``tests/``."""
     public: Dict[str, List[tuple]] = {}
+    methods: Dict[str, list] = {}  # dotted name -> [method name, lines]
     edges: Dict[str, Set[str]] = {}
     reaching: Set[str] = set()
+    trees = {}
     for path in sorted((root / DECLARING_ROOT).rglob("*.py")):
         module = ".".join(path.relative_to(root / DECLARING_ROOT)
                           .with_suffix("").parts)
-        for node in ast.parse(path.read_text()).body:
+        trees[module.removesuffix(".__init__"), path.name] = \
+            ast.parse(path.read_text())
+    src_classes = {node.name for tree in trees.values() for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+    for (module, filename), tree in trees.items():
+        for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             names = _bound_names(node)
-            if names == ["__all__"] and path.name == "__init__.py":
+            if names == ["__all__"] and filename == "__init__.py":
                 continue
             if names in ([], ["__all__"]):
                 reaching |= _references(node)
                 continue
-            for name in names:
-                edges.setdefault(name, set()).update(
-                    _references(node) - {name})
+            if isinstance(node, ast.ClassDef):
+                _class_graph(node, module, edges, methods, reaching,
+                             src_classes)
+            else:
+                for name in names:
+                    edges.setdefault(name, set()).update(
+                        _references(node) - {name})
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)) \
                     and not node.name.startswith("_"):
                 start = min([node.lineno] + [deco.lineno for deco
                                              in node.decorator_list])
                 public.setdefault(node.name, []).append(
-                    (module.removesuffix(".__init__"),
-                     node.end_lineno - start + 1))
+                    (module, node.end_lineno - start + 1))
     # the census names definitions only to report them
     census = root / "benchmarks" / "perf" / Path(__file__).name
     for reaching_root in REACHING_ROOTS:
@@ -318,9 +390,34 @@ def unreached_definitions(root: Path) -> Dict[str, int]:
             if name not in reaching:
                 reaching.add(name)
                 stack.append(name)
+    return public, methods, reaching
+
+
+def unreached_definitions(root: Path) -> Dict[str, int]:
+    """Dotted name -> line count of each public definition under
+    ``root/src`` that nothing outside ``tests/`` reaches."""
+    public, __, reaching = _reach(root)
     return {f"{module}.{name}": lines
             for name, where in public.items() if name not in reaching
             for module, lines in where}
+
+
+def unreached_methods(root: Path) -> Dict[str, int]:
+    """Dotted name -> line count of each public method of a public class
+    under ``root/src`` that nothing outside ``tests/`` reaches."""
+    __, methods, reaching = _reach(root)
+    return {dotted: lines for dotted, (name, lines) in methods.items()
+            if name not in reaching}
+
+
+def _print_unreached(kind: str, unreached: Dict[str, int],
+                     exemptions: Dict[str, str]) -> None:
+    print(f"public {kind} under {DECLARING_ROOT}/ only tests reach: "
+          f"{len(unreached)} ({sum(unreached.values())} lines)")
+    for name, lines in sorted(unreached.items()):
+        reason = exemptions.get(name)
+        print(f"  {'=' if reason else ' '} {name} ({lines} lines)"
+              + (f": {reason}" if reason else ""))
 
 
 def main(argv=None) -> int:
@@ -350,13 +447,9 @@ def main(argv=None) -> int:
         if knob not in never:
             print(f"    {knob.path}: {knob.owner}({knob.name})")
     print(f"(the {len(never)} never passed at all are listed above)")
-    unreached = unreached_definitions(root)
-    print(f"public definitions under {DECLARING_ROOT}/ only tests reach: "
-          f"{len(unreached)} ({sum(unreached.values())} lines)")
-    for name, lines in sorted(unreached.items()):
-        reason = DEFINITION_EXEMPTIONS.get(name)
-        print(f"  {'=' if reason else ' '} {name} ({lines} lines)"
-              + (f": {reason}" if reason else ""))
+    _print_unreached("definitions", unreached_definitions(root),
+                     DEFINITION_EXEMPTIONS)
+    _print_unreached("methods", unreached_methods(root), METHOD_EXEMPTIONS)
     print("(= = exempt, with the reason it stays)")
     return 0
 

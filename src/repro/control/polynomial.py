@@ -49,25 +49,6 @@ class Polynomial:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_roots(cls, roots: Iterable[complex]) -> "Polynomial":
-        """Build the monic polynomial whose roots are ``roots``.
-
-        Complex roots must come in conjugate pairs (within tolerance) so the
-        result has real coefficients.
-        """
-        roots = list(roots)
-        coeffs = np.poly(roots) if roots else np.array([1.0])
-        if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
-            raise ControlError(
-                "roots do not form conjugate pairs; coefficients would be complex"
-            )
-        return cls(coeffs.real.tolist())
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls([0.0])
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls([1.0])
 
@@ -139,14 +120,6 @@ class Polynomial:
 
     def __rmul__(self, other: "PolynomialLike") -> "Polynomial":
         return self.__mul__(other)
-
-    def divmod(self, other: "PolynomialLike") -> Tuple["Polynomial", "Polynomial"]:
-        """Polynomial long division: returns ``(quotient, remainder)``."""
-        other = as_polynomial(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = np.polydiv(np.array(self._coeffs), np.array(other._coeffs))
-        return Polynomial(np.atleast_1d(q).tolist()), Polynomial(np.atleast_1d(r).tolist())
 
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial(c * float(factor) for c in self._coeffs)

@@ -53,11 +53,6 @@ class DifferenceEquation:
     def order(self) -> int:
         return self._order
 
-    def reset(self, u0: float = 0.0, y0: float = 0.0) -> None:
-        """Reset history to a constant past (defaults to rest)."""
-        self._u_hist = [float(u0)] * len(self._u_hist)
-        self._y_hist = [float(y0)] * len(self._y_hist)
-
     def step(self, u: float) -> float:
         """Feed one input sample, return the corresponding output sample."""
         self._u_hist.insert(0, float(u))

@@ -114,9 +114,6 @@ class TransferFunction:
     def poles(self) -> np.ndarray:
         return self.den.roots()
 
-    def zeros(self) -> np.ndarray:
-        return self.num.roots()
-
     def dc_gain(self) -> float:
         """Static gain ``H(1)``; ``inf`` if there is a pole at z = 1."""
         den1 = self.den(1.0)
@@ -138,10 +135,6 @@ class TransferFunction:
     def is_proper(self) -> bool:
         """True when ``deg(num) <= deg(den)`` (physically realizable)."""
         return self.num.degree <= self.den.degree
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.degree < self.den.degree
 
     # ------------------------------------------------------------------ #
     # formatting

@@ -89,17 +89,3 @@ class AdaptiveController(Controller):
         self._e_prev = e
         self._u_prev = u
         return ControlDecision(v=v, u=u, error=e)
-
-    @property
-    def identified_cost(self) -> float:
-        """The per-tuple cost implied by the identified gain."""
-        return self.estimator.gain * self.model.headroom / self.model.period
-
-    def reset(self) -> None:
-        self._e_prev = 0.0
-        self._u_prev = 0.0
-        self._y_prev = None
-        self.estimator = RlsGainEstimator(
-            initial_gain=self.model.gain,
-            min_excitation=self.estimator.min_excitation,
-        )

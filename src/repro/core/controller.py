@@ -48,9 +48,6 @@ class Controller(abc.ABC):
     def decide(self, m: Measurement, target: float) -> ControlDecision:
         """Compute the next period's desired admission rate."""
 
-    def reset(self) -> None:
-        """Clear internal state between runs."""
-
 
 class PolePlacementController(Controller):
     """The paper's CTRL method (Eq. 10 with pole-placement gains).
@@ -110,10 +107,6 @@ class PolePlacementController(Controller):
             self._u_prev = u
         self._e_prev = e
         return ControlDecision(v=v, u=u, error=e)
-
-    def reset(self) -> None:
-        self._e_prev = 0.0
-        self._u_prev = 0.0
 
 
 class BaselineController(Controller):

@@ -110,8 +110,3 @@ class KalmanCostEstimator(CostEstimator):
         estimate = self._estimate + gain * (measured - self._estimate)
         self.variance = (1.0 - gain) * prior_var
         return estimate
-
-    @property
-    def kalman_gain(self) -> float:
-        prior_var = self.variance + self.process_var
-        return prior_var / (prior_var + self.measurement_var)

@@ -11,13 +11,13 @@ Core relations:
 
 :class:`DsmsModel` bundles the three parameters (per-tuple cost ``c``,
 headroom ``H``, control period ``T``) with these relations, plus the
-inverse queries the BASELINE strategy and the actuators need (how many
-outstanding tuples correspond to a delay target, service capacity, ...).
+queries the BASELINE strategy and the actuators need (service capacity,
+...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..control import TransferFunction
 from ..errors import ControlError
@@ -53,13 +53,6 @@ class DsmsModel:
             raise ControlError(f"negative queue length {queue_length}")
         return (queue_length + 1.0) * c / self.headroom
 
-    def queue_for_delay(self, delay: float, cost: float = None) -> float:
-        """Inverse of Eq. 11: outstanding tuples sustaining a given delay."""
-        c = self.cost if cost is None else cost
-        if delay < 0:
-            raise ControlError(f"negative delay {delay}")
-        return max(0.0, delay * self.headroom / c - 1.0)
-
     def service_rate(self, cost: float = None) -> float:
         """Steady-state throughput H/c in tuples per second (the paper's L0)."""
         c = self.cost if cost is None else cost
@@ -76,10 +69,3 @@ class DsmsModel:
     def plant(self) -> TransferFunction:
         """The z-domain plant G(z) = cT / (H (z - 1))."""
         return TransferFunction.integrator(self.gain)
-
-    def with_cost(self, cost: float) -> "DsmsModel":
-        """A copy with an updated cost estimate (time-varying c)."""
-        return replace(self, cost=cost)
-
-    def with_period(self, period: float) -> "DsmsModel":
-        return replace(self, period=period)

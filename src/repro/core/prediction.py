@@ -35,9 +35,6 @@ class ArrivalPredictor(abc.ABC):
     def predict(self) -> float:
         """Forecast the next period's count (never negative)."""
 
-    def reset(self) -> None:
-        """Clear state; default implementations are stateless enough."""
-
 
 class MovingAveragePredictor(ArrivalPredictor):
     """Mean of the last ``window`` observations."""
@@ -54,9 +51,6 @@ class MovingAveragePredictor(ArrivalPredictor):
         if not self._values:
             return 0.0
         return sum(self._values) / len(self._values)
-
-    def reset(self) -> None:
-        self._values.clear()
 
 
 class HoltPredictor(ArrivalPredictor):
@@ -93,11 +87,6 @@ class HoltPredictor(ArrivalPredictor):
 
     def predict(self) -> float:
         return max(0.0, self._level + self._trend)
-
-    def reset(self) -> None:
-        self._level = 0.0
-        self._trend = 0.0
-        self._seen = 0
 
 
 class Ar1Predictor(ArrivalPredictor):
@@ -143,10 +132,3 @@ class Ar1Predictor(ArrivalPredictor):
         if self._seen == 0:
             return 0.0
         return max(0.0, self._mean + self.phi * (self._last - self._mean))
-
-    def reset(self) -> None:
-        self._mean = 0.0
-        self._last = 0.0
-        self._sxx = 1e-6
-        self._sxy = 0.0
-        self._seen = 0

@@ -14,7 +14,7 @@ from .builder import (
     identification_network,
     monitoring_network,
 )
-from .catalog import Catalog, OperatorStats, PeriodStats, Snapshot
+from .catalog import Catalog, PeriodStats, Snapshot
 from .engine import Departure, Engine, note_late_arrival
 from .factory import BACKENDS, make_engine
 from .fluid import VirtualQueueEngine
@@ -51,7 +51,6 @@ __all__ = [
     "MapOperator",
     "Operator",
     "OperatorQueue",
-    "OperatorStats",
     "PeriodStats",
     "QueryNetwork",
     "RoundRobinScheduler",

@@ -10,18 +10,9 @@ counters; differencing two snapshots yields per-period measurements — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from .engine import Engine
-
-
-@dataclass(frozen=True)
-class OperatorStats:
-    """Cumulative per-operator statistics."""
-
-    executions: int
-    emitted: int
-    selectivity: float
 
 
 @dataclass(frozen=True)
@@ -107,9 +98,3 @@ class Catalog:
             cpu_used=current.cpu_used - last.cpu_used,
             outstanding=current.outstanding,
         )
-
-    def operator_stats(self) -> Dict[str, OperatorStats]:
-        return {
-            name: OperatorStats(op.executions, op.emitted, op.selectivity)
-            for name, op in self.engine.network.operators.items()
-        }

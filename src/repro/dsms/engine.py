@@ -87,7 +87,9 @@ class Engine:
         self.network = network
         self.headroom = float(headroom)
         self.scheduler = scheduler or DepthFirstScheduler(network)
-        self.cost_multiplier = cost_multiplier
+        # None means "constant 1.0": the dispatch loop then skips one
+        # function call per executed tuple
+        self._cost_multiplier = cost_multiplier
         self.rng = rng or random.Random(0)
 
         self.now = 0.0
@@ -115,19 +117,6 @@ class Engine:
         self.cpu_used = 0.0          # CPU seconds consumed by operators
         self._late_warned = False
         self._departures: List[Departure] = []
-
-    # ------------------------------------------------------------------ #
-    # cost multiplier (fast path when it is the constant 1.0)
-    # ------------------------------------------------------------------ #
-    @property
-    def cost_multiplier(self) -> Callable[[float], float]:
-        return self._cost_multiplier or (lambda t: 1.0)
-
-    @cost_multiplier.setter
-    def cost_multiplier(self, fn: Optional[Callable[[float], float]]) -> None:
-        # None means "constant 1.0": the dispatch loop then skips one
-        # function call per executed tuple
-        self._cost_multiplier = fn
 
     # ------------------------------------------------------------------ #
     # input side
@@ -165,11 +154,6 @@ class Engine:
         """The paper's virtual queue length q: admitted minus departed."""
         return self.admitted_total - self.departed_total
 
-    @property
-    def queued_tuples(self) -> int:
-        """Raw tuples currently waiting in operator queues."""
-        return sum(len(q) for q in self.queues.values())
-
     def drain_departures(self) -> List[Departure]:
         """Return and clear the departures recorded since the last call."""
         out = self._departures
@@ -186,18 +170,6 @@ class Engine:
             raise SchedulingError("cannot consume negative CPU time")
         self.cpu_used += seconds
         self.now += seconds / self.headroom
-
-    def effective_cost(self, at: Optional[float] = None) -> float:
-        """Current expected CPU cost per source tuple (the paper's ``c``).
-
-        Combines the network's static expectation (using observed
-        selectivities) with the time-varying cost multiplier.
-        """
-        expected = self.network.expected_cost()
-        if self._cost_multiplier is None:
-            return expected
-        t = self.now if at is None else at
-        return expected * self._cost_multiplier(t)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -337,15 +309,6 @@ class Engine:
     # ------------------------------------------------------------------ #
     # in-network shedding support
     # ------------------------------------------------------------------ #
-    def shed_queue_fraction(self, op_name: str, fraction: float,
-                            reason: str = "retro", shedder: str = "",
-                            alpha: float = 0.0) -> int:
-        """Drop ~``fraction`` of the tuples queued before ``op_name``."""
-        victims = self.queues[op_name].shed_fraction(fraction, self.rng)
-        self._discard(victims, op_name, reason, shedder,
-                      alpha if alpha else fraction)
-        return len(victims)
-
     def shed_queue_count(self, op_name: str, count: int,
                          reason: str = "retro", shedder: str = "",
                          alpha: float = 0.0) -> int:

@@ -79,19 +79,10 @@ class VirtualQueueEngine:
         """The virtual queue length q (tuples admitted but not departed)."""
         return self.admitted_total - self.departed_total
 
-    @property
-    def queued_tuples(self) -> int:
-        return len(self._queue)
-
     def drain_departures(self) -> List[Departure]:
         out = self._departures
         self._departures = []
         return out
-
-    def effective_cost(self, at: Optional[float] = None) -> float:
-        """Expected CPU seconds per tuple (the paper's ``c``) at time ``at``."""
-        t = self.now if at is None else at
-        return self.base_cost * self.cost_multiplier(t)
 
     def run_until(self, t_end: float) -> None:
         """Serve the FIFO queue up to virtual time ``t_end``."""
@@ -134,32 +125,6 @@ class VirtualQueueEngine:
         self.cpu_used += seconds
         self.now += seconds / self.headroom
         self._ingest_due()
-
-    # ------------------------------------------------------------------ #
-    # in-network shedding support
-    # ------------------------------------------------------------------ #
-    def shed_oldest(self, count: int) -> int:
-        """Drop up to ``count`` tuples from the head of the virtual queue."""
-        return self._shed(count, oldest=True)
-
-    def shed_newest(self, count: int) -> int:
-        """Drop up to ``count`` tuples from the tail of the virtual queue."""
-        return self._shed(count, oldest=False)
-
-    def _shed(self, count: int, oldest: bool) -> int:
-        if count < 0:
-            raise SchedulingError("shed count must be non-negative")
-        count = min(count, len(self._queue))
-        for __ in range(count):
-            if oldest:
-                arrived = self._queue.popleft()
-                self._progress = 0.0  # the in-service tuple was discarded
-            else:
-                arrived = self._queue.pop()
-            self.departed_total += 1
-            self.shed_total += 1
-            self._departures.append(Departure(arrived, self.now, True))
-        return count
 
     # ------------------------------------------------------------------ #
     # internals

@@ -33,11 +33,8 @@ class QueryNetwork:
         self.sources: Dict[str, List[Tuple[str, int]]] = {}
         #: number of input ports wired per operator
         self._in_ports: Dict[str, int] = defaultdict(int)
-        # structure/cost caches; the topology cache is invalidated on every
-        # wiring change, the cost cache whenever observed selectivities move
+        # topology cache, invalidated on every wiring change
         self._topo_cache: Optional[List[str]] = None
-        self._cost_cache_key: Optional[Tuple[float, ...]] = None
-        self._cost_cache_value: float = 0.0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -78,7 +75,6 @@ class QueryNetwork:
                 )
             self._in_ports[op.name] += 1
         self._topo_cache = None
-        self._cost_cache_key = None
         self._check_acyclic()
         return op
 
@@ -186,26 +182,9 @@ class QueryNetwork:
         return dict(visits)
 
     def expected_cost(self, selectivities: Optional[Dict[str, float]] = None) -> float:
-        """Expected total CPU seconds per source tuple (the paper's ``c``).
-
-        The no-argument form (observed selectivities) is cached: the cache
-        key is the tuple of current operator selectivities, so any
-        selectivity update — every recorded execution can move one —
-        invalidates it automatically, while repeated queries against an
-        unchanged network are O(#operators) comparisons instead of a full
-        topological traversal.
-        """
-        if selectivities is not None:
-            visits = self.expected_visits(selectivities)
-            return sum(self.operators[name].cost * v
-                       for name, v in visits.items())
-        key = tuple(op.selectivity for op in self.operators.values())
-        if key != self._cost_cache_key:
-            visits = self.expected_visits()
-            self._cost_cache_value = sum(self.operators[name].cost * v
-                                         for name, v in visits.items())
-            self._cost_cache_key = key
-        return self._cost_cache_value
+        """Expected total CPU seconds per source tuple (the paper's ``c``)."""
+        visits = self.expected_visits(selectivities)
+        return sum(self.operators[name].cost * v for name, v in visits.items())
 
     def load_coefficients(self, selectivities: Optional[Dict[str, float]] = None
                           ) -> Dict[str, float]:
@@ -226,11 +205,6 @@ class QueryNetwork:
             )
             coeffs[name] = op.cost + s * downstream_cost
         return coeffs
-
-    def reset(self) -> None:
-        """Reset all operator state and statistics."""
-        for op in self.operators.values():
-            op.reset()
 
     def __len__(self) -> int:
         return len(self.operators)

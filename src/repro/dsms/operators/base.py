@@ -76,11 +76,6 @@ class Operator(abc.ABC):
         """
         return None
 
-    def reset(self) -> None:
-        """Clear any operator state (windows) and statistics."""
-        self.executions = 0
-        self.emitted = 0
-
     @property
     def selectivity(self) -> float:
         """Observed output/input ratio (1.0 until first execution)."""
@@ -109,9 +104,6 @@ def check_port(op: Operator, port: int, n_ports: int) -> None:
 class StatelessOperator(Operator):
     """Convenience base for operators with no cross-tuple state."""
 
-    def reset(self) -> None:
-        super().reset()
-
 
 class Sink(Operator):
     """Terminal operator: consumes tuples, emits nothing, costs nothing.
@@ -127,7 +119,3 @@ class Sink(Operator):
     def apply(self, tup: StreamTuple, port: int, now: float) -> List[StreamTuple]:
         self.consumed += 1
         return []
-
-    def reset(self) -> None:
-        super().reset()
-        self.consumed = 0

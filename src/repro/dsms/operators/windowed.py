@@ -48,9 +48,6 @@ class _Window:
     def __len__(self) -> int:
         return len(self._items)
 
-    def clear(self) -> None:
-        self._items.clear()
-
 
 class WindowJoinOperator(Operator):
     """Symmetric two-input sliding-window equi-join.
@@ -112,13 +109,6 @@ class WindowJoinOperator(Operator):
         ]
         own.insert(now, tup.values)
         return outputs
-
-    def reset(self) -> None:
-        super().reset()
-        self._scale = 1.0
-        for w in self.windows:
-            w.size = self.nominal_window
-            w.clear()
 
 
 class AggregateOperator(Operator):
@@ -183,9 +173,3 @@ class AggregateOperator(Operator):
         self._bucket_end = None
         self._carrier = None
         return [result]
-
-    def reset(self) -> None:
-        super().reset()
-        self._bucket = []
-        self._bucket_end = None
-        self._carrier = None

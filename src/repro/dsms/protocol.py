@@ -19,19 +19,17 @@ The contract deliberately covers only what the control stack consumes:
   :meth:`~EngineProtocol.flush` forces buffered operator state out;
 * **observability** — the cumulative counters (``admitted_total``,
   ``departed_total``, ``shed_total``, ``late_arrivals``, ``cpu_used``), the
-  derived ``outstanding`` virtual queue length, per-tuple
-  :meth:`~EngineProtocol.drain_departures`, and
-  :meth:`~EngineProtocol.effective_cost` (the paper's ``c``).
+  derived ``outstanding`` virtual queue length, and per-tuple
+  :meth:`~EngineProtocol.drain_departures`.
 
-In-network shedding entry points (``shed_queue_*`` on the full engine,
-``shed_oldest``/``shed_newest`` on the fluid engine) stay backend-specific:
+In-network shedding (``shed_queue_count``) exists on the full engine only:
 the single-FIFO abstraction has no operator queues to cull, which is why
 the fluid backend supports only entry actuation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 from .engine import Departure
 
@@ -84,16 +82,7 @@ class EngineProtocol(Protocol):
         """Return and clear the departures recorded since the last call."""
         ...
 
-    def effective_cost(self, at: Optional[float] = None) -> float:
-        """Expected CPU seconds per source tuple (the paper's ``c``)."""
-        ...
-
     @property
     def outstanding(self) -> int:
         """The paper's virtual queue length q: admitted minus departed."""
-        ...
-
-    @property
-    def queued_tuples(self) -> int:
-        """Raw tuples currently waiting in (virtual) queues."""
         ...

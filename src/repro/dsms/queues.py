@@ -64,35 +64,6 @@ class OperatorQueue:
             self._watcher(self.name, False)
         return entry
 
-    def peek(self) -> QueueEntry:
-        if not self._items:
-            raise IndexError(f"queue {self.name!r} is empty")
-        return self._items[0]
-
-    def shed_fraction(self, fraction: float, rng: random.Random) -> List[StreamTuple]:
-        """Randomly remove ~``fraction`` of queued tuples; return the victims.
-
-        This is the primitive used by the in-network shedder the authors
-        built for their evaluation ("allows shedding from the queue and
-        randomly selects shedding locations").
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"shed fraction {fraction} outside [0, 1]")
-        if fraction == 0.0 or not self._items:
-            return []
-        keep: Deque[QueueEntry] = deque()
-        victims: List[StreamTuple] = []
-        for entry in self._items:
-            if rng.random() < fraction:
-                victims.append(entry[0])
-            else:
-                keep.append(entry)
-        self._items = keep
-        self.shed += len(victims)
-        if victims and not self._items and self._watcher is not None:
-            self._watcher(self.name, False)
-        return victims
-
     def shed_count(self, count: int, rng: random.Random) -> List[StreamTuple]:
         """Randomly remove up to ``count`` queued tuples; return the victims."""
         if count < 0:
@@ -113,12 +84,6 @@ class OperatorQueue:
         if victims and not self._items and self._watcher is not None:
             self._watcher(self.name, False)
         return victims
-
-    def clear(self) -> None:
-        had_items = bool(self._items)
-        self._items.clear()
-        if had_items and self._watcher is not None:
-            self._watcher(self.name, False)
 
     def __len__(self) -> int:
         return len(self._items)

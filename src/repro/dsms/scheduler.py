@@ -73,9 +73,6 @@ class Scheduler(abc.ABC):
     def next_operator(self, queues: Dict[str, OperatorQueue]) -> Optional[str]:
         """Name of the next operator with work, or None if all queues empty."""
 
-    def reset(self) -> None:
-        """Clear any scheduling state."""
-
 
 class RoundRobinScheduler(Scheduler):
     """Serve operators in fixed cyclic order, one *train* per visit.
@@ -145,12 +142,6 @@ class RoundRobinScheduler(Scheduler):
                 return name
         return None
 
-    def reset(self) -> None:
-        # cursor state only: the topological order is immutable for a given
-        # network and was computed once in __init__
-        self._cursor = 0
-        self._remaining_in_visit = self.batch
-
 
 class DepthFirstScheduler(Scheduler):
     """Serve the most-downstream operator that has queued work.
@@ -185,10 +176,6 @@ class DepthFirstScheduler(Scheduler):
             if queues[name]:
                 return name
         return None
-
-    def reset(self) -> None:
-        # stateless between tuples; the order is computed once in __init__
-        pass
 
 
 def make_scheduler(spec: Optional[str],

@@ -32,7 +32,7 @@ class WorkloadError(ReproError):
 
 
 class SheddingError(ReproError):
-    """Errors in load-shedder configuration or plan construction."""
+    """Errors in load-shedder configuration or victim selection."""
 
 
 class BackendError(ReproError):

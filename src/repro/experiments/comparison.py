@@ -2,8 +2,8 @@
 
 Runs CTRL, BASELINE and AURORA over the Web and Pareto traces with the
 Fig. 14 cost variations, and reports the paper's four metrics in absolute
-form plus Fig. 12's ratios-to-CTRL, along with the Fig. 15 transient
-``y(k)`` series.
+form (:func:`repro.metrics.report.ratio_table` prints Fig. 12's
+ratios-to-CTRL), along with the Fig. 15 transient ``y(k)`` series.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..metrics.qos import QosMetrics, relative_metrics
+from ..metrics.qos import QosMetrics
 from ..metrics.recorder import RunRecord
 from .config import ExperimentConfig
 from .parallel import Job, run_jobs
@@ -27,14 +27,6 @@ class ComparisonResult:
     workload: str
     records: Dict[str, RunRecord]
     metrics: Dict[str, QosMetrics]
-
-    def ratios_to_ctrl(self) -> Dict[str, Dict[str, float]]:
-        """Fig. 12: each strategy's metrics relative to CTRL."""
-        ref = self.metrics["CTRL"]
-        return {
-            name: relative_metrics(q, ref)
-            for name, q in self.metrics.items()
-        }
 
     def transient(self, strategy: str) -> List[float]:
         """Fig. 15: the y(k) series for one strategy."""

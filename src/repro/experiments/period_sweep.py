@@ -46,10 +46,6 @@ class PeriodSweepResult:
             for t, q in self.metrics.items()
         }
 
-    def best_period(self, metric: str = "accumulated_violation") -> float:
-        rel = self.relative_to_best()
-        return min(rel, key=lambda t: rel[t][metric])
-
 
 def period_sweep(config: Optional[ExperimentConfig] = None,
                  periods: Sequence[float] = PAPER_PERIODS,

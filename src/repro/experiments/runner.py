@@ -131,8 +131,9 @@ def run_strategy(strategy: Union[str, Callable[[DsmsModel], Controller]],
     if actuator == "entry":
         act = EntryActuator(random.Random(0), alpha_cap=alpha_cap)
     else:
-        shedder = QueueShedder if actuator == "queue" else LsrmShedder
-        act = InNetworkActuator(shedder(engine, random.Random(config.seed)))
+        act = InNetworkActuator(
+            QueueShedder(engine, random.Random(config.seed))
+            if actuator == "queue" else LsrmShedder(engine))
     loop = build_loop(
         config, factory, engine=engine, actuator=act,
         target=config.target if target is None else target,

@@ -1,6 +1,5 @@
-"""QoS metrics, run recording, reporting, and export."""
+"""QoS metrics, run recording, and reporting."""
 
-from .export import record_to_json
 from .qos import (
     QosMetrics,
     combine_qos,
@@ -9,7 +8,7 @@ from .qos import (
     delays_by_arrival_period,
     relative_metrics,
 )
-from .recorder import PeriodRecord, RunRecord, merge_records
+from .recorder import PeriodRecord, RunRecord
 
 __all__ = [
     "PeriodRecord",
@@ -19,7 +18,5 @@ __all__ = [
     "compute_qos",
     "delay_percentiles",
     "delays_by_arrival_period",
-    "merge_records",
-    "record_to_json",
     "relative_metrics",
 ]

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..dsms.engine import Departure
-from ..errors import ExperimentError
 from .qos import QosMetrics, TargetLike, compute_qos, delays_by_arrival_period
 
 
@@ -60,12 +59,6 @@ class RunRecord:
         """Average delivered delay per arrival period (paper's y(k))."""
         return delays_by_arrival_period(self.departures, self.period)
 
-    def queue_lengths(self) -> List[int]:
-        return [p.queue_length for p in self.periods]
-
-    def targets(self) -> List[float]:
-        return [p.target for p in self.periods]
-
     def times(self) -> List[float]:
         return [p.time for p in self.periods]
 
@@ -99,55 +92,3 @@ class RunRecord:
             offered=self.offered_total,
             mean_delay=base.mean_delay,
         )
-
-
-def merge_records(records: Sequence["RunRecord"]) -> "RunRecord":
-    """Fleet-level view of several lockstep runs as one :class:`RunRecord`.
-
-    The service layer runs one record per shard on a shared period grid;
-    merging them index-wise yields an aggregate record the existing export
-    helpers (:mod:`repro.metrics.export`) can write out unchanged. Counters
-    (offered, admitted, queue length, rates) are summed across shards;
-    intensive signals (delay estimate, cost, target, error, alpha) are
-    averaged — the aggregate delay estimate is the *mean* shard view, so
-    per-shard extremes must be read off the individual records.
-    """
-    records = list(records)
-    if not records:
-        raise ExperimentError("cannot merge zero run records")
-    period = records[0].period
-    if any(abs(r.period - period) > 1e-12 for r in records):
-        raise ExperimentError("cannot merge records with different periods")
-    merged = RunRecord(period=period)
-    n_periods = max(len(r.periods) for r in records)
-    for k in range(n_periods):
-        rows = [r.periods[k] for r in records if k < len(r.periods)]
-        n = len(rows)
-        merged.periods.append(PeriodRecord(
-            k=k,
-            time=max(p.time for p in rows),
-            target=sum(p.target for p in rows) / n,
-            delay_estimate=sum(p.delay_estimate for p in rows) / n,
-            queue_length=sum(p.queue_length for p in rows),
-            cost=sum(p.cost for p in rows) / n,
-            inflow_rate=sum(p.inflow_rate for p in rows),
-            outflow_rate=sum(p.outflow_rate for p in rows),
-            offered=sum(p.offered for p in rows),
-            admitted=sum(p.admitted for p in rows),
-            shed_retro=sum(p.shed_retro for p in rows),
-            v=sum(p.v for p in rows),
-            u=sum(p.u for p in rows),
-            error=sum(p.error for p in rows) / n,
-            alpha=sum(p.alpha for p in rows) / n,
-        ))
-    merged.departures = sorted(
-        (d for r in records for d in r.departures),
-        key=lambda d: (d.departed, d.arrived),
-    )
-    merged.offered_total = sum(r.offered_total for r in records)
-    merged.entry_dropped_total = sum(r.entry_dropped_total for r in records)
-    merged.duration = max(r.duration for r in records)
-    merged.wall_seconds = max(r.wall_seconds for r in records)
-    merged.drain_truncated = any(r.drain_truncated for r in records)
-    merged.drain_leftover = sum(r.drain_leftover for r in records)
-    return merged

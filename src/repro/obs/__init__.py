@@ -116,7 +116,6 @@ from .tuptrace import (
     TraceCollector,
     TraceContext,
     TupleTracer,
-    drop_audit,
     traces_to_chrome,
     traces_to_jsonl,
 )
@@ -144,7 +143,7 @@ __all__ = [
     "PeriodTracer", "SEGMENTS", "merge_flames",
     # tuple tracing
     "TupleTracer", "TraceContext", "TraceCollector", "TailAnalyzer",
-    "drop_audit", "traces_to_jsonl", "traces_to_chrome",
+    "traces_to_jsonl", "traces_to_chrome",
     # health
     "HealthMonitor", "HealthReport", "HEALTH_KINDS",
     "SEVERITY_WARNING", "SEVERITY_CRITICAL",

@@ -295,11 +295,6 @@ class MetricsRegistry:
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._metrics))
 
-    def reset(self) -> None:
-        """Drop every registered metric (mainly for tests)."""
-        with self._lock:
-            self._metrics.clear()
-
     # ------------------------------------------------------------------ #
     # exposition
     # ------------------------------------------------------------------ #

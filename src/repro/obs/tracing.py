@@ -97,12 +97,6 @@ class PeriodTracer:
                           for name, seconds in ordered.items()},
         }
 
-    def reset(self) -> None:
-        self.segments.clear()
-        self.periods.clear()
-        self.wall_seconds = 0.0
-        self._current = None
-
 
 def merge_flames(flames: Dict[str, dict],
                  wall_seconds: Optional[float] = None) -> dict:

@@ -15,7 +15,8 @@ module adds the missing per-tuple view:
   (with the measured cost), every shed decision (shedder class, reason,
   drop probability), migration/final drain hops and completion or drop.
 * Finished traces land in a bounded ring, queryable by tuple id
-  (:meth:`TupleTracer.drop_audit`) and exportable as JSONL or Chrome
+  (:meth:`TupleTracer.get`; a dropped tuple's ``shed`` span names the
+  location, reason, shedder and alpha) and exportable as JSONL or Chrome
   trace-event JSON (loadable in ``chrome://tracing`` / Perfetto).
 * :class:`TailAnalyzer` decomposes p50/p95/p99 end-to-end latency into
   queue-wait vs service vs drain segments, and cross-checks the sampled
@@ -239,9 +240,6 @@ class TupleTracer:
     def get(self, tuple_id: str) -> Optional[dict]:
         return self._by_id.get(tuple_id)
 
-    def drop_audit(self, tuple_id: str) -> Optional[dict]:
-        return drop_audit(self.finished, tuple_id)
-
     def export_jsonl(self, path) -> int:
         return traces_to_jsonl(self.finished, path)
 
@@ -281,9 +279,6 @@ class TraceCollector:
     def records(self) -> List[dict]:
         return list(self.finished)
 
-    def drop_audit(self, tuple_id: str) -> Optional[dict]:
-        return drop_audit(self.finished, tuple_id)
-
     def export_jsonl(self, path) -> int:
         return traces_to_jsonl(self.finished, path)
 
@@ -292,47 +287,6 @@ class TraceCollector:
 
     def analyzer(self) -> "TailAnalyzer":
         return TailAnalyzer(self.finished)
-
-
-def drop_audit(traces: Iterable[dict], tuple_id: str) -> Optional[dict]:
-    """Explain why a sampled tuple was dropped (or that it completed).
-
-    Returns ``None`` when the tuple id was never sampled (or has been
-    evicted from the bounded ring); otherwise a dict with the outcome and,
-    for drops, the shed decision that killed it (location, reason, shedder
-    class, drop probability at the time).
-    """
-    doc = None
-    for trace in traces:
-        if trace.get("tuple_id") == tuple_id:
-            doc = trace  # keep scanning: latest record wins
-    if doc is None:
-        return None
-    audit = {
-        "tuple_id": tuple_id,
-        "source": doc.get("source"),
-        "shard": doc.get("shard"),
-        "worker": doc.get("worker"),
-        "outcome": doc.get("outcome"),
-        "arrived": doc.get("arrived"),
-        "done": doc.get("done"),
-        "latency": doc.get("latency"),
-        "sheds": [],
-    }
-    for ev in doc.get("events", ()):
-        if ev.get("kind") == "shed":
-            detail = ev.get("detail") or {}
-            audit["sheds"].append({
-                "where": ev.get("label"),
-                "t": ev.get("t"),
-                "reason": detail.get("reason"),
-                "shedder": detail.get("shedder"),
-                "alpha": detail.get("alpha"),
-            })
-    if doc.get("outcome") == "dropped":
-        audit["why"] = (audit["sheds"][-1] if audit["sheds"]
-                        else {"reason": "unknown"})
-    return audit
 
 
 # --------------------------------------------------------------------- #

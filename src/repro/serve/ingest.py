@@ -65,8 +65,8 @@ class IngestBuffer:
         self.accepted = 0
         self.dropped = 0
         #: optional repro.obs.tuptrace.TupleTracer — front-door drops then
-        #: leave a sampled "buffer_full" shed span so drop_audit can explain
-        #: tuples that never reached the control loop
+        #: leave a sampled "buffer_full" shed span that explains tuples
+        #: which never reached the control loop
         self.tuple_tracer = None
 
     def push(self, values: Tuple, source: str) -> bool:

@@ -19,6 +19,7 @@ gauge, never the control loop.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Tuple
 
 from ..errors import ServeError
@@ -90,8 +91,16 @@ def decode_line(line: bytes, default_source: str = DEFAULT_SOURCE,
         if not isinstance(source, str) or not source:
             raise ServeError("'s' must be a non-empty string")
         sent = doc.get("t")
-        if sent is not None and not isinstance(sent, (int, float)):
-            raise ServeError("'t' must be a number (epoch seconds)")
-        return tuple(values), source, (float(sent) if sent is not None
-                                       else None)
+        if sent is not None:
+            # NaN, ±Infinity (json.loads accepts them) and booleans would
+            # poison the skew gauges and the /status JSON they feed
+            try:
+                finite = not isinstance(sent, bool) and math.isfinite(sent)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ServeError(
+                    "'t' must be a finite number (epoch seconds)")
+            sent = float(sent)
+        return tuple(values), source, sent
     return _csv_values(text), default_source, None

@@ -21,7 +21,7 @@ coordinated loops stay stable.
 from .config import DEFAULT_TOTAL_HEADROOM, FleetConfig, ServiceConfig
 from .coordinator import MODES, HeadroomCoordinator, MigrationPolicy
 from .fleet import ProcessFleet, ShardProxy, build_fleet
-from .router import RouteEntry, RoutingTable, make_router
+from .router import RoutingTable, make_router
 from .service import (
     PeriodDispatcher,
     ServiceResult,
@@ -49,7 +49,6 @@ __all__ = [
     "MigrationPolicy",
     "PeriodDispatcher",
     "ProcessFleet",
-    "RouteEntry",
     "RoutingTable",
     "ServiceConfig",
     "ServiceResult",

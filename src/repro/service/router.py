@@ -34,21 +34,9 @@ a configuration error, not a silent hash placement).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..errors import ServiceError
-
-
-@dataclass(frozen=True)
-class RouteEntry:
-    """One source's current route: where, since which epoch, and why."""
-
-    source: str
-    shard: int
-    epoch: int      # table epoch when this entry was last (re)pinned;
-                    # 0 for hash-derived (never-pinned) entries
-    pinned: bool    # explicit pin vs CRC32 fallback
 
 
 class RoutingTable:
@@ -62,7 +50,7 @@ class RoutingTable:
     every tick — so a migrated source follows its new shard everywhere
     without clients reconnecting.
 
-    Mutations (:meth:`pin`, :meth:`unpin`, :meth:`migrate`) bump the
+    Mutations (:meth:`pin`, :meth:`migrate`) bump the
     global ``epoch`` and stamp the touched source with it; per-source
     epochs are strictly monotone, which replicas enforce in
     :meth:`apply_route`.
@@ -103,18 +91,6 @@ class RoutingTable:
         self._memo[source] = shard
         return shard
 
-    def entry_of(self, source: str) -> RouteEntry:
-        """The full route entry (shard, epoch, pin provenance)."""
-        pinned = source in self._pins
-        return RouteEntry(source=source,
-                          shard=self.shard_of(source),
-                          epoch=self._source_epochs.get(source, 0),
-                          pinned=pinned)
-
-    def source_epoch(self, source: str) -> int:
-        """The epoch of the source's last (re)pin; 0 if never pinned."""
-        return self._source_epochs.get(source, 0)
-
     def routes(self) -> Dict[str, int]:
         """The explicit pins as a plain dict (hash fallback not listed)."""
         return dict(self._pins)
@@ -127,20 +103,6 @@ class RoutingTable:
         self._check_shard(source, shard)
         self.epoch += 1
         self._pins[source] = int(shard)
-        self._source_epochs[source] = self.epoch
-        self._memo.clear()
-        return self.epoch
-
-    def unpin(self, source: str) -> int:
-        """Drop an explicit pin (back to hash); returns the new epoch."""
-        if source not in self._pins:
-            raise ServiceError(f"source {source!r} is not pinned")
-        if not self.hash_fallback:
-            raise ServiceError(
-                f"cannot unpin {source!r}: this table has no hash fallback"
-            )
-        self.epoch += 1
-        del self._pins[source]
         self._source_epochs[source] = self.epoch
         self._memo.clear()
         return self.epoch

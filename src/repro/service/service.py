@@ -21,9 +21,8 @@ the process fleet splits the identical arithmetic across a barrier — and
 :func:`build_topology` assembles all three runtimes' shards, routing
 table and coordinator from one ``(config, svc)`` pair.
 
-The result keeps one :class:`~repro.metrics.recorder.RunRecord` per shard
-plus a merged aggregate record, all exportable through the existing
-:mod:`repro.metrics.export` helpers.
+The result keeps one :class:`~repro.metrics.recorder.RunRecord` per shard;
+:meth:`ServiceResult.aggregate_qos` folds their QoS into the fleet's.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from ..errors import ServiceError
-from ..metrics.export import record_to_json
 from ..metrics.qos import QosMetrics, combine_qos
-from ..metrics.recorder import PeriodRecord, RunRecord, merge_records
+from ..metrics.recorder import PeriodRecord, RunRecord
 from ..obs.attach import ObsConfig, Observers
 from ..obs.bus import get_bus
 from ..obs.events import RouteChanged
@@ -195,13 +193,6 @@ class ServiceResult:
     #: when the service ran with ``flight > 0``; None otherwise
     incidents: Optional[List[str]] = None
 
-    @property
-    def aggregate(self) -> RunRecord:
-        """The fleet as one merged record (cached after first use)."""
-        if not hasattr(self, "_aggregate"):
-            self._aggregate = merge_records(list(self.shard_records.values()))
-        return self._aggregate
-
     def shard_qos(self) -> Dict[str, QosMetrics]:
         """Per-shard QoS, always judged against the *base* target.
 
@@ -222,20 +213,6 @@ class ServiceResult:
                      for name, q in self.shard_qos().items()}
         name = max(per_shard, key=per_shard.get)
         return name, per_shard[name]
-
-    def export(self, directory) -> List:
-        """Write per-shard and aggregate JSON documents; returns the paths."""
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = [
-            record_to_json(rec, directory / f"{name}.json")
-            for name, rec in self.shard_records.items()
-        ]
-        paths.append(record_to_json(self.aggregate,
-                                    directory / "aggregate.json"))
-        return paths
 
 
 def service_result(coordinator: HeadroomCoordinator, shards: Sequence,

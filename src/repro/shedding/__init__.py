@@ -1,8 +1,13 @@
 """Load-shedder substrate: Eq. 13, in-network random and LSRM victim pickers."""
 
 from .base import LoadShedder, drop_probability
-from .lsrm import LoadSheddingRoadmap, LsrmShedder, output_yield
-from .plan import DropLocation, SheddingPlan, rank_locations
+from .lsrm import (
+    DropLocation,
+    LoadSheddingRoadmap,
+    LsrmShedder,
+    output_yield,
+    rank_locations,
+)
 from .queue_shedder import QueueShedder
 from .semantic import StreamingQuantile
 
@@ -12,7 +17,6 @@ __all__ = [
     "LoadSheddingRoadmap",
     "LsrmShedder",
     "QueueShedder",
-    "SheddingPlan",
     "StreamingQuantile",
     "drop_probability",
     "output_yield",

@@ -20,8 +20,6 @@ not on where it is discarded:
 from __future__ import annotations
 
 import abc
-import random
-from typing import Optional
 
 from ..dsms.engine import Engine
 from ..errors import SheddingError
@@ -30,13 +28,8 @@ from ..errors import SheddingError
 class LoadShedder(abc.ABC):
     """Picks which queued tuples of a live engine to discard."""
 
-    def __init__(self, engine: Engine, rng: Optional[random.Random] = None):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.rng = rng or random.Random(0)
-        #: tuples deliberately discarded so far
-        self.dropped_total = 0
-        #: CPU seconds saved by :meth:`shed_load` so far
-        self.load_shed_total = 0.0
         #: drop probability in force, stamped by the owning actuator each
         #: period so per-tuple shed traces can record it (observability
         #: only — never read by the shedding logic itself)
@@ -45,10 +38,6 @@ class LoadShedder(abc.ABC):
     @abc.abstractmethod
     def shed_tuples(self, count: int) -> int:
         """Drop up to ``count`` queued tuples; returns how many died."""
-
-    @abc.abstractmethod
-    def shed_load(self, load_target: float) -> float:
-        """Drop ~``load_target`` CPU seconds of queued work; returns saved."""
 
 
 def drop_probability(tuples_allowed: float, expected_inflow: float) -> float:

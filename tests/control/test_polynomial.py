@@ -17,24 +17,8 @@ class TestConstruction:
         assert p.degree == 1
 
     def test_zero_polynomial(self):
-        assert Polynomial.zero().is_zero
+        assert Polynomial([0.0]).is_zero
         assert Polynomial([0, 0, 0]).is_zero
-
-    def test_from_roots_real(self):
-        p = Polynomial.from_roots([0.7, 0.7])
-        # the paper's Eq. 14: z^2 - 1.4 z + 0.49
-        assert p.almost_equal(Polynomial([1.0, -1.4, 0.49]))
-
-    def test_from_roots_conjugate_pair(self):
-        p = Polynomial.from_roots([0.5 + 0.5j, 0.5 - 0.5j])
-        assert p.almost_equal(Polynomial([1.0, -1.0, 0.5]))
-
-    def test_from_roots_unbalanced_complex_rejected(self):
-        with pytest.raises(ControlError):
-            Polynomial.from_roots([0.5 + 0.5j])
-
-    def test_from_no_roots_is_one(self):
-        assert Polynomial.from_roots([]) == Polynomial.one()
 
     def test_as_polynomial_scalar(self):
         assert as_polynomial(3) == Polynomial([3.0])
@@ -66,17 +50,6 @@ class TestAlgebra:
     def test_scalar_multiplication(self):
         assert (2 * Polynomial([1.0, 1.0])) == Polynomial([2.0, 2.0])
 
-    def test_divmod_exact(self):
-        num = Polynomial([1.0, -1.4, 0.49])
-        den = Polynomial([1.0, -0.7])
-        q, r = num.divmod(den)
-        assert q.almost_equal(den)
-        assert r.almost_equal(Polynomial.zero(), tol=1e-9)
-
-    def test_divmod_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            Polynomial([1.0]).divmod(Polynomial.zero())
-
     def test_shift(self):
         assert Polynomial([1.0]).shift(2) == Polynomial([1.0, 0.0, 0.0])
         with pytest.raises(ControlError):
@@ -85,7 +58,7 @@ class TestAlgebra:
     def test_monic(self):
         assert Polynomial([2.0, 4.0]).monic() == Polynomial([1.0, 2.0])
         with pytest.raises(ControlError):
-            Polynomial.zero().monic()
+            Polynomial([0.0]).monic()
 
 
 class TestEvaluation:
@@ -120,11 +93,3 @@ def test_addition_is_pointwise(a, b, z):
     lhs = (pa + pb)(z)
     rhs = pa(z) + pb(z)
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-6)
-
-
-@given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=5))
-def test_divmod_reconstructs(coeffs):
-    p = Polynomial(coeffs)
-    d = Polynomial([1.0, -0.5])
-    q, r = p.divmod(d)
-    assert (q * d + r).almost_equal(p, tol=1e-7)

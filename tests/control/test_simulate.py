@@ -35,13 +35,6 @@ class TestDifferenceEquation:
         # y(k) = y(k-1) + u(k-1): 0,1,2,3,4
         assert outputs == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
 
-    def test_reset(self):
-        eq = DifferenceEquation(TransferFunction.integrator(1.0))
-        for _ in range(3):
-            eq.step(1.0)
-        eq.reset()
-        assert eq.step(1.0) == pytest.approx(0.0)
-
     def test_first_order_lag_converges_to_dc_gain(self):
         tf = TransferFunction([0.5], [1.0, -0.5])  # dc gain 1
         y = step_response(tf, 60)

@@ -96,7 +96,6 @@ class TestQueries:
             g.evaluate(1.0)
 
     def test_properness(self):
-        assert TransferFunction([1.0], [1.0, -0.5]).is_strictly_proper
         assert TransferFunction([1.0, 0.0], [1.0, -0.5]).is_proper
         assert not TransferFunction([1.0, 0.0, 0.0], [1.0, -0.5]).is_proper
 

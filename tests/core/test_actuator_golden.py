@@ -3,7 +3,9 @@
 Every expected value below was captured from a ``git archive`` of 522a8d3,
 where each entry policy was an ``XActuator(XShedder(...))`` pair; the
 single-class policies must consume their RNGs in the same order and arm
-the same ``alpha``, float for float.
+the same ``alpha``, float for float. The two in-network trajectories were
+recorded while the shedders still carried a load-amount verb beside
+``shed_tuples``; culling must not have depended on it.
 """
 
 import hashlib
@@ -16,7 +18,12 @@ from repro.core import (
     PriorityEntryActuator,
     SemanticEntryActuator,
 )
-from repro.experiments import ExperimentConfig, make_workload, run_strategy
+from repro.experiments import (
+    ExperimentConfig,
+    make_workload,
+    run_strategy,
+    runner,
+)
 from repro.workloads import fig14_cost_trace
 
 INF = float("inf")
@@ -60,6 +67,34 @@ def test_closed_loop_trajectory_unchanged(alpha_cap, dropped, digest):
     assert (rec.offered_total, rec.entry_dropped_total) == (27494, dropped)
     text = "\n".join(
         f"{p.offered},{p.admitted},{float(p.alpha).hex()},"
+        f"{float(p.delay_estimate).hex()}" for p in rec.periods)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("actuator, dropped, digest", [
+    ("queue", 4129,
+     "7ba816b26b00c9848f50f6839a7c6f1d2c071b20e59ab1c0ad6219e243dda3c1"),
+    ("lsrm", 4111,
+     "91d5340fdb9000a00e87350499488e1f4ae18137835bc8e450abe1d1d2a31f26"),
+])
+def test_in_network_trajectory_unchanged(monkeypatch, actuator, dropped,
+                                         digest):
+    made = []  # run_strategy returns the record, not the actuator
+
+    class Recorded(runner.InNetworkActuator):
+        def __init__(self, shedder):
+            super().__init__(shedder)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "InNetworkActuator", Recorded)
+    cfg = ExperimentConfig(duration=60)
+    cost = fig14_cost_trace(int(cfg.duration), base_cost=cfg.base_cost,
+                            seed=cfg.seed)
+    rec = run_strategy("CTRL", make_workload("web", cfg), cfg,
+                       cost_trace=cost, actuator=actuator)
+    assert (rec.offered_total, made[0].dropped_total) == (13831, dropped)
+    text = "\n".join(
+        f"{p.offered},{p.admitted},{p.shed_retro},{p.queue_length},"
         f"{float(p.delay_estimate).hex()}" for p in rec.periods)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -93,11 +93,3 @@ class TestAdaptiveController:
         assert ctrl.estimator.gain == pytest.approx(
             effectiveness * nominal_gain, rel=0.25
         )
-
-    def test_reset(self):
-        ctrl = AdaptiveController(model())
-        ctrl.decide(measurement(100), 2.0)
-        ctrl.decide(measurement(300, k=1), 2.0)
-        ctrl.reset()
-        assert ctrl.estimator.updates == 0
-        assert ctrl._y_prev is None

@@ -76,14 +76,6 @@ class TestPolePlacement:
         with pytest.raises(ControlError):
             PolePlacementController(model()).decide(measurement(), -1.0)
 
-    def test_reset_clears_state(self):
-        ctrl = PolePlacementController(model())
-        ctrl.decide(measurement(q=100), 2.0)
-        ctrl.reset()
-        d = ctrl.decide(measurement(q=0), 2.0)
-        e = 2.0 - measurement(q=0).delay_estimate
-        assert d.u == pytest.approx(0.97 * 190 * 0.4 * e)
-
     def test_anti_windup_limits_state(self):
         """During deep saturation the wound-up state must stay bounded by
         what the actuator can realize."""

@@ -139,8 +139,9 @@ class TestKalman:
     def test_gain_between_zero_and_one(self):
         est = KalmanCostEstimator(0.005)
         for _ in range(20):
-            est.update(0.006)
-            assert 0.0 < est.kalman_gain < 1.0
+            prior = est.estimate
+            gain = (est.update(0.006) - prior) / (0.006 - prior)
+            assert 0.0 < gain < 1.0
 
     def test_tracks_slow_drift(self):
         est = KalmanCostEstimator(0.005, process_var=1e-7,

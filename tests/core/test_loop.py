@@ -229,7 +229,9 @@ class TestOtherControllers:
         loop.run(arrivals_from_trace(trace, seed=11), 60.0)
         ctrl = loop.controller
         assert ctrl.estimator.updates > 5
-        assert ctrl.identified_cost == pytest.approx(1 / 190, rel=0.5)
+        # the per-tuple cost the identified gain cT/H implies
+        cost = ctrl.estimator.gain * ctrl.model.headroom / ctrl.model.period
+        assert cost == pytest.approx(1 / 190, rel=0.5)
 
 
 class TestFluidEngineLoop:

@@ -84,8 +84,6 @@ def test_series_lengths_consistent(rates):
     n = len(rates)
     assert len(record.periods) == n
     assert len(record.estimated_delays()) == n
-    assert len(record.queue_lengths()) == n
-    assert len(record.targets()) == n
     # period indices are sequential
     assert [p.k for p in record.periods] == list(range(n))
 

@@ -46,22 +46,10 @@ class TestEq11:
         with pytest.raises(ControlError):
             paper_model().delay_estimate(-1)
 
-    def test_queue_for_delay_inverts(self):
-        m = paper_model()
-        for q in (0, 10, 377, 1000):
-            assert m.queue_for_delay(m.delay_estimate(q)) == pytest.approx(q, abs=1e-6)
-
-    def test_queue_for_delay_clamps_at_zero(self):
-        assert paper_model().queue_for_delay(0.0) == 0.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ControlError):
-            paper_model().queue_for_delay(-1.0)
-
     def test_paper_operating_point(self):
         """yd = 2 s at c = 5.26 ms, H = 0.97 -> ~368 outstanding tuples."""
         m = paper_model()
-        assert m.queue_for_delay(2.0) == pytest.approx(2.0 * 0.97 * 190 - 1, rel=1e-6)
+        assert m.delay_estimate(2.0 * 0.97 * 190 - 1) == pytest.approx(2.0)
 
 
 class TestPlant:
@@ -77,19 +65,11 @@ class TestPlant:
         g = paper_model().plant()
         assert g.poles().real.tolist() == pytest.approx([1.0])
 
-    def test_with_cost_returns_new_model(self):
-        m = paper_model()
-        m2 = m.with_cost(0.01)
-        assert m2.cost == 0.01
-        assert m.cost == 1 / 190  # frozen original unchanged
-
-    def test_with_period(self):
-        assert paper_model().with_period(0.5).period == 0.5
-
 
 @given(q=st.integers(min_value=0, max_value=100_000),
        c=st.floats(min_value=1e-5, max_value=0.1),
        h=st.floats(min_value=0.1, max_value=1.0))
 def test_delay_estimate_roundtrip_property(q, c, h):
     m = DsmsModel(cost=c, headroom=h, period=1.0)
-    assert m.queue_for_delay(m.delay_estimate(q)) == pytest.approx(q, rel=1e-9, abs=1e-6)
+    assert m.delay_estimate(q) * h / c - 1.0 == pytest.approx(q, rel=1e-9,
+                                                              abs=1e-6)

@@ -132,12 +132,12 @@ class TestInNetworkActuator:
 
     def test_surplus_culled_at_boundary(self):
         eng = self._loaded()
-        backlog = eng.queued_tuples
+        backlog = sum(len(q) for q in eng.queues.values())
         act = InNetworkActuator(QueueShedder(eng, random.Random(0)))
         act.begin_period(100.0, 400.0)
         shed = act.end_period(admitted=400)
         assert shed == 300
-        assert eng.queued_tuples == backlog - 300
+        assert sum(len(q) for q in eng.queues.values()) == backlog - 300
         assert act.dropped_total == 300
 
     def test_no_surplus_no_shedding(self):
@@ -162,6 +162,6 @@ class TestInNetworkActuator:
 
     def test_works_with_lsrm(self):
         eng = self._loaded()
-        act = InNetworkActuator(LsrmShedder(eng, random.Random(0)))
+        act = InNetworkActuator(LsrmShedder(eng))
         act.begin_period(100.0, 400.0)
         assert act.end_period(admitted=400) == 300

@@ -31,13 +31,6 @@ class TestCommon:
         assert p.predict() == pytest.approx(200.0, rel=0.02)
 
     @pytest.mark.parametrize("cls", ALL)
-    def test_reset(self, cls):
-        p = cls()
-        p.update(500.0)
-        p.reset()
-        assert p.predict() == 0.0
-
-    @pytest.mark.parametrize("cls", ALL)
     def test_negative_observation_clamped(self, cls):
         p = cls()
         p.update(-10.0)

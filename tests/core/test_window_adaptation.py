@@ -67,13 +67,6 @@ class TestJoinCostModel:
             WindowJoinOperator("j", 0.001, 1.0, key=lambda v: v,
                                scan_cost=-1.0)
 
-    def test_reset_restores_nominal_window(self):
-        __, join = join_network(0.001, 0.0001, window=5.0)
-        join.window_scale = 0.2
-        join.reset()
-        assert join.window_scale == 1.0
-        assert join.windows[0].size == 5.0
-
 
 class TestActuator:
     def make(self, **kw):

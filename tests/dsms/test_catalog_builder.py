@@ -64,9 +64,9 @@ class TestCatalog:
         cat = Catalog(eng)
         feed(eng, 50, 1)
         eng.run_until(2.0)
-        stats = cat.operator_stats()
-        assert stats["f1"].executions == 50
-        assert stats["f1"].selectivity == pytest.approx(0.9, abs=0.1)
+        f1 = eng.network.operators["f1"]
+        assert f1.executions == 50
+        assert f1.selectivity == pytest.approx(0.9, abs=0.1)
 
 
 class TestBuilders:

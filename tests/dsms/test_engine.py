@@ -133,7 +133,7 @@ class TestSheddingHooks:
         eng.run_until(5.0)
         before = eng.outstanding
         assert before > 100
-        shed = eng.shed_queue_fraction("f1", 0.5)
+        shed = eng.shed_queue_count("f1", len(eng.queues["f1"]) // 2)
         assert shed > 0
         assert eng.shed_total == shed
         assert eng.outstanding == before - shed

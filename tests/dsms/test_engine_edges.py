@@ -129,25 +129,6 @@ class TestQueueSheddingEdges:
         assert len(eng.queues["op0"]) > 0
         return eng
 
-    def test_fraction_outside_unit_interval_rejected(self):
-        eng = self.make_backlogged_engine()
-        with pytest.raises(ValueError):
-            eng.shed_queue_fraction("op0", -0.1)
-        with pytest.raises(ValueError):
-            eng.shed_queue_fraction("op0", 1.1)
-
-    def test_fraction_zero_is_noop(self):
-        eng = self.make_backlogged_engine()
-        before = len(eng.queues["op0"])
-        assert eng.shed_queue_fraction("op0", 0.0) == 0
-        assert len(eng.queues["op0"]) == before
-
-    def test_fraction_one_empties_queue(self):
-        eng = self.make_backlogged_engine()
-        queued = len(eng.queues["op0"])
-        assert eng.shed_queue_fraction("op0", 1.0) == queued
-        assert len(eng.queues["op0"]) == 0
-
     def test_count_larger_than_queue_clamps(self):
         eng = self.make_backlogged_engine()
         queued = len(eng.queues["op0"])
@@ -161,7 +142,6 @@ class TestQueueSheddingEdges:
 
     def test_empty_queue_sheds_nothing(self):
         eng = Engine(chain_network(2), rng=random.Random(4))
-        assert eng.shed_queue_fraction("op0", 0.5) == 0
         assert eng.shed_queue_count("op0", 10) == 0
 
     def test_victims_counted_as_shed_and_released_exactly_once(self):
@@ -185,7 +165,7 @@ class TestQueueSheddingEdges:
     def test_discarded_lineage_departs_at_shed_time(self):
         eng = self.make_backlogged_engine()
         now = eng.now
-        eng.shed_queue_fraction("op0", 1.0)
+        eng.shed_queue_count("op0", len(eng.queues["op0"]))
         deps = eng.drain_departures()
         assert deps and all(d.departed == pytest.approx(now) for d in deps)
 

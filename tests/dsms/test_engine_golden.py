@@ -57,7 +57,8 @@ def test_open_monitoring_network_with_timers_and_flush():
     samples = []
     for k in range(1, 21):
         engine.run_until(float(k))
-        samples.append(f"{engine.queued_tuples},{engine.cpu_used.hex()}")
+        queued = sum(len(q) for q in engine.queues.values())
+        samples.append(f"{queued},{engine.cpu_used.hex()}")
     engine.flush()
     departures = engine.drain_departures()
     assert (engine.admitted_total, engine.departed_total,

@@ -92,41 +92,14 @@ class TestQueueingBehaviour:
         assert e2.departed_total == e1.departed_total
 
     def test_effective_cost_tracks_multiplier(self):
-        e = VirtualQueueEngine(cost=0.01, cost_multiplier=lambda t: 1.0 + t)
-        assert e.effective_cost(at=0.0) == pytest.approx(0.01)
-        assert e.effective_cost(at=3.0) == pytest.approx(0.04)
-
-
-class TestShedding:
-    def test_shed_oldest_counts_loss(self):
-        e = VirtualQueueEngine(cost=1.0)
-        for i in range(10):
-            e.submit(float(i) * 0.01)
-        e.run_until(0.5)
-        n = e.shed_oldest(4)
-        assert n == 4
-        assert e.shed_total == 4
-        lost = [d for d in e.drain_departures() if d.shed]
-        assert len(lost) == 4
-
-    def test_shed_newest_keeps_head_progress(self):
-        e = VirtualQueueEngine(cost=1.0)
-        for i in range(5):
-            e.submit(0.0)
-        e.run_until(0.5)  # halfway through the first tuple
-        e.shed_newest(2)
-        e.run_until(1.1)
-        # the head tuple finishes on schedule despite the shed
-        done = [d for d in e.drain_departures() if not d.shed]
-        assert len(done) == 1
-
-    def test_shed_clamps(self):
-        e = VirtualQueueEngine(cost=1.0)
+        e = VirtualQueueEngine(cost=0.01, headroom=1.0,
+                               cost_multiplier=lambda t: 1.0 + t)
         e.submit(0.0)
-        e.run_until(0.1)
-        assert e.shed_oldest(10) == 1
-        with pytest.raises(SchedulingError):
-            e.shed_oldest(-1)
+        e.submit(3.0)
+        e.run_until(4.0)
+        # each tuple costs c times the multiplier at its service start
+        assert [d.delay for d in e.drain_departures()] == pytest.approx(
+            [0.01, 0.04])
 
 
 class TestAgreementWithFullEngine:

@@ -64,7 +64,8 @@ class TestBookkeepingMirrorsQueues:
         engine.run_until(0.05)  # build a backlog
         shed_total = 0
         for name in list(engine.queues):
-            shed_total += engine.shed_queue_fraction(name, 0.5)
+            shed_total += engine.shed_queue_count(
+                name, len(engine.queues[name]) // 2)
             assert scheduler_view(engine.scheduler) == nonempty_truth(engine)
         # shed counters stay consistent with enqueue/dequeue accounting
         for q in engine.queues.values():
@@ -82,15 +83,6 @@ class TestBookkeepingMirrorsQueues:
         for name in list(engine.queues):
             engine.shed_queue_count(name, len(engine.queues[name]))
         assert scheduler_view(engine.scheduler) == nonempty_truth(engine)
-
-    def test_queue_clear_notifies_watcher(self):
-        q = OperatorQueue("x")
-        states = []
-        q.set_watcher(lambda name, nonempty: states.append(nonempty))
-        q.push(make_source_tuple((1,), 0.0))
-        q.clear()
-        # initial sync (empty), push transition, clear transition
-        assert states == [False, True, False]
 
 
 class TestPolicyUnchanged:
@@ -130,16 +122,6 @@ class TestPolicyUnchanged:
             if pick_bound is not None:
                 queues_bound[pick_bound].pop()
                 queues_scan[pick_scan].pop()
-
-    def test_reset_preserves_behavior(self):
-        net = self._network()
-        sched = RoundRobinScheduler(net, batch=2)
-        queues = {n: OperatorQueue(n) for n in net.operators}
-        sched.bind(queues)
-        queues["c"].push(make_source_tuple((0,), 0.0))
-        assert sched.next_operator(queues) == "c"
-        sched.reset()
-        assert sched.next_operator(queues) == "c"
 
     def test_engine_end_to_end_matches_across_binding(self):
         """Same arrivals through a bound engine and a manually-scanned
@@ -210,12 +192,12 @@ class TestNetworkCaches:
     def test_expected_cost_tracks_selectivity_updates(self):
         net = identification_network()
         before = net.expected_cost()
-        assert net.expected_cost() == before  # cached, same value
+        assert net.expected_cost() == before
         # execute the first filter with zero emissions: selectivity drops
         op = net.operators["f1"]
         op.record(0)
         after = net.expected_cost()
-        assert after < before  # cache invalidated by the selectivity move
+        assert after < before  # the observed selectivity moved c
 
     def test_topological_order_cached_and_invalidated(self):
         net = QueryNetwork()

@@ -118,12 +118,6 @@ class TestWindowJoin:
         with pytest.raises(NetworkError):
             self.make_join(window=0.0)
 
-    def test_reset_clears_windows(self):
-        j = self.make_join()
-        j.apply(tup([1]), 0, 0.0)
-        j.reset()
-        assert j.apply(tup([1]), 1, 0.5) == []
-
 
 class TestAggregate:
     def make_agg(self, window=1.0):
@@ -183,5 +177,3 @@ class TestSink:
         s = Sink("out")
         assert s.apply(tup([1]), 0, 0.0) == []
         assert s.consumed == 1
-        s.reset()
-        assert s.consumed == 0

@@ -31,12 +31,6 @@ class TestFifo:
         with pytest.raises(IndexError):
             OperatorQueue("q").pop()
 
-    def test_peek_does_not_consume(self):
-        q = OperatorQueue("q")
-        q.push(_tuples(1)[0])
-        q.peek()
-        assert len(q) == 1
-
     def test_counters(self):
         q = OperatorQueue("q")
         for t in _tuples(3):
@@ -49,29 +43,6 @@ class TestFifo:
 
 
 class TestShedding:
-    def test_shed_fraction_bounds(self):
-        q = OperatorQueue("q")
-        with pytest.raises(ValueError):
-            q.shed_fraction(1.5, random.Random(0))
-        with pytest.raises(ValueError):
-            q.shed_fraction(-0.1, random.Random(0))
-
-    def test_shed_fraction_zero_is_noop(self):
-        q = OperatorQueue("q")
-        for t in _tuples(10):
-            q.push(t)
-        assert q.shed_fraction(0.0, random.Random(0)) == []
-        assert len(q) == 10
-
-    def test_shed_fraction_all(self):
-        q = OperatorQueue("q")
-        for t in _tuples(10):
-            q.push(t)
-        victims = q.shed_fraction(1.0, random.Random(0))
-        assert len(victims) == 10
-        assert len(q) == 0
-        assert q.shed == 10
-
     def test_shed_count_exact(self):
         q = OperatorQueue("q")
         for t in _tuples(10):

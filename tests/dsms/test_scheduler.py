@@ -67,14 +67,6 @@ class TestRoundRobin:
         sched = RoundRobinScheduler(net)
         assert sched.next_operator(queues_for(net, {})) is None
 
-    def test_reset(self):
-        net = three_op_net()
-        sched = RoundRobinScheduler(net, batch=2)
-        queues = queues_for(net, {"c": 1})
-        assert sched.next_operator(queues) == "c"
-        sched.reset()
-        assert sched.next_operator(queues) == "c"
-
 
 class TestDepthFirst:
     def test_most_downstream_first(self):

@@ -37,8 +37,6 @@ class TestRunRecord:
     def test_series_extraction(self):
         rec = self.make()
         assert rec.estimated_delays() == [1.5, 1.5]
-        assert rec.queue_lengths() == [100, 100]
-        assert rec.targets() == [1.0, 3.0]
         assert rec.times() == [1.0, 2.0]
 
     def test_true_delays_by_arrival_period(self):

@@ -55,14 +55,6 @@ class TestPeriodTracer:
         assert list(flame["segments"]) == ["engine", "monitor"]
         assert flame["fractions"]["engine"] == pytest.approx(0.75)
 
-    def test_reset(self):
-        tr = PeriodTracer()
-        tr.begin_period(0)
-        tr.add("engine", 1.0)
-        tr.reset()
-        assert tr.segments == {} and tr.periods == []
-        assert tr.total_seconds() == 0.0
-
 
 class TestMergeFlames:
     def _flame(self, engine, wall, periods=10):

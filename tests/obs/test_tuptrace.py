@@ -19,7 +19,6 @@ from repro.obs.tuptrace import (
     TailAnalyzer,
     TraceCollector,
     TupleTracer,
-    drop_audit,
 )
 
 CFG = ExperimentConfig(duration=40.0)
@@ -173,27 +172,6 @@ class TestDrainScope:
 
 
 class TestAuditAndExport:
-    def test_drop_audit_explains_a_drop(self):
-        tracer, _ = traced_run(fraction=1.0)
-        dropped = next(d for d in tracer.records()
-                       if d["outcome"] == "dropped")
-        audit = tracer.drop_audit(dropped["tuple_id"])
-        assert audit["outcome"] == "dropped"
-        assert audit["why"]["reason"]
-        assert audit["sheds"]
-
-    def test_drop_audit_unknown_id_is_none(self):
-        assert TupleTracer(fraction=1.0).drop_audit("nope#0") is None
-
-    def test_module_level_drop_audit_latest_wins(self):
-        docs = [{"tuple_id": "a#1", "outcome": "dropped",
-                 "events": [{"kind": "shed", "label": "entry", "t": 0.0,
-                             "detail": {"reason": "old"}}]},
-                {"tuple_id": "a#1", "outcome": "dropped",
-                 "events": [{"kind": "shed", "label": "entry", "t": 1.0,
-                             "detail": {"reason": "new"}}]}]
-        assert drop_audit(docs, "a#1")["why"]["reason"] == "new"
-
     def test_jsonl_export_round_trips(self, tmp_path):
         tracer, _ = traced_run(fraction=0.05)
         path = tmp_path / "traces.jsonl"
@@ -330,6 +308,6 @@ class TestBusEmission:
         assert tracer.dropped == 1
         doc = tracer.records()[0]
         assert doc["outcome"] == "dropped"
-        audit = tracer.drop_audit(doc["tuple_id"])
-        assert audit["why"]["reason"] == "buffer_full"
-        assert audit["why"]["shedder"] == "IngestBuffer"
+        shed, = (e for e in doc["events"] if e["kind"] == "shed")
+        assert shed["detail"]["reason"] == "buffer_full"
+        assert shed["detail"]["shedder"] == "IngestBuffer"

@@ -1,5 +1,8 @@
 """Ingestion: buffer stamping/draining and the asyncio TCP server."""
 
+import dataclasses
+import json
+import math
 import socket
 import time
 
@@ -154,6 +157,25 @@ def test_server_records_sender_skew():
         assert _wait_for(lambda: buf.accepted == 1)
         assert server.skew_last >= 1.0  # sent "2 seconds ago"
         assert server.skew_max >= server.skew_last > 0
+    finally:
+        server.stop()
+
+
+def test_server_refuses_a_non_finite_send_time():
+    server, buf = _started_server()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b'{"v":[1],"t":NaN}\n')
+            assert _wait_for(lambda: server.malformed == 1)
+            sock.sendall(encode_tuple((2,), sent=time.time()))
+            assert _wait_for(lambda: buf.accepted == 1)
+            assert server.open_connections == 1
+        snap = server.snapshot()
+        assert snap.malformed == 1
+        assert math.isfinite(snap.skew_last) and math.isfinite(snap.skew_max)
+        # what /status and the SSE ingest frames serialise stays valid JSON
+        json.dumps(dataclasses.asdict(snap), allow_nan=False)
     finally:
         server.stop()
 

@@ -51,6 +51,13 @@ def test_csv_single_field():
     b'{"v": [1], "s": ""}',
     b'{"v": [1], "s": 5}',
     b'{"v": [1], "t": "soon"}',
+    # json.loads accepts NaN/Infinity and bool is an int subclass: none of
+    # them is an epoch time, and each would poison the skew gauges
+    b'{"v": [1], "t": NaN}',
+    b'{"v": [1], "t": Infinity}',
+    b'{"v": [1], "t": -Infinity}',
+    b'{"v": [1], "t": 1e400}',
+    b'{"v": [1], "t": true}',
     b"\xff\xfe1,2\n",
 ])
 def test_malformed_lines_raise(line):

@@ -143,7 +143,8 @@ class TestLockstepMigration:
         assert plan["epoch"] == 1
         assert service.router.epoch == 1
         assert service.router.shard_of(plan["source"]) == plan["to"]
-        assert service.router.source_epoch(plan["source"]) == plan["epoch"]
+        assert service.router.snapshot()["source_epochs"][plan["source"]] \
+            == plan["epoch"]
 
     def test_migration_events_on_the_bus(self, lockstep):
         result, events, __ = lockstep

@@ -149,7 +149,7 @@ class TestRoutingTableInvariants:
         table = RoutingTable(n_shards, pins=pins)
         for source, shard in pins.items():
             assert table.shard_of(source) == shard
-            assert table.entry_of(source).pinned
+            assert source in table.routes()
 
     @settings(max_examples=50, deadline=None)
     @given(moves=st.lists(
@@ -162,7 +162,7 @@ class TestRoutingTableInvariants:
         for source, shard in moves:
             epoch = table.pin(source, shard)
             assert epoch > last.get(source, 0)
-            assert epoch == table.source_epoch(source)
+            assert epoch == table.snapshot()["source_epochs"][source]
             last[source] = epoch
         # the global epoch counts every mutation
         assert table.epoch == len(moves)
@@ -201,14 +201,6 @@ class TestRoutingTableInvariants:
         epoch = table.migrate("x", from_shard=current, to_shard=other)
         assert epoch == 1
         assert table.shard_of("x") == other
-
-    def test_unpin_restores_hash_route(self):
-        table = RoutingTable(4)
-        hashed = table.shard_of("s")
-        table.pin("s", (hashed + 1) % 4)
-        table.unpin("s")
-        assert table.shard_of("s") == hashed
-        assert table.source_epoch("s") == 2
 
 
 class TestRangeCheck:

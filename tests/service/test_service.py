@@ -1,4 +1,4 @@
-"""The sharded service end to end: lockstep run, coordination, export.
+"""The sharded service end to end: lockstep run, coordination, aggregate.
 
 The acceptance scenario of the service layer lives here: four shards, one
 hotspot source at three times the regular load, and the claim that the
@@ -6,7 +6,6 @@ coordinator's headroom rebalancing achieves a lower worst-shard delay
 violation than running the same four loops independently.
 """
 
-import json
 import random
 
 import pytest
@@ -71,21 +70,8 @@ class TestAcceptance:
 
     def test_aggregate_record_sums_offered(self, comparison):
         res = comparison["independent"]
-        agg = res.aggregate
-        assert agg.offered_total == sum(
+        assert res.aggregate_qos().offered == sum(
             r.offered_total for r in res.shard_records.values())
-        assert len(agg.periods) == int(CFG.duration / CFG.period)
-
-    def test_export_through_existing_helpers(self, comparison, tmp_path):
-        paths = comparison["headroom"].export(tmp_path / "svc")
-        names = {p.name for p in paths}
-        assert names == {f"{n}.json" for n in SVC.shard_names} | {
-            "aggregate.json"}
-        doc = json.loads((tmp_path / "svc" / "aggregate.json").read_text())
-        assert doc["offered_total"] == comparison[
-            "headroom"].aggregate.offered_total
-        assert "drain_truncated" in doc
-        assert "qos" in doc and "loss_ratio" in doc["qos"]
 
 
 class TestComparisonDriver:

@@ -158,17 +158,34 @@ def test_every_config_field_is_set_by_some_caller():
         f"stale exemption: {sorted(set(UNSET_FIELD_EXEMPTIONS) - unset)}")
 
 
+def _census():
+    spec = importlib.util.spec_from_file_location(
+        "knob_census", ROOT / "benchmarks" / "perf" / "knob_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
+
+
 def test_every_public_definition_is_reached_outside_tests():
     """A public function or class only tests reach is dead code: every one
     under src/ is reached from src/, examples/, benchmarks/ or .github/,
     except the census script's named exemptions (asserted to still be
     unreached, so an exemption cannot go stale)."""
-    spec = importlib.util.spec_from_file_location(
-        "knob_census", ROOT / "benchmarks" / "perf" / "knob_census.py")
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
+    census = _census()
     unreached = set(census.unreached_definitions(ROOT))
     exempt = set(census.DEFINITION_EXEMPTIONS)
     assert unreached == exempt, (
         f"only tests reach: {sorted(unreached - exempt)}; "
+        f"stale exemption: {sorted(exempt - unreached)}")
+
+
+def test_every_public_method_is_reached_outside_tests():
+    """The same for every public method of a public class under src/: a
+    method only tests call is dead code, except the census script's named
+    exemptions (asserted to still be unreached)."""
+    census = _census()
+    unreached = set(census.unreached_methods(ROOT))
+    exempt = set(census.METHOD_EXEMPTIONS)
+    assert unreached == exempt, (
+        f"only tests call: {sorted(unreached - exempt)}; "
         f"stale exemption: {sorted(exempt - unreached)}")

@@ -229,3 +229,33 @@ def test_replayer_thread_stop_mid_replay():
     assert not rep.running
     assert sent < 1000
     sink.server.close()
+
+
+def test_cli_replays_into_a_live_ingest_server(capsys):
+    """``python -m repro.workloads.replay`` end to end: every sent tuple
+    is accepted, and the stamped send times give a finite skew."""
+    import math
+    import time
+
+    from repro.core.clock import WallClock
+    from repro.serve.ingest import IngestBuffer, IngestServer
+    from repro.workloads.replay import _main
+
+    clock = WallClock()
+    clock.start()
+    buf = IngestBuffer(clock)
+    server = IngestServer(buf, port=0)
+    server.start()
+    try:
+        assert _main(["--port", str(server.port), "--rate", "200",
+                      "--duration", "1"]) == 0
+        sent = int(capsys.readouterr().out.split("sent ")[1].split()[0])
+        deadline = time.monotonic() + 5.0
+        while buf.accepted < sent and time.monotonic() < deadline:
+            time.sleep(0.01)
+        snap = server.snapshot()
+    finally:
+        server.stop()
+    assert sent > 0
+    assert (snap.accepted, snap.malformed) == (sent, 0)
+    assert math.isfinite(snap.skew_last) and math.isfinite(snap.skew_max)
