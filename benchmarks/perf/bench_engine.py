@@ -1,19 +1,16 @@
-"""Perf harness for the three things ``benchmarks/e2e`` cannot see.
+"""Perf harness for the two things ``benchmarks/e2e`` cannot see.
 
 Speed is measured in one place: ``benchmarks/e2e/run.py`` times the path a
 tuple really takes (socket -> buffer -> route -> shed -> engine -> sink) on
 four named workloads and, with ``--append-history``, adds its rows to the
-committed ``BENCH_e2e_history.jsonl``. What is left here are two
-comparisons *between two ways of running the same work*, which no single
+committed ``BENCH_e2e_history.jsonl``. What is left here is one
+comparison *between two ways of running the same work*, which no single
 e2e workload contains, and one step no workload times on its own. Each
 writes one section ("tier") of ``BENCH_engine.json``:
 
 * ``figure_fanout`` — wall-clock for the multi-strategy Fig. 12 job matrix
   (strategies x workloads) run serially vs. via the process pool, whose
   records must be identical;
-* ``fleet`` — the 4-shard hotspot service run lockstep vs. as a per-shard
-  process fleet: aggregates must match bit-for-bit, and the
-  wall-clock speedup is recorded (no e2e workload runs ``ProcessFleet``);
 * ``migration`` — the drain half of the live source-migration transaction:
   a loaded shard flushes its whole engine queue, timed per drained tuple.
 
@@ -26,7 +23,7 @@ Every tier is a plain function whose returned dict carries its own
 * ``{"metric": m, "kind": "trend", "better": "higher", "tolerance": t}`` —
   ``tier[m]`` may not be worse than the committed baseline's by more than
   ``t``; skipped when either report's tier records a ``skip_reason`` (the
-  machine has fewer CPUs than the tier has workers/shards, so a sub-1x
+  machine has fewer CPUs than the tier has workers, so a sub-1x
   "speedup" is machine topology, not a regression) or when the two
   reports come from different machine shapes (``fingerprint``).
 
@@ -115,37 +112,6 @@ def bench_figure_fanout(duration: float, workers: int) -> dict:
     }
 
 
-def bench_fleet(duration: float) -> dict:
-    """Lockstep service vs true-parallel process fleet, 4 shards.
-
-    Runs the hotspot workload through both runners off the same specs.
-    The hard bar is correctness — the fleet aggregates must match
-    the lockstep records bit-for-bit; the speedup is reported per
-    machine and only gated with a CPU per shard (one worker per shard
-    cannot beat one process on fewer cores).
-    """
-    from repro.experiments import fleet_comparison
-    from repro.service import FleetConfig
-
-    cfg = ExperimentConfig(duration=duration)
-    fc = FleetConfig(n_shards=4, n_sources=4)
-    comp = fleet_comparison(cfg, fc)
-    return {
-        "shards": fc.n_shards,
-        "skip_reason": too_few_cpus(fc.n_shards, "shards"),
-        "sim_duration_seconds": duration,
-        "lockstep_wall_seconds": round(comp.lockstep.wall_seconds, 4),
-        "fleet_wall_seconds": round(comp.fleet.wall_seconds, 4),
-        "speedup": round(comp.speedup, 2),
-        "aggregates_match": comp.aggregates_match(),
-        "gates": [
-            {"metric": "aggregates_match", "kind": "true"},
-            {"metric": "speedup", "kind": "trend", "better": "higher",
-             "tolerance": 0.30},
-        ],
-    }
-
-
 def bench_migration() -> dict:
     """Raw drain latency of the live source-migration transaction.
 
@@ -199,9 +165,6 @@ def main(argv=None) -> int:
           f"{len(STRATEGIES) * len(WORKLOADS)} jobs, "
           f"{workers} workers)...", flush=True)
     tiers["figure_fanout"] = bench_figure_fanout(fanout_duration, workers)
-    print(f"process fleet ({fanout_duration:.0f}s sim, 4 shards, "
-          "lockstep vs fleet)...", flush=True)
-    tiers["fleet"] = bench_fleet(fanout_duration)
     print("migration (whole-queue drain of a loaded shard)...", flush=True)
     tiers["migration"] = bench_migration()
 

@@ -14,7 +14,7 @@ See README.md for a quickstart; the main entry points are:
 * :mod:`repro.experiments` — one runner per paper figure,
 * :mod:`repro.service` — the sharded multi-stream service layer,
 * :mod:`repro.obs` — live observability: event bus, metrics registry,
-  per-period tracing, and fleet health detectors.
+  per-period tracing, and health detectors.
 """
 
 __version__ = "1.0.0"

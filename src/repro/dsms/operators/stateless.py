@@ -33,10 +33,20 @@ class FilterOperator(StatelessOperator):
         With field values uniform on [0, 1) the pass rate equals
         ``selectivity`` exactly — the trick the paper uses to keep the
         network's expected cost constant during system identification.
+        A tuple whose ``field`` is missing or not comparable with a number
+        does not pass (SQL's rule for a comparison with NULL), so one
+        malformed wire tuple cannot raise inside a control period.
         """
         if not 0.0 <= selectivity <= 1.0:
             raise NetworkError(f"selectivity {selectivity} outside [0, 1]")
-        return cls(name, cost, lambda values: values[field] < selectivity)
+
+        def below(values: Tuple) -> bool:
+            try:
+                return values[field] < selectivity
+            except (IndexError, TypeError):
+                return False
+
+        return cls(name, cost, below)
 
 
 class MapOperator(StatelessOperator):

@@ -32,10 +32,8 @@ from .runner import (
 )
 from .service_demo import (
     DEFAULT_MODES,
-    FleetComparison,
     ServiceComparison,
     build_service_workload,
-    fleet_comparison,
     run_service_experiment,
     service_comparison,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "QUICK_CONFIG",
     "RetunedAuroraResult",
     "STRATEGIES",
-    "FleetComparison",
     "ServiceComparison",
     "SetpointResult",
     "StepResponseResult",
@@ -90,7 +87,6 @@ __all__ = [
     "period_sweep",
     "run_all_strategies",
     "run_jobs",
-    "fleet_comparison",
     "run_service_experiment",
     "run_strategy",
     "schedule_fn",

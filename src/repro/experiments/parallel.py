@@ -156,7 +156,7 @@ def execute_job(job: Job) -> RunRecord:
     """Run one job to completion in the current process (deterministic)."""
     config = job.resolved_config()
     if job.service is not None:
-        # service jobs run a whole coordinated fleet; imported lazily so
+        # service jobs run a whole coordinated service; imported lazily so
         # plain single-loop sweeps never touch the service layer
         from .service_demo import run_service_experiment
 

@@ -11,18 +11,12 @@ other job matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError
 from ..metrics.qos import QosMetrics
-from ..service import (
-    FleetConfig,
-    ServiceConfig,
-    ServiceResult,
-    build_fleet,
-    build_service,
-)
+from ..service import ServiceConfig, ServiceResult, build_service
 from ..workloads import (
     Arrival,
     hotspot_weights,
@@ -61,22 +55,15 @@ def build_service_workload(config: ExperimentConfig,
 def run_service_experiment(config: ExperimentConfig,
                            svc: ServiceConfig,
                            workload_kind: str = "web") -> ServiceResult:
-    """One full service run (deterministic given the two configs).
-
-    A :class:`~repro.service.FleetConfig` spec runs as a true-parallel
-    :class:`~repro.service.fleet.ProcessFleet` (deterministic too); a
-    plain :class:`~repro.service.ServiceConfig` runs the lockstep
-    :class:`~repro.service.StreamService`.
-    """
+    """One full lockstep service run (deterministic given the two configs)."""
     arrivals = build_service_workload(config, svc, workload_kind)
-    runtime = (build_fleet(config, svc) if isinstance(svc, FleetConfig)
-               else build_service(config, svc))
-    recorder = getattr(runtime, "flight_recorder", None)
+    service = build_service(config, svc)
+    recorder = service.flight_recorder
     if recorder is not None and recorder.replay_spec is not None:
         # incident bundles replay through this very function, so record
         # which synthetic workload fed the run
         recorder.replay_spec["workload_kind"] = workload_kind
-    return runtime.run(arrivals, config.duration)
+    return service.run(arrivals, config.duration)
 
 
 @dataclass(frozen=True)
@@ -101,63 +88,6 @@ class ServiceComparison:
         if violations[mode] <= 0:
             return float("inf") if violations[baseline] > 0 else 1.0
         return violations[baseline] / violations[mode]
-
-
-@dataclass(frozen=True)
-class FleetComparison:
-    """The same workload run lockstep and as a true-parallel fleet."""
-
-    lockstep: ServiceResult
-    fleet: ServiceResult
-
-    @property
-    def speedup(self) -> float:
-        """Lockstep wall-clock over fleet wall-clock (> 1: fleet wins).
-
-        Only meaningful on multi-core machines; on one CPU the fleet
-        pays process overhead for no parallelism.
-        """
-        if self.fleet.wall_seconds <= 0:
-            return float("inf")
-        return self.lockstep.wall_seconds / self.fleet.wall_seconds
-
-    def aggregates_match(self) -> bool:
-        """True when both runs produced identical per-shard aggregates.
-
-        Exact equality, not tolerance: a process fleet reproduces the
-        lockstep trajectory float-for-float, so ``periods``, arrivals,
-        departures and drops must agree bit-for-bit per shard.
-        """
-        if set(self.lockstep.shard_records) != set(self.fleet.shard_records):
-            return False
-        for name, lock in self.lockstep.shard_records.items():
-            par = self.fleet.shard_records[name]
-            for attr in ("periods", "departures", "offered_total",
-                         "entry_dropped_total"):
-                if getattr(lock, attr) != getattr(par, attr):
-                    return False
-        return True
-
-
-def fleet_comparison(config: Optional[ExperimentConfig] = None,
-                     svc: Optional[FleetConfig] = None,
-                     workload_kind: str = "web") -> FleetComparison:
-    """Run the hotspot scenario lockstep, then as a process fleet.
-
-    The two legs share the exact same configs and workload, so
-    :meth:`FleetComparison.aggregates_match` is the deterministic-
-    equivalence check and :attr:`FleetComparison.speedup` the wall-clock
-    win. Runs serially (the fleet wants the machine's cores to itself for
-    an honest timing).
-    """
-    config = config or ExperimentConfig()
-    svc = svc or FleetConfig()
-    if not isinstance(svc, FleetConfig):
-        raise ExperimentError("fleet_comparison needs a FleetConfig spec")
-    lockstep = run_service_experiment(config, svc.as_lockstep(),
-                                      workload_kind)
-    fleet = run_service_experiment(config, svc, workload_kind)
-    return FleetComparison(lockstep=lockstep, fleet=fleet)
 
 
 def service_comparison(config: Optional[ExperimentConfig] = None,

@@ -75,8 +75,6 @@ from .events import (
     ShardRebalanced,
     SysIdUpdate,
     TupleTraceCompleted,
-    WorkerDown,
-    WorkerRestarted,
     event_to_dict,
 )
 from .flight import (
@@ -107,7 +105,7 @@ from .metrics import (
     install_metrics,
     start_prom_dump,
 )
-from .relay import CommandChannel, EventRelay, relay_forwarder, worker_relay
+from .relay import EventRelay, relay_forwarder, worker_relay
 from .serve import ObsServer
 from .sysid import RlsGainEstimator, SysIdMonitor, oscillation_score
 from .tracing import SEGMENTS, PeriodTracer, merge_flames
@@ -129,7 +127,6 @@ __all__ = [
     "LateArrival", "DrainTruncated", "HeadroomChanged",
     "ShardRebalanced", "IngestStats",
     "CompletionStats", "TupleTraceCompleted",
-    "WorkerDown", "WorkerRestarted",
     "SysIdUpdate", "ModelMismatch", "MarginEroded", "IncidentDumped",
     "event_to_dict",
     # metrics
@@ -138,7 +135,6 @@ __all__ = [
     "PromFileDumper", "start_prom_dump",
     # serving & relay
     "ObsServer", "EventRelay", "worker_relay", "relay_forwarder",
-    "CommandChannel",
     # tracing
     "PeriodTracer", "SEGMENTS", "merge_flames",
     # tuple tracing

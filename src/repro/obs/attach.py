@@ -1,10 +1,10 @@
 """The one observer attach point of every runtime.
 
-The lockstep service, the process-fleet parent and both live nodes take
-one :class:`ObsConfig` — the only place the observer knobs, their
-defaults and their validation are declared; a ``ServiceConfig`` *is*
-one, so builders pass their spec straight through. :class:`Observers`
-arms it on a bus, so the rules between the knobs live in one place:
+The lockstep service and both live nodes take one :class:`ObsConfig` —
+the only place the observer knobs, their defaults and their validation
+are declared; a ``ServiceConfig`` *is* one, so builders pass their spec
+straight through. :class:`Observers` arms it on a bus, so the rules
+between the knobs live in one place:
 
 * a flight recorder needs a HealthMonitor to trigger its auto-dumps even
   when health *reporting* was not requested;

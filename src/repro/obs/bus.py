@@ -25,7 +25,7 @@ stalled sink can never stall the control loop (see docs/THEORY.md §10).
 
 :class:`ScopedEmitter` wraps a bus and stamps a ``shard`` label on every
 event passing through; the service layer hands one to each shard's loop so
-fleet subscribers can tell per-shard streams apart.
+subscribers can tell per-shard streams apart.
 """
 
 from __future__ import annotations

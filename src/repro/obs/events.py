@@ -9,7 +9,7 @@ subscriber.
 
 Each event carries a class-level ``kind`` tag (stable, snake_case) that
 subscribers can filter on without ``isinstance`` chains, and an optional
-``shard`` label stamped by the service layer's scoped emitters so fleet
+``shard`` label stamped by the service layer's scoped emitters so
 subscribers can tell the shards apart.
 
 Events are deliberately plain (mutable) dataclasses: the service layer's
@@ -149,46 +149,13 @@ class TupleTraceCompleted(ObsEvent):
 
     ``trace`` is the plain-dict trace record built by
     :class:`~repro.obs.tuptrace.TupleTracer` — deliberately a dict, not a
-    dataclass, so it pickles across the fleet relay unchanged and lands in
+    dataclass, so it pickles across the relay unchanged and lands in
     a parent-side :class:`~repro.obs.tuptrace.TraceCollector` with worker
     provenance.
     """
 
     kind: ClassVar[str] = "tuple_trace"
     trace: dict = field(default_factory=dict)
-    shard: Optional[str] = None
-
-
-@dataclass
-class WorkerDown(ObsEvent):
-    """A fleet shard's worker process died before finishing its run.
-
-    Emitted by the parent (:class:`~repro.service.fleet.ProcessFleet`)
-    when it notices the dead process, before spawning the replacement.
-    ``last_k`` is the last period the parent had acknowledged — the
-    replacement replays up to there from the command journal.
-    """
-
-    kind: ClassVar[str] = "worker_down"
-    exitcode: Optional[int] = None
-    restarts: int = 0
-    last_k: int = -1
-    shard: Optional[str] = None
-
-
-@dataclass
-class WorkerRestarted(ObsEvent):
-    """A replacement worker finished its replay and rejoined the fleet.
-
-    ``epoch`` is the worker's routing-table epoch after replay — if the
-    journal contained a migration cutover, this proves the replacement
-    restored the post-migration routing.
-    """
-
-    kind: ClassVar[str] = "worker_restarted"
-    resumed_k: int = -1
-    restarts: int = 0
-    epoch: int = 0
     shard: Optional[str] = None
 
 
@@ -335,8 +302,7 @@ EVENT_KINDS = tuple(
     cls.kind for cls in (
         PeriodDecision, LateArrival, DrainTruncated, HeadroomChanged,
         ShardRebalanced, IngestStats, CompletionStats,
-        TupleTraceCompleted, WorkerDown, WorkerRestarted, RouteChanged,
-        MigrationCompleted,
+        TupleTraceCompleted, RouteChanged, MigrationCompleted,
         SysIdUpdate, ModelMismatch, MarginEroded, IncidentDumped,
     )
 )

@@ -2,8 +2,8 @@
 
 A :class:`FlightRecorder` is a pure bus observer that keeps, per shard, a
 bounded ring of the recent observability stream — period records, shed
-decisions, route epochs, ingest stats, sysid state, coordinator and
-worker-lifecycle events.  On a trigger it freezes everything it knows
+decisions, route epochs, ingest stats, sysid state and coordinator
+events.  On a trigger it freezes everything it knows
 into one self-contained JSON *incident bundle*:
 
 * **health** — any *critical* :class:`~repro.obs.health.HealthMonitor`
@@ -18,12 +18,11 @@ The bundle carries the config snapshots that *produced* the run, so a
 bundle from any deterministic runtime is its own reproduction recipe:
 ``python -m repro.obs.flight replay bundle.json`` rebuilds the engine
 from the embedded specs, re-runs it, and diffs the period stream against
-the ring float-for-float.  A process fleet reproduces the lockstep
-trajectory exactly (the PR-4 determinism contract), so fleet
-bundles — whose rings were assembled in the parent over the event relay,
-shard keys carrying ``pid<pid>/<shard>`` provenance — replay through the
-single-process :class:`~repro.service.service.StreamService` and still
-match float for float.  Live (wall-clock) runs have no deterministic
+the ring float-for-float.  Bundles recorded by the since-deleted process
+fleet reproduced the lockstep trajectory exactly, so they still replay
+through the single-process :class:`~repro.service.service.StreamService`:
+their shard keys carry ``pid<pid>/<shard>`` relay provenance, which
+replay strips.  Live (wall-clock) runs have no deterministic
 arrival recipe; their bundles carry ``replay: null`` and the CLI reports
 them as not replayable (exit 2) rather than pretending.
 
@@ -60,8 +59,7 @@ FLIGHT_FORMAT = "repro-flight-1"
 RING_KINDS = (
     "period", "ingest", "sysid",
     "route_changed", "migration_completed",
-    "headroom_changed", "rebalanced",
-    "worker_down", "worker_restarted", "drain_truncated",
+    "headroom_changed", "rebalanced", "drain_truncated",
     "model_mismatch", "margin_eroded",
 )
 
@@ -304,7 +302,7 @@ def load_bundle(path: Union[str, Path]) -> dict:
 
 
 def _base_shard(label: str) -> str:
-    """Strip fleet relay provenance: ``pid1234/shard0`` -> ``shard0``."""
+    """Strip relay provenance: ``pid1234/shard0`` -> ``shard0``."""
     return label.rsplit("/", 1)[-1]
 
 

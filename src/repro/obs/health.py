@@ -26,12 +26,6 @@ watches the per-period decision stream for sustained pathologies:
     estimate has exceeded ``imbalance_spread`` times the mean in-force
     target for ``imbalance_patience`` consecutive periods — load is
     skewed and (if the coordinator is enabled) rebalancing is overdue;
-``worker_down``
-    a process-fleet shard worker died mid-run (one episode per outage,
-    opened on :class:`~repro.obs.events.WorkerDown` and closed when the
-    replacement's :class:`~repro.obs.events.WorkerRestarted` arrives, so
-    an episode still ``open`` at the end of the run means the shard
-    never rejoined);
 ``ingest_drops``
     the live ingest buffer has refused tuples at its capacity for
     ``ingest_patience`` consecutive periods — the front door is shedding
@@ -57,7 +51,7 @@ episode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bus import EventBus, get_bus
@@ -74,8 +68,8 @@ SEVERITY_WARNING = "warning"
 SEVERITY_CRITICAL = "critical"
 
 HEALTH_KINDS = ("qos_violation", "actuator_saturated", "controller_windup",
-                "drain_truncated", "shard_imbalance", "worker_down",
-                "ingest_drops", "model_mismatch", "margin_eroded")
+                "drain_truncated", "shard_imbalance", "ingest_drops",
+                "model_mismatch", "margin_eroded")
 
 
 @dataclass
@@ -181,10 +175,8 @@ class HealthMonitor:
         self._u_prev: Dict[str, float] = {}
         self._fleet: Dict[int, Dict[str, Tuple[float, float]]] = {}
         self._imbalance = _Streak()
-        self._down: Dict[str, HealthReport] = {}
         self.bus.subscribe(self._on_event,
                            kinds=("period", "drain_truncated",
-                                  "worker_down", "worker_restarted",
                                   "ingest", "sysid"))
 
     # ------------------------------------------------------------------ #
@@ -256,29 +248,6 @@ class HealthMonitor:
             self._on_ingest(event)
         elif event.kind == "sysid":
             self._on_sysid(event)
-        elif event.kind == "worker_down":
-            shard = event.shard or "main"
-            report = HealthReport(
-                kind="worker_down",
-                shard=shard,
-                severity=SEVERITY_CRITICAL,
-                first_k=event.last_k, last_k=event.last_k,
-                value=float(event.restarts),
-                detail=(f"shard worker died (exit {event.exitcode}) after "
-                        f"period {event.last_k}; restart "
-                        f"#{event.restarts} replays from the command "
-                        "journal"),
-            )
-            self._down[shard] = report
-            self._add_report(report)
-        elif event.kind == "worker_restarted":
-            report = self._down.pop(event.shard or "main", None)
-            if report is not None:
-                report.open = False
-                report.last_k = event.resumed_k
-                report.detail += (
-                    f"; replacement replayed to period {event.resumed_k} "
-                    "and rejoined")
         elif event.kind == "drain_truncated":
             self._add_report(HealthReport(
                 kind="drain_truncated",
@@ -461,11 +430,10 @@ class HealthMonitor:
         """Evaluate pending fleet rows, then seal every open episode.
 
         After this returns, ``open=True`` on a report reliably means the
-        episode outlived the run: still-open streak reports and
-        never-rejoined ``worker_down`` episodes are detached from their
-        live detector state, so stray events arriving later (a slow relay
-        draining, a test poking the bus) can neither close nor extend
-        them — they start fresh episodes instead.
+        episode outlived the run: still-open streak reports are detached
+        from their live detector state, so stray events arriving later (a
+        slow relay draining, a test poking the bus) can neither close nor
+        extend them — they start fresh episodes instead.
         """
         for k in sorted(self._fleet):
             self._evaluate_imbalance(k, self._fleet[k])
@@ -475,7 +443,4 @@ class HealthMonitor:
             for streak in streaks.values():
                 streak.detach()
         self._imbalance.detach()
-        for report in self._down.values():
-            report.detail += "; the worker never rejoined before the run ended"
-        self._down.clear()
         return self.reports()

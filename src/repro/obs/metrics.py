@@ -464,12 +464,6 @@ class MetricsBridge:
                                      "end-of-run drains cut off by deadline")
         self.rebalances = r.counter(f"{p}_rebalances_total",
                                     "coordinator rebalance decisions, by mode")
-        self.worker_downs = r.counter(
-            f"{p}_worker_down_total",
-            "fleet shard worker processes that died mid-run")
-        self.worker_restarts = r.counter(
-            f"{p}_worker_restarts_total",
-            "fleet shard workers that replayed and rejoined after a death")
         self.delay = r.gauge(f"{p}_delay_estimate_seconds",
                              "latest delay estimate y_hat(k)")
         self.target = r.gauge(f"{p}_delay_target_seconds",
@@ -541,8 +535,6 @@ class MetricsBridge:
             "rebalanced": self._on_rebalanced,
             "ingest": self._on_ingest,
             "headroom_changed": self._on_headroom,
-            "worker_down": self._on_worker_down,
-            "worker_restarted": self._on_worker_restarted,
             "route_changed": self._on_route_changed,
             "migration_completed": self._on_migration_completed,
             "completions": self._on_completions,
@@ -614,12 +606,6 @@ class MetricsBridge:
 
     def _on_headroom(self, event, shard: str) -> None:
         self.headroom.set(event.new, shard=shard)
-
-    def _on_worker_down(self, event, shard: str) -> None:
-        self.worker_downs.inc(shard=shard)
-
-    def _on_worker_restarted(self, event, shard: str) -> None:
-        self.worker_restarts.inc(shard=shard)
 
     def _on_route_changed(self, event, shard: str) -> None:
         self.migrations.inc(source=event.source,

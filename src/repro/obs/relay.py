@@ -18,12 +18,7 @@ closes that gap with plain :mod:`multiprocessing` machinery:
 Because provenance rides the existing ``shard`` label, every parent-side
 consumer — metrics bridge, health monitor, SSE clients, the dashboard —
 sees per-worker series with zero changes; ``repro_obs_relayed_total``
-counts relayed events per worker on the default registry. The
-per-shard-process fleet (:mod:`repro.service.fleet`) reuses exactly this
-uplink — a shard process is just a long-lived worker — and adds the
-matching downlink, :class:`CommandChannel`: one plain per-worker queue
-the parent pushes coordinator commands (headroom and migration ops)
-down through.
+counts relayed events per worker on the default registry.
 
 The pump re-emits on the parent bus, so a forwarder must never be
 attached to that same bus (the event would loop forever). Forwarders
@@ -74,18 +69,17 @@ def relay_forwarder(relay_queue, worker: str):
 
 
 @contextmanager
-def worker_relay(relay_queue, worker: Optional[str] = None,
-                 bus: Optional[EventBus] = None):
+def worker_relay(relay_queue):
     """Forward this process's bus events to a parent's relay queue.
 
     Meant for the worker side of a process boundary: wrap the work in
     ``with worker_relay(relay.queue):`` and every event emitted on the
-    (default) bus while inside ships to the parent. ``worker`` defaults
-    to ``"pid<os.getpid()>"`` so provenance distinguishes pool
-    processes. Yields the worker label.
+    default bus while inside ships to the parent, labelled
+    ``"pid<os.getpid()>"`` so provenance distinguishes pool processes.
+    Yields the worker label.
     """
-    bus = bus if bus is not None else get_bus()
-    worker = worker if worker is not None else f"pid{os.getpid()}"
+    bus = get_bus()
+    worker = f"pid{os.getpid()}"
     forward = relay_forwarder(relay_queue, worker)
     bus.subscribe(forward)
     try:
@@ -97,7 +91,7 @@ def worker_relay(relay_queue, worker: Optional[str] = None,
 class EventRelay:
     """Parent-side pump: manager queue in, provenance-stamped events out.
 
-    Construct it where the fleet should be observed, hand
+    Construct it where the workers should be observed, hand
     :attr:`queue` to the workers (it is a manager proxy, so it survives
     pickling into :class:`~concurrent.futures.ProcessPoolExecutor`
     submissions, unlike a raw ``multiprocessing.Queue``), and subscribe
@@ -196,50 +190,3 @@ class EventRelay:
         self.per_worker[worker] = self.per_worker.get(worker, 0) + 1
         self._counter.inc(worker=worker)
         self.bus.emit(event)
-
-
-class CommandChannel:
-    """Parent -> worker command queues, one per named worker.
-
-    The downlink mirror of the relay's uplink: the relay ships events
-    *up* to the coordinator process, this ships coordinator decisions
-    *down* to long-lived workers (the process fleet's per-shard
-    rebalance ops). Plain ``multiprocessing`` queues from the caller's
-    context — no manager round-trip, commands are small and frequent.
-
-    The parent keeps ownership: :meth:`drain` empties a dead worker's
-    queue before its replacement is handed the same queue (stale
-    commands must not leak across incarnations), and :meth:`close`
-    tears every queue down at end of run.
-    """
-
-    def __init__(self, ctx=None):
-        self._ctx = ctx if ctx is not None else multiprocessing
-        self._queues: Dict[str, object] = {}
-
-    def register(self, name: str):
-        """The command queue for ``name`` (created on first use)."""
-        if name not in self._queues:
-            self._queues[name] = self._ctx.Queue()
-        return self._queues[name]
-
-    def send(self, name: str, command) -> None:
-        self.register(name).put(command)
-
-    def drain(self, name: str) -> list:
-        """Empty ``name``'s queue; returns whatever was still undelivered."""
-        q = self._queues.get(name)
-        stale = []
-        if q is None:
-            return stale
-        while True:
-            try:
-                stale.append(q.get_nowait())
-            except _queue.Empty:
-                return stale
-
-    def close(self) -> None:
-        for q in self._queues.values():
-            q.close()
-            q.cancel_join_thread()
-        self._queues.clear()

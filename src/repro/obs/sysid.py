@@ -199,8 +199,7 @@ class SysIdMonitor:
     The design gain it compares against needs no out-of-band model: Eq. 11
     gives ``H / c_est = (q + 1) / ŷ`` from the period record itself, so
     ``gain_ratio = (q + 1) / (ŷ · ŝ)`` — the monitor works identically
-    under the lockstep service, inside fleet workers (on their private
-    bus, events relayed up with provenance) and on the live runtime.
+    under the lockstep service and on the live runtime.
     """
 
     def __init__(self, bus: Optional[EventBus] = None):
@@ -379,10 +378,6 @@ class SysIdMonitor:
                 "eroded": bool(last.eroded) if last else False,
             }
         return out
-
-    def state_for(self, shard: str) -> Optional[dict]:
-        """The one-shard slice of :meth:`summary` (worker-side shipping)."""
-        return self.summary().get(shard)
 
     def close(self) -> None:
         """Detach from the bus (idempotent)."""

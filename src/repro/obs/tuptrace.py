@@ -23,9 +23,8 @@ module adds the missing per-tuple view:
   mean against the Monitor's aggregate (:meth:`TailAnalyzer.cross_check`).
 * With a bus attached, each finished trace is emitted as a
   :class:`~repro.obs.events.TupleTraceCompleted` event — a plain dict
-  payload that pickles across the fleet's :class:`~repro.obs.relay`
-  unchanged, so a parent-side :class:`TraceCollector` sees worker traces
-  with provenance.
+  payload that pickles across :mod:`repro.obs.relay` unchanged, so a
+  parent-side :class:`TraceCollector` sees worker traces with provenance.
 
 Cost contract (PR-4): at fraction 0.0 the only per-arrival work is one
 integer increment and one comparison; unsampled tuples carry ``trace=None``
@@ -253,9 +252,9 @@ class TupleTracer:
 class TraceCollector:
     """Gather :class:`TupleTraceCompleted` events from a bus into a ring.
 
-    The parent-side counterpart of worker tracers: subscribe it to the
-    fleet bus and relayed traces (dict payloads with ``worker`` provenance
-    stamped by the relay) accumulate here with the same query/export
+    The parent-side counterpart of worker tracers: subscribe it to a
+    relay's bus and relayed traces (dict payloads with ``worker``
+    provenance stamped by the relay) accumulate here with the same query/export
     surface as a local :class:`TupleTracer`.
     """
 

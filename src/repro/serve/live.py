@@ -406,7 +406,7 @@ def build_live_service(config, svc,
     """A complete multi-shard live node from ``(config, svc)`` specs.
 
     The same :class:`~repro.service.config.ServiceConfig` that builds the
-    lockstep service or the process fleet builds the live front-end
+    lockstep service builds the live front-end
     (:func:`~repro.service.service.build_topology`): same shards, same
     routing table, same coordinator (migration policy included), and
     ``svc`` is itself the observer spec the node arms — just clocked by

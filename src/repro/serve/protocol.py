@@ -14,6 +14,13 @@ Arrival timestamps are **always assigned server-side** on arrival (the
 paper's monitor measures queueing delay from arrival at the node, and a
 client-supplied clock can't be trusted); ``t`` only feeds the skew
 gauge, never the control loop.
+
+A well-framed line is a tuple whatever its values: a CSV field that is
+not a number stays a string, and a tuple may carry fewer values than the
+query reads. Operators treat such a value as SQL treats NULL — a
+threshold filter reading a missing or non-numeric field does not pass
+the tuple — so a short or non-numeric tuple is admitted, counted and
+filtered out, never an error inside the control loop.
 """
 
 from __future__ import annotations

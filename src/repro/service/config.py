@@ -123,50 +123,3 @@ class ServiceConfig(ObsConfig):
     def with_mode(self, mode: str) -> "ServiceConfig":
         """A copy in a different coordination mode (for A/B comparisons)."""
         return replace(self, mode=mode)
-
-
-@dataclass(frozen=True)
-class FleetConfig(ServiceConfig):
-    """A :class:`ServiceConfig` that runs as a true-parallel process fleet.
-
-    Same shards, router, coordinator and workload knobs — plus the
-    execution-model knobs of :class:`~repro.service.fleet.ProcessFleet`:
-    every shard becomes its own worker process, and the coordinator runs
-    in the parent over relayed per-period summaries. Workers advance in
-    lockstep with the coordinator (a command barrier per period), so the
-    fleet reproduces the single-process
-    :class:`~repro.service.service.StreamService` trajectory
-    float-for-float.
-    """
-
-    #: how many times one shard's worker may die and be replayed before
-    #: the whole run is declared failed
-    max_restarts: int = 2
-    #: forward worker events to the parent bus through an EventRelay
-    #: (implied by ``serve``/``health``, which consume parent-side events)
-    relay: bool = False
-    #: seconds a worker waits on its command queue and the
-    #: parent waits without any fleet progress before declaring a stall
-    worker_patience: float = 120.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.max_restarts < 0:
-            raise ServiceError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.worker_patience <= 0:
-            raise ServiceError(
-                f"worker_patience must be positive, got {self.worker_patience}"
-            )
-
-    def as_lockstep(self) -> ServiceConfig:
-        """The equivalent single-process spec (for A/B and equivalence runs).
-
-        Drops the fleet-only knobs and disables serving so a side-by-side
-        lockstep run never fights the fleet over the observability port.
-        """
-        from dataclasses import fields
-        kwargs = {f.name: getattr(self, f.name) for f in fields(ServiceConfig)}
-        kwargs["serve"] = False
-        return ServiceConfig(**kwargs)

@@ -63,8 +63,8 @@ class MigrationPolicy:
     to the shard with the most surplus.
 
     All iteration is over sorted keys and ties break deterministically,
-    so the lockstep service and the fleet parent produce identical plans
-    from identical inputs — a requirement for fleet/lockstep equivalence.
+    so identical inputs produce identical plans — what lets a flight
+    bundle's replay reproduce the recorded migrations.
     """
 
     def __init__(self, patience: int = 4, cooldown: int = 12,

@@ -1,11 +1,8 @@
 """Stream routing: one versioned table, shared by every runtime.
 
 A sharded service runs N independent engines; routing decides which
-shard serves which *source*. Historically each runtime kept its own
-routing path (the lockstep service partitioned arrivals up front, the
-process fleet shipped pre-cut slices to workers, the live server pinned
-every socket tuple to one loop); all three now route through a single
-mutable :class:`RoutingTable`:
+shard serves which *source*. The lockstep service and the live server
+both route through a single mutable :class:`RoutingTable`:
 
 * **hash fallback** — a stable CRC32 hash of the source name (identical
   across processes and Python hash randomization), so unknown sources
@@ -13,12 +10,9 @@ mutable :class:`RoutingTable`:
 * **explicit pins** — per-source overrides on top of the hash, for
   deployments that dedicate shards to heavy sources *and* for live
   migration, which is nothing but a re-pin;
-* **epochs** — every mutation bumps the table's global ``epoch`` and
-  stamps the touched source with it. Epochs are strictly monotone per
-  source, which is what lets a fleet worker's table *replica* apply
-  journalled route updates idempotently and in order: a cutover is
-  journalled as ``("route", (source, shard, epoch))`` and replay
-  reproduces the exact routing the original run used at every period.
+* **epochs** — every mutation bumps the table's global ``epoch``, which
+  a migration stamps on its plan and the ``RouteChanged`` event, and
+  ``/status`` reports as ``routing_epoch``.
 
 Routing is per-source, never per-tuple: all tuples of one source land on
 one shard, so per-shard delay statistics stay meaningful and windowed
@@ -44,16 +38,12 @@ class RoutingTable:
 
     The one routing abstraction every runtime shares: the lockstep
     :class:`~repro.service.service.StreamService` routes each period's
-    due arrivals through it, :class:`~repro.service.fleet.ProcessFleet`
-    workers hold a replica kept in sync by journalled route ops, and the
-    live :class:`~repro.serve.live.LiveService` routes socket tuples at
-    every tick — so a migrated source follows its new shard everywhere
-    without clients reconnecting.
+    due arrivals through it, and the live
+    :class:`~repro.serve.live.LiveService` routes socket tuples at every
+    tick — so a migrated source follows its new shard without clients
+    reconnecting.
 
-    Mutations (:meth:`pin`, :meth:`migrate`) bump the
-    global ``epoch`` and stamp the touched source with it; per-source
-    epochs are strictly monotone, which replicas enforce in
-    :meth:`apply_route`.
+    Mutations (:meth:`pin`, :meth:`migrate`) bump the global ``epoch``.
     """
 
     def __init__(self, n_shards: int,
@@ -65,13 +55,11 @@ class RoutingTable:
         self.hash_fallback = hash_fallback
         self.epoch = 0
         self._pins: Dict[str, int] = {}
-        self._source_epochs: Dict[str, int] = {}
         self._memo: Dict[str, int] = {}
         if pins:
             for source, shard in pins.items():
                 self._check_shard(source, shard)
                 self._pins[source] = int(shard)
-                self._source_epochs[source] = 0
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -103,7 +91,6 @@ class RoutingTable:
         self._check_shard(source, shard)
         self.epoch += 1
         self._pins[source] = int(shard)
-        self._source_epochs[source] = self.epoch
         self._memo.clear()
         return self.epoch
 
@@ -111,10 +98,11 @@ class RoutingTable:
         """Re-pin ``source`` from ``from_shard`` to ``to_shard``.
 
         This is the cutover step of the migration transaction (the
-        runtime drains the old shard *before* calling this, and journals
-        the returned epoch — see docs/THEORY.md §13). Validates that the
-        source currently routes to ``from_shard``, so a stale plan can
-        never silently re-route a source that already moved.
+        runtime drains the old shard *before* calling this, and stamps
+        the returned epoch on its plan — see docs/THEORY.md §13).
+        Validates that the source currently routes to ``from_shard``, so
+        a stale plan can never silently re-route a source that already
+        moved.
         """
         current = self.shard_of(source)
         if current != from_shard:
@@ -128,52 +116,6 @@ class RoutingTable:
             )
         self._check_shard(source, to_shard)
         return self.pin(source, to_shard)
-
-    def apply_route(self, source: str, shard: int, epoch: int) -> None:
-        """Replica side: apply one journalled/downlinked route update.
-
-        Enforces strict per-source epoch monotonicity — an out-of-order
-        or replayed-twice update is a protocol violation, not a no-op,
-        because silent reordering would desynchronize the replica from
-        the authoritative table mid-run.
-        """
-        self._check_shard(source, shard)
-        last = self._source_epochs.get(source, 0)
-        if epoch <= last:
-            raise ServiceError(
-                f"route update for {source!r} carries epoch {epoch} "
-                f"<= already-applied epoch {last}"
-            )
-        self._pins[source] = int(shard)
-        self._source_epochs[source] = epoch
-        self.epoch = max(self.epoch, epoch)
-        self._memo.clear()
-
-    # ------------------------------------------------------------------ #
-    # replication
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """A picklable/JSON-able image of the whole table."""
-        return {
-            "n_shards": self.n_shards,
-            "hash_fallback": self.hash_fallback,
-            "epoch": self.epoch,
-            "pins": dict(self._pins),
-            "source_epochs": dict(self._source_epochs),
-        }
-
-    @classmethod
-    def from_snapshot(cls, doc: Mapping) -> "RoutingTable":
-        """Rebuild a table (e.g. a worker replica) from :meth:`snapshot`."""
-        table = cls(int(doc["n_shards"]),
-                    hash_fallback=bool(doc.get("hash_fallback", True)))
-        for source, shard in dict(doc.get("pins", {})).items():
-            table._check_shard(source, shard)
-            table._pins[source] = int(shard)
-        table._source_epochs = {s: int(e) for s, e
-                                in dict(doc.get("source_epochs", {})).items()}
-        table.epoch = int(doc.get("epoch", 0))
-        return table
 
     # ------------------------------------------------------------------ #
     # internals
@@ -192,7 +134,7 @@ def make_router(spec: str, n_shards: int,
     """Build a routing table from a picklable spec string.
 
     Every spec yields a mutable :class:`RoutingTable`, so any
-    service/fleet built through here supports live migration.
+    service built through here supports live migration.
     """
     if spec == "hash":
         return RoutingTable(n_shards)

@@ -12,13 +12,11 @@ Routing happens *per period*, not up front, so a coordinator-planned
 migration takes effect at exactly one period boundary: the service drains
 the old shard, commits the cutover on the routing table (bumping its
 epoch), and the next period's dispatch follows the new pin — the same
-transaction the process fleet journals and the live server applies to
-socket tuples (docs/THEORY.md §13).
+transaction the live server applies to socket tuples (docs/THEORY.md §13).
 
 That period body is :func:`run_service_period` — the *same function*
-the live server's ticker calls on socket tuples (:mod:`repro.serve.live`);
-the process fleet splits the identical arithmetic across a barrier — and
-:func:`build_topology` assembles all three runtimes' shards, routing
+the live server's ticker calls on socket tuples (:mod:`repro.serve.live`)
+— and :func:`build_topology` assembles both runtimes' shards, routing
 table and coordinator from one ``(config, svc)`` pair.
 
 The result keeps one :class:`~repro.metrics.recorder.RunRecord` per shard;
@@ -29,8 +27,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import ServiceError
 from ..metrics.qos import QosMetrics, combine_qos
@@ -41,8 +39,7 @@ from ..obs.events import RouteChanged
 from .config import ServiceConfig
 from .coordinator import HeadroomCoordinator, MigrationPolicy
 from .router import RoutingTable, make_router
-from .shard import (SEED_STRIDE, DrainReport, EngineShard, arm_shard,
-                    build_shard)
+from .shard import SEED_STRIDE, EngineShard, arm_shard, build_shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..experiments.config import ExperimentConfig
@@ -66,60 +63,6 @@ def route(due: Iterable[Arrival], shard_of: Callable[[str], int],
         per_shard[shard_of(source)].append(arrival)
         counts[source] = counts.get(source, 0) + 1
     return per_shard, counts
-
-
-class PeriodDispatcher:
-    """Slices one time-ordered arrival stream period by period.
-
-    Pulls the arrivals due before each boundary and splits them by the
-    router's *current* mapping, so mid-run routing-table mutations
-    (migrations) take effect at exactly the next period boundary.
-
-    Shared by every runtime that replays a *recorded* stream: the
-    lockstep service (:meth:`take` feeds :func:`run_service_period`),
-    the fleet parent (:meth:`due`'s source tally) and each fleet worker
-    (its slice of :meth:`due`, routed by its table replica). The live
-    server's ingest buffer does its own slicing.
-    """
-
-    def __init__(self, router: RoutingTable, arrivals: Sequence[Arrival]):
-        self.router = router
-        self._iter: Iterator[Arrival] = iter(arrivals)
-        self._pending: Optional[Arrival] = next(self._iter, None)
-
-    def take(self, boundary: float) -> List[Arrival]:
-        """The not-yet-taken arrivals stamped strictly before ``boundary``."""
-        due: List[Arrival] = []
-        while self._pending is not None and self._pending[0] < boundary:
-            due.append(self._pending)
-            self._pending = next(self._iter, None)
-        return due
-
-    def due(self, boundary: float
-            ) -> Tuple[List[List[Arrival]], Dict[str, int]]:
-        """Per-shard arrivals strictly before ``boundary`` + source tally."""
-        return route(self.take(boundary), self.router.shard_of,
-                     self.router.n_shards)
-
-
-def execute_migration(k: int, plan: dict, shards: Sequence[EngineShard],
-                      table: RoutingTable, bus=None) -> DrainReport:
-    """Run one coordinator-planned migration: drain -> cutover -> announce.
-
-    Mutates ``plan`` in place with the cutover ``epoch`` — the plan dict
-    is also the coordinator's history entry, so both the lockstep service
-    and the fleet record identical, epoch-stamped histories.
-    """
-    source = plan["source"]
-    src, dst = plan["from"], plan["to"]
-    report = shards[src].drain_source(
-        source, plan["budget"], k=k, from_shard=src, to_shard=dst)
-    epoch = table.migrate(source, src, dst)
-    plan["epoch"] = epoch
-    if bus:
-        bus.emit(RouteChanged(k=k, source=source, from_shard=src,
-                              to_shard=dst, epoch=epoch))
-    return report
 
 
 def run_service_period(k: int, due: Iterable[Arrival],
@@ -161,9 +104,17 @@ def run_service_period(k: int, due: Iterable[Arrival],
         tracer.add("coordinator", _time.perf_counter() - mark)
     plan = entry.get("migration")
     if plan is not None:
-        # the drain advances *virtual* engine time only — on a wall clock
-        # the cutover is instantaneous between two ticks
-        execute_migration(k, plan, shards, table, bus=bus)
+        # drain -> cutover -> announce. The drain advances *virtual* engine
+        # time only — on a wall clock the cutover is instantaneous between
+        # two ticks. The plan dict is also the coordinator's history entry,
+        # so stamping the cutover epoch on it stamps the history.
+        source, src, dst = plan["source"], plan["from"], plan["to"]
+        shards[src].drain_source(source, plan["budget"], k=k,
+                                 from_shard=src, to_shard=dst)
+        plan["epoch"] = table.migrate(source, src, dst)
+        if bus:
+            bus.emit(RouteChanged(k=k, source=source, from_shard=src,
+                                  to_shard=dst, epoch=plan["epoch"]))
     return closed
 
 
@@ -273,23 +224,31 @@ def check_topology(shards: Sequence[EngineShard],
     return periods.pop()
 
 
-class RecordedRun:
-    """What the lockstep service and the process fleet share.
+class StreamService:
+    """N engine shards, a stream router, and a global coordinator.
 
-    Both own a ``bus``, a ``router``, a ``coordinator`` and its view of the
-    ``shards``, run once over a recorded arrival stream (:meth:`_run`)
-    with the observers attached, and answer ``/status`` alike.
+    Runs once over a recorded arrival stream with the observers attached,
+    and answers ``/status`` while it does.
     """
 
-    #: the runtime name stamped on flight bundles
-    runtime = "lockstep"
-
-    def _attach(self, obs: ObsConfig) -> None:
-        """Arm ``obs`` on :attr:`bus` (end of ``__init__``)."""
+    def __init__(self, shards: Sequence[EngineShard], router: RoutingTable,
+                 coordinator: HeadroomCoordinator,
+                 bus=None, obs: ObsConfig = ObsConfig()):
+        self.period = check_topology(shards, router)
+        self.shards = list(shards)
+        self.router = router
+        self.coordinator = coordinator
+        #: service observability: each shard's loop and engine emit through
+        #: a shard-scoped view of this bus (:func:`arm_shard`), so one
+        #: subscription sees every shard's events, labeled. The
+        #: coordinator emits service-level events on the bus directly.
+        self.bus = bus if bus is not None else get_bus()
+        for i, shard in enumerate(self.shards):
+            arm_shard(shard, self.bus, i, obs)
         self._k = -1          # last closed period, for the /status view
         self._running = False
         self.coordinator.bus = self.bus
-        self.observers = Observers(self.bus, obs, runtime=self.runtime,
+        self.observers = Observers(self.bus, obs, runtime="lockstep",
                                    status_fn=self.status)
         self.sysid_monitor = self.observers.sysid_monitor
         self.flight_recorder = self.observers.flight_recorder
@@ -300,7 +259,7 @@ class RecordedRun:
         return self.observers.server
 
     def status(self) -> dict:
-        """A live JSON-able view of the fleet (the ``/status`` payload)."""
+        """A live JSON-able view of the service (the ``/status`` payload)."""
         return {
             "mode": self.coordinator.mode,
             "period": self.period,
@@ -313,86 +272,65 @@ class RecordedRun:
     def run(self, arrivals: Sequence[Arrival], duration: float) -> ServiceResult:
         """Drive all shards for ``duration`` seconds of virtual time.
 
-        With ``serve=True`` an :class:`~repro.obs.serve.ObsServer` is up
-        for exactly the duration of this call (:attr:`obs_server` holds
-        it, e.g. to learn the bound port), serving this runtime's bus and
-        :meth:`status`. However the run ends, every observer is detached
-        from the bus again.
+        ``arrivals`` is time-ordered; each period takes the ones stamped
+        strictly before its end boundary. With ``serve=True`` an
+        :class:`~repro.obs.serve.ObsServer` is up for exactly the
+        duration of this call (:attr:`obs_server` holds it, e.g. to learn
+        the bound port), serving this service's bus and :meth:`status`.
+        However the run ends, every observer is detached from the bus
+        again.
         """
         if duration <= 0:
             raise ServiceError("duration must be positive")
         self._running = True
         try:
             self.observers.start()
-            return self._run(arrivals, duration)
+            wall_start = _time.perf_counter()
+            n_periods = int(round(duration / self.period))
+            stream = iter(arrivals)
+            pending = next(stream, None)
+            records = [shard.loop.begin() for shard in self.shards]
+            for k in range(n_periods):
+                boundary = (k + 1) * self.period
+                due: List[Arrival] = []
+                while pending is not None and pending[0] < boundary:
+                    due.append(pending)
+                    pending = next(stream, None)
+                run_service_period(
+                    k, due, self.router.shard_of, self.shards, records,
+                    self.coordinator, self.router,
+                    bus=self.bus, tracer=self.observers.tracer)
+                self._k = k
+            for shard, record in zip(self.shards, records):
+                shard.loop.finish(record, n_periods)
+            wall = _time.perf_counter() - wall_start
+            loops = {shard.name: shard.loop for shard in self.shards}
+            return service_result(
+                self.coordinator, self.shards, dict(zip(loops, records)),
+                wall, self.observers.close(loops, wall_seconds=wall))
         finally:
             self._running = False
             self.observers.close()
 
 
-class StreamService(RecordedRun):
-    """N engine shards, a stream router, and a global coordinator."""
+def build_topology(config: "ExperimentConfig", svc: ServiceConfig,
+                   default_source: Optional[str] = None
+                   ) -> Tuple[List[EngineShard], RoutingTable,
+                              HeadroomCoordinator]:
+    """``(shards, table, coordinator)`` from picklable specs.
 
-    def __init__(self, shards: Sequence[EngineShard], router: RoutingTable,
-                 coordinator: HeadroomCoordinator,
-                 bus=None, obs: ObsConfig = ObsConfig()):
-        self.period = check_topology(shards, router)
-        self.shards = list(shards)
-        self.router = router
-        self.coordinator = coordinator
-        #: fleet observability: each shard's loop and engine emit through a
-        #: shard-scoped view of this bus (:func:`arm_shard`), so one
-        #: subscription sees every shard's events, labeled. The
-        #: coordinator emits fleet-level events on the bus directly.
-        self.bus = bus if bus is not None else get_bus()
-        for i, shard in enumerate(self.shards):
-            arm_shard(shard, self.bus, i, obs)
-        self._attach(obs)
-
-    def _run(self, arrivals: Sequence[Arrival],
-             duration: float) -> ServiceResult:
-        wall_start = _time.perf_counter()
-        n_periods = int(round(duration / self.period))
-        dispatcher = PeriodDispatcher(self.router, arrivals)
-        records = [shard.loop.begin() for shard in self.shards]
-        for k in range(n_periods):
-            run_service_period(
-                k, dispatcher.take((k + 1) * self.period),
-                self.router.shard_of, self.shards, records,
-                self.coordinator, self.router,
-                bus=self.bus, tracer=self.observers.tracer)
-            self._k = k
-        for shard, record in zip(self.shards, records):
-            shard.loop.finish(record, n_periods)
-        wall = _time.perf_counter() - wall_start
-        loops = {shard.name: shard.loop for shard in self.shards}
-        return service_result(
-            self.coordinator, self.shards, dict(zip(loops, records)), wall,
-            self.observers.close(loops, wall_seconds=wall))
-
-
-def shard_build_spec(config: "ExperimentConfig", svc: ServiceConfig,
-                     index: int) -> dict:
-    """:func:`build_shard` keyword arguments of shard ``index`` of ``svc``.
-
-    A pure function of picklable specs: a fleet worker building from it
-    gets the very shard the lockstep service runs in-process.
+    The one assembly every runtime starts from: the lockstep service and
+    the live server take all three. Shard ``i`` seeds its engine with
+    ``config.seed + SEED_STRIDE * (i + 1)``. ``default_source`` is the
+    wire protocol's fallback source, which an explicit table must pin
+    somewhere.
     """
-    return dict(
-        name=svc.shard_names[index],
-        config=config,
-        headroom=svc.initial_headrooms()[index],
-        target=config.target,
-        strategy=svc.strategy,
-        engine_seed=config.seed + SEED_STRIDE * (index + 1),
-        backend=svc.backend,
-    )
-
-
-def build_control_plane(svc: ServiceConfig,
-                        default_source: Optional[str] = None
-                        ) -> Tuple[RoutingTable, HeadroomCoordinator]:
-    """The routing table and coordinator (migration policy included)."""
+    headrooms = svc.initial_headrooms()
+    shards = [build_shard(name=name, config=config, headroom=headrooms[i],
+                          target=config.target, strategy=svc.strategy,
+                          engine_seed=config.seed + SEED_STRIDE * (i + 1),
+                          backend=svc.backend)
+              for i, name in enumerate(svc.shard_names)]
     assignments = svc.default_assignments()
     if default_source is not None:
         # bare wire tuples carry no source field and fall back to
@@ -409,24 +347,8 @@ def build_control_plane(svc: ServiceConfig,
         headroom_ceiling=svc.headroom_ceiling,
         migration_policy=policy,
     )
-    return make_router("explicit", svc.n_shards, assignments), coordinator
-
-
-def build_topology(config: "ExperimentConfig", svc: ServiceConfig,
-                   default_source: Optional[str] = None
-                   ) -> Tuple[List[EngineShard], RoutingTable,
-                              HeadroomCoordinator]:
-    """``(shards, table, coordinator)`` from picklable specs.
-
-    The one assembly every runtime starts from: the lockstep service and
-    the live server take all three; the process fleet keeps the control
-    plane in the parent and has each worker build its own shard from
-    :func:`shard_build_spec`. ``default_source`` is the wire protocol's
-    fallback source, which an explicit table must pin somewhere.
-    """
-    shards = [build_shard(**shard_build_spec(config, svc, i))
-              for i in range(svc.n_shards)]
-    return (shards, *build_control_plane(svc, default_source))
+    return (shards, make_router("explicit", svc.n_shards, assignments),
+            coordinator)
 
 
 def build_service(config: "ExperimentConfig",

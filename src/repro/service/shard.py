@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
 
 #: prime stride between per-shard seeds (engine RNG, tuple-trace sampler):
 #: every runtime derives shard ``i``'s as ``base + SEED_STRIDE * (i + 1)``,
-#: so a fleet worker — or its replay — reproduces the lockstep shard
+#: so a live node's shard samples what its lockstep twin does
 SEED_STRIDE = 104729
 
 
@@ -303,8 +303,7 @@ def arm_loop(loop: ControlLoop, name: Optional[str], index: int,
     The per-loop half of :func:`arm_shard`, and all a single-loop
     ``LiveRunner`` needs (its loop keeps the caller's bus). ``index``
     seeds the tuple tracer: shards sample distinct (but each
-    reproducible) tuple sets, and a fleet worker samples what its
-    lockstep twin does.
+    reproducible) tuple sets.
     """
     if obs.tuptrace > 0.0:
         loop.tuple_tracer = TupleTracer(

@@ -1,6 +1,7 @@
 """Tests for the incident flight recorder and its deterministic replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.obs.flight import (
     replay_bundle,
 )
 from repro.service import ServiceConfig
-from repro.service.config import FleetConfig
 from repro.workloads import constant_rate
 
 
@@ -200,12 +200,11 @@ class TestServiceBundles:
         diff = replay_bundle(doc)
         assert diff.ok and diff.compared > 0
 
-    def test_fleet_bundle_carries_provenance_and_replays(self, tmp_path):
-        from repro.experiments.service_demo import run_service_experiment
-        svc = FleetConfig(n_shards=2, flight=32, flight_dir=str(tmp_path))
-        result = run_service_experiment(self.CFG, svc, "web")
-        assert result.incidents
-        doc = load_bundle(result.incidents[0])
+    def test_fleet_bundle_carries_provenance_and_replays(self):
+        """A bundle the deleted process fleet wrote (2 shards, ``flight=32``,
+        this class's config) still replays through the lockstep service."""
+        path = Path(__file__).with_name("fleet_incident.json")
+        doc = load_bundle(path)
         assert doc["runtime"] == "fleet"
         # rings were assembled in the parent over the relay: worker
         # events key by pid<pid>/<shard> provenance, while the parent's
@@ -216,4 +215,4 @@ class TestServiceBundles:
         assert any("period" in doc["rings"][s] for s in worker_keys)
         diff = replay_bundle(doc)  # fleet == lockstep trajectory
         assert diff.ok and diff.compared > 0
-        assert main(["replay", str(result.incidents[0])]) == 0
+        assert main(["replay", str(path)]) == 0

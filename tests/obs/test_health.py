@@ -236,17 +236,6 @@ class TestFinalize:
         assert reports[0].last_k == 2
         assert reports[1].first_k == 10
 
-    def test_finalize_annotates_unrecovered_worker_down(self):
-        from repro.obs.events import WorkerDown
-        bus = EventBus()
-        hm = HealthMonitor(bus)
-        bus.emit(WorkerDown(shard="shard1", exitcode=-9, last_k=17,
-                            restarts=1))
-        hm.finalize()
-        (r,) = hm.reports("worker_down")
-        assert r.open
-        assert "never rejoined" in r.detail
-
 
 class TestLifecycle:
     def test_summary_shape(self):

@@ -8,16 +8,16 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.parallel import Job, run_jobs
 from repro.obs import EventBus, EventRelay, MetricsRegistry
 from repro.obs.events import DrainTruncated, PeriodDecision
-from repro.obs.relay import relay_forwarder, worker_relay
+from repro.obs.relay import relay_forwarder
 from repro.service import ServiceConfig
 
 
 def _emit_from_worker(relay_queue, worker, n):
     """Child-process target: emit n labelled events on a private bus."""
     bus = EventBus()
-    with worker_relay(relay_queue, worker=worker, bus=bus):
-        for i in range(n):
-            bus.emit(DrainTruncated(time=float(i), shard="shard0"))
+    bus.subscribe(relay_forwarder(relay_queue, worker))
+    for i in range(n):
+        bus.emit(DrainTruncated(time=float(i), shard="shard0"))
 
 
 class TestRelayRoundTrip:

@@ -187,6 +187,44 @@ def test_live_ticker_charges_ingest_segment():
     assert shard.loop.tracer.segments["ingest"] > 0.0
 
 
+def test_unfilterable_tuples_do_not_stop_the_control_loop():
+    """A well-framed line whose values a threshold filter cannot compare
+    (too few fields, a non-numeric CSV field, an empty JSON list) is
+    filtered out, not raised inside the period: every period still
+    closes, stop() returns the record and the tuple ledger balances."""
+    import socket
+
+    from repro.service.shard import build_shard
+    config = ExperimentConfig(capacity=CAPACITY, period=1.0, target=TARGET)
+    clock = ManualClock()
+    shard = build_shard("bad", config, headroom=config.headroom,
+                        target=TARGET, backend="full")
+    runner = LiveRunner(shard.loop, entry_source=shard.entry_source,
+                        clock=clock, max_periods=3)
+    runner.start()
+    try:
+        frames = (b'0.1\nabc,0.1,0.1,0.1\n{"v":[]}\n'
+                  + b"0.1,0.1,0.1,0.1\n" * 20)
+        with socket.create_connection(("127.0.0.1",
+                                       runner.ingest_port)) as sock:
+            sock.sendall(frames)
+        assert _eventually(lambda: runner.ingest.snapshot().accepted == 23)
+        for k in range(1, 3):
+            clock.advance(1.0 if k > 1 else 1.1)
+            assert _eventually(
+                lambda: runner.status()["periods_done"] == k), k
+        clock.advance(1.0)
+        assert runner.wait(timeout=10)
+    finally:
+        record = runner.stop()
+    assert record is not None and len(record.periods) == 3
+    admitted = sum(p.admitted for p in record.periods)
+    assert admitted == 23
+    delivered = sum(1 for d in record.departures if not d.shed)
+    shed = sum(1 for d in record.departures if d.shed)
+    assert admitted == delivered + shed + shard.engine.outstanding
+
+
 def test_live_runner_observes_the_loops_own_bus():
     """A private bus nobody subscribed to yet is falsy; arming observers
     must subscribe them there, not swap the loop onto the process bus."""

@@ -125,61 +125,3 @@ def test_replayer_stops_cleanly_on_signal():
     code, out, _ = _run_child(REPLAY_CHILD)
     assert code == 0, f"child exited {code}:\n{out}"
     assert "CLEAN" in out
-
-
-FLEET_CHILD = """
-import multiprocessing, threading, signal, sys
-from repro.experiments import ExperimentConfig, build_service_workload
-from repro.obs import EventBus
-from repro.service import FleetConfig, build_fleet
-
-bus = EventBus()
-downs = []
-bus.subscribe(downs.append, kinds=("worker_down",))
-
-# long enough (~2 s of wall time) that the run is still going when the
-# parent's SIGINT lands 0.3 s after READY
-config = ExperimentConfig(duration=240.0, seed=11)
-svc = FleetConfig(n_shards=2, n_sources=2)
-fleet = build_fleet(config, svc, bus=bus)
-arrivals = build_service_workload(config, svc)
-
-# Install a handler (the LiveRunner.handle_signals idiom) instead of
-# letting KeyboardInterrupt tear through Thread.join(): on CPython 3.11
-# an interrupted join() corrupts the thread's tstate lock and falsely
-# reports the thread stopped while the fleet is still mid-run.
-fired = threading.Event()
-signal.signal(signal.SIGINT, lambda *a: fired.set())
-
-done = {}
-def _run():
-    try:
-        done["result"] = fleet.run(arrivals, duration=config.duration)
-    except BaseException as exc:
-        done["error"] = exc
-t = threading.Thread(target=_run, daemon=True)
-t.start()
-print("READY 0", flush=True)
-# the group-wide SIGINT lands on the workers too; they must ignore it
-# and let the run complete while the parent coordinates as usual
-t.join(timeout=120)
-assert not t.is_alive(), "fleet run wedged after SIGINT"
-assert fired.is_set(), "the SIGINT never arrived"
-assert "error" not in done, done.get("error")
-assert "result" in done, "fleet run returned nothing"
-leftover = multiprocessing.active_children()
-for proc in leftover:
-    proc.terminate()
-assert not leftover, f"orphans: {leftover}"
-assert not downs, f"workers died from the group SIGINT: {downs}"
-print("CLEAN", flush=True)
-"""
-
-
-def test_fleet_run_completes_despite_sigint_to_workers():
-    """A group-wide SIGINT mid-run: workers ignore it (the parent
-    coordinates teardown), the run completes, no worker death events,
-    and no orphan processes remain."""
-    code, out, _ = _run_child(FLEET_CHILD, timeout=120.0)
-    assert code == 0, f"child exited {code}:\n{out}"
-    assert "CLEAN" in out

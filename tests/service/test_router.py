@@ -131,14 +131,12 @@ class TestRoutingTableInvariants:
     @given(sources=st.lists(SOURCE_NAMES, min_size=1, max_size=20),
            n_shards=st.integers(min_value=1, max_value=9))
     def test_hash_routing_stable_under_rebuild(self, sources, n_shards):
-        # A shard-count-preserving rebuild (fresh table, or snapshot
-        # round-trip) maps every never-pinned source identically.
+        # A shard-count-preserving rebuild maps every never-pinned source
+        # identically.
         a = RoutingTable(n_shards)
         before = [a.shard_of(s) for s in sources]
         b = RoutingTable(n_shards)
-        c = RoutingTable.from_snapshot(a.snapshot())
         assert [b.shard_of(s) for s in sources] == before
-        assert [c.shard_of(s) for s in sources] == before
 
     @settings(max_examples=50, deadline=None)
     @given(pins=st.dictionaries(SOURCE_NAMES,
@@ -162,33 +160,9 @@ class TestRoutingTableInvariants:
         for source, shard in moves:
             epoch = table.pin(source, shard)
             assert epoch > last.get(source, 0)
-            assert epoch == table.snapshot()["source_epochs"][source]
             last[source] = epoch
         # the global epoch counts every mutation
         assert table.epoch == len(moves)
-
-    @settings(max_examples=50, deadline=None)
-    @given(moves=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c"]),
-                  st.integers(min_value=0, max_value=3)),
-        min_size=1, max_size=30))
-    def test_replica_replay_converges(self, moves):
-        primary = RoutingTable(4)
-        replica = RoutingTable(4)
-        for source, shard in moves:
-            epoch = primary.pin(source, shard)
-            replica.apply_route(source, shard, epoch)
-        assert replica.snapshot() == primary.snapshot()
-
-    def test_apply_route_rejects_stale_epoch(self):
-        table = RoutingTable(2)
-        table.apply_route("s", 1, epoch=3)
-        with pytest.raises(ServiceError):
-            table.apply_route("s", 0, epoch=3)     # replayed twice
-        with pytest.raises(ServiceError):
-            table.apply_route("s", 0, epoch=2)     # out of order
-        table.apply_route("s", 0, epoch=4)
-        assert table.shard_of("s") == 0
 
     def test_migrate_validates_current_shard(self):
         table = RoutingTable(3)
@@ -213,8 +187,5 @@ class TestRangeCheck:
         with pytest.raises(ServiceError):
             table.pin("s", -1)
         with pytest.raises(ServiceError):
-            table.apply_route("s", 2, epoch=1)
-        snapshot = dict(table.snapshot(), pins={"s": 2})
-        with pytest.raises(ServiceError):
-            RoutingTable.from_snapshot(snapshot)
+            RoutingTable(2, pins={"s": 2})
         assert split(table, [(0.0, (1,), "s")])[table.shard_of("s")]

@@ -1,11 +1,11 @@
-"""Tuple tracing across the service layer: shards, fleet relay, summaries."""
+"""Tuple tracing across the service layer: shards and summaries."""
 
 import pytest
 
 from repro.experiments import ExperimentConfig, build_service_workload
 from repro.obs import EventBus
 from repro.obs.tuptrace import TraceCollector
-from repro.service import FleetConfig, ServiceConfig, build_fleet, build_service
+from repro.service import ServiceConfig, build_service
 
 CFG = ExperimentConfig(duration=40.0, seed=3)
 
@@ -60,48 +60,3 @@ class TestStreamServiceTuptrace:
         from repro.errors import ServiceError
         with pytest.raises(ServiceError):
             ServiceConfig(n_shards=2, n_sources=2, tuptrace=1.5)
-
-
-class TestFleetTuptrace:
-    def test_fleet_relays_traces_with_worker_provenance(self):
-        svc = FleetConfig(n_shards=2, n_sources=2, tuptrace=0.2, relay=True)
-        arrivals = build_service_workload(CFG, svc)
-        bus = EventBus()
-        collector = TraceCollector(bus, max_finished=100_000)
-        build_fleet(CFG, svc, bus=bus).run(arrivals, CFG.duration)
-        collector.close()
-        records = collector.records()
-        assert records, "no traces crossed the process boundary"
-        assert all(d.get("worker") for d in records)
-        assert {d["shard"] for d in records} == set(svc.shard_names)
-
-    def test_fleet_traces_match_lockstep(self):
-        """Sync-mode equivalence extends to the sampled trace stream:
-        same per-shard seeds, same arrivals -> same tuple ids and
-        outcomes, worker provenance aside."""
-        svc = FleetConfig(n_shards=2, n_sources=2, tuptrace=0.2, relay=True)
-        arrivals = build_service_workload(CFG, svc)
-
-        fleet_bus = EventBus()
-        fleet_collector = TraceCollector(fleet_bus, max_finished=100_000)
-        build_fleet(CFG, svc, bus=fleet_bus).run(arrivals, CFG.duration)
-        fleet_collector.close()
-
-        lock_bus = EventBus()
-        lock_collector = TraceCollector(lock_bus, max_finished=100_000)
-        service = build_service(CFG, svc.as_lockstep())
-        service.bus = lock_bus
-        for shard in service.shards:
-            scoped = lock_bus.scoped(shard.name)
-            shard.loop.bus = scoped
-            shard.loop.tuple_tracer.bus = scoped
-        service.run(arrivals, CFG.duration)
-        lock_collector.close()
-
-        def key(docs):
-            return sorted((d["shard"], d["tuple_id"], d["outcome"],
-                           round(d["latency"], 9) if d["latency"] is not None
-                           else None)
-                          for d in docs)
-
-        assert key(fleet_collector.records()) == key(lock_collector.records())

@@ -132,15 +132,15 @@ UNSET_FIELD_EXEMPTIONS = {
 
 
 def test_every_config_field_is_set_by_some_caller():
-    """A config field nobody passes is a constant: every field of the three
+    """A config field nobody passes is a constant: every field of the two
     config dataclasses is a keyword of some call outside its own module."""
     from dataclasses import fields
 
     from repro.obs import ObsConfig
-    from repro.service import FleetConfig, ServiceConfig
+    from repro.service import ServiceConfig
 
     declared = {}
-    for config in (ObsConfig, ServiceConfig, FleetConfig):
+    for config in (ObsConfig, ServiceConfig):
         module = Path(sys.modules[config.__module__].__file__)
         for f in fields(config):
             declared.setdefault(f.name, module)  # first = the declaring class
