@@ -79,12 +79,13 @@ class TestDeterminism:
     @pytest.fixture(scope="class")
     def jobs(self):
         return [
-            Job(strategy=name, config=CFG, workload_kind="web",
+            Job(strategy=name, config=CFG, workload_kind=workload,
                 actuator=actuator, seed=seed)
-            for name, actuator, seed in (
-                ("CTRL", "entry", 1),
-                ("CTRL", "queue", 1),
-                ("AURORA", "entry", 2),
+            for name, workload, actuator, seed in (
+                ("CTRL", "web", "entry", 1),
+                ("CTRL", "web", "queue", 1),
+                ("AURORA", "web", "entry", 2),
+                ("BASELINE", "pareto", "entry", 3),
             )
         ]
 

@@ -2,8 +2,8 @@
 
 Real-time bounds here are deliberately generous — a loaded CI runner can
 stall any thread for tens of milliseconds. Tight bounds only apply under
-``REPRO_RT_STRICT=1`` (mirroring the cpu-count gating in check_trend.py:
-on shared runners, wall-clock precision is machine topology, not a bug).
+``REPRO_RT_STRICT=1``: on a shared runner, wall-clock precision is
+machine topology, not a bug.
 """
 
 import os

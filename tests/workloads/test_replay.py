@@ -2,8 +2,8 @@
 
 The schedule math is pure and tested exactly; only the socket replays
 are timed against the wall, with generous tolerances unless
-``REPRO_RT_STRICT=1`` (check_trend.py's gating pattern: wall-clock
-precision on a shared runner is topology, not correctness).
+``REPRO_RT_STRICT=1``: wall-clock precision on a shared runner is
+topology, not correctness.
 """
 
 import os
